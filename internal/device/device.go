@@ -8,11 +8,9 @@ package device
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"lasthop/internal/link"
 	"lasthop/internal/msg"
-	"lasthop/internal/rankedq"
 	"lasthop/internal/simtime"
 )
 
@@ -88,19 +86,16 @@ type Stats struct {
 	PeerReleases int
 }
 
-// Device is the mobile client. Like the proxy it is single-threaded:
-// callers serialize through the owning scheduler.
+// Device is the mobile client: a Store behind a link, a battery and the
+// proxy it reads from. Like the proxy it is single-threaded: callers
+// serialize through the owning scheduler.
 type Device struct {
 	sched   simtime.Scheduler
 	lnk     *link.Link
 	backend ReadBackend
 	cfg     Config
 
-	queues  map[string]*rankedq.Queue
-	expiry  map[string]*rankedq.ExpiryIndex
-	readIDs map[string]msg.IDSet // per-topic set of consumed notifications
-
-	stats Stats
+	store *Store // its Stats is the device's: link and battery are counted there too
 }
 
 // New returns a device reading through the given link and backend.
@@ -110,14 +105,12 @@ func New(sched simtime.Scheduler, lnk *link.Link, backend ReadBackend, cfg Confi
 		lnk:     lnk,
 		backend: backend,
 		cfg:     cfg.withDefaults(),
-		queues:  make(map[string]*rankedq.Queue),
-		expiry:  make(map[string]*rankedq.ExpiryIndex),
-		readIDs: make(map[string]msg.IDSet),
+		store:   NewStore(cfg.Capacity, cfg.RankThreshold),
 	}
 }
 
 // Stats returns a copy of the cumulative accounting.
-func (d *Device) Stats() Stats { return d.stats }
+func (d *Device) Stats() Stats { return d.store.Stats }
 
 // BatteryRemaining returns the remaining energy budget; ok is false when
 // the budget is unbounded.
@@ -125,7 +118,7 @@ func (d *Device) BatteryRemaining() (float64, bool) {
 	if d.cfg.BatteryCapacity == 0 {
 		return 0, false
 	}
-	rem := d.cfg.BatteryCapacity - d.stats.BatteryUsed
+	rem := d.cfg.BatteryCapacity - d.store.Stats.BatteryUsed
 	if rem < 0 {
 		rem = 0
 	}
@@ -133,48 +126,26 @@ func (d *Device) BatteryRemaining() (float64, bool) {
 }
 
 func (d *Device) batteryDead() bool {
-	return d.cfg.BatteryCapacity > 0 && d.stats.BatteryUsed >= d.cfg.BatteryCapacity
+	return d.cfg.BatteryCapacity > 0 && d.store.Stats.BatteryUsed >= d.cfg.BatteryCapacity
 }
 
 func (d *Device) drain(cost float64) error {
 	if d.batteryDead() {
 		return ErrBatteryDead
 	}
-	d.stats.BatteryUsed += cost
+	d.store.Stats.BatteryUsed += cost
 	return nil
 }
 
-func (d *Device) topicQueue(topic string) (*rankedq.Queue, *rankedq.ExpiryIndex, msg.IDSet) {
-	q, ok := d.queues[topic]
-	if !ok {
-		q = rankedq.NewQueue()
-		d.queues[topic] = q
-		d.expiry[topic] = rankedq.NewExpiryIndex()
-		d.readIDs[topic] = make(msg.IDSet)
-	}
-	return q, d.expiry[topic], d.readIDs[topic]
-}
-
 // QueueLen returns the number of stored notifications on a topic.
-func (d *Device) QueueLen(topic string) int {
-	q, ok := d.queues[topic]
-	if !ok {
-		return 0
-	}
-	return q.Len()
-}
+func (d *Device) QueueLen(topic string) int { return d.store.QueueLen(topic) }
 
 // ReadSet returns a copy of the IDs the user has consumed on a topic.
-func (d *Device) ReadSet(topic string) msg.IDSet {
-	ids, ok := d.readIDs[topic]
-	if !ok {
-		return make(msg.IDSet)
-	}
-	return ids.Clone()
-}
+func (d *Device) ReadSet(topic string) msg.IDSet { return d.store.ReadSet(topic) }
 
 // Receive implements core.Forwarder: the proxy pushes one notification (or
-// a rank revision under a known ID) across the link.
+// a rank revision under a known ID) across the link. Unacceptable content
+// still costs the transfer; it simply never becomes readable (pure waste).
 func (d *Device) Receive(n *msg.Notification) error {
 	if err := d.drain(d.cfg.ReceiveCost); err != nil {
 		return err
@@ -182,61 +153,8 @@ func (d *Device) Receive(n *msg.Notification) error {
 	if err := d.lnk.Transfer(link.ProxyToDevice, transferSize(n)); err != nil {
 		return fmt.Errorf("receive: %w", err)
 	}
-	q, exp, read := d.topicQueue(n.Topic)
-	if read.Contains(n.ID) {
-		// Already consumed; a revision of it is meaningless to the user.
-		d.stats.Updates++
-		return nil
-	}
-	if q.Contains(n.ID) {
-		d.stats.Updates++
-		if n.Rank < d.cfg.RankThreshold {
-			// Rank-drop signal: discard the local copy.
-			q.Remove(n.ID)
-			exp.Remove(n.ID)
-			d.stats.RankDropsApplied++
-			return nil
-		}
-		q.UpdateRank(n.ID, n.Rank)
-		return nil
-	}
-	if n.Rank < d.cfg.RankThreshold || n.Expired(d.sched.Now()) {
-		// Unacceptable content still costs the transfer; it simply never
-		// becomes readable (pure waste).
-		d.stats.Received++
-		d.stats.ExpiredUnread++
-		return nil
-	}
-	d.stats.Received++
-	if err := q.Push(n); err != nil {
-		return fmt.Errorf("receive: %w", err)
-	}
-	if err := exp.Add(n); err != nil {
-		return fmt.Errorf("receive: %w", err)
-	}
-	if d.cfg.Capacity > 0 {
-		for q.Len() > d.cfg.Capacity {
-			if victim, ok := q.PopWorst(); ok {
-				exp.Remove(victim.ID)
-				d.stats.EvictedStorage++
-			}
-		}
-	}
+	d.store.Accept(n, d.sched.Now())
 	return nil
-}
-
-// purgeExpired lazily drops expired unread notifications on a topic.
-func (d *Device) purgeExpired(topic string) {
-	q, ok := d.queues[topic]
-	if !ok {
-		return
-	}
-	exp := d.expiry[topic]
-	for _, id := range exp.PopExpired(d.sched.Now()) {
-		if _, removed := q.Remove(id); removed {
-			d.stats.ExpiredUnread++
-		}
-	}
 }
 
 // Read performs a user read on a topic: at most n highest-ranked unexpired
@@ -248,8 +166,7 @@ func (d *Device) Read(topic string, n int) ([]*msg.Notification, error) {
 	if d.batteryDead() {
 		return nil, ErrBatteryDead
 	}
-	d.purgeExpired(topic)
-	q, exp, read := d.topicQueue(topic)
+	d.store.Expire(topic, d.sched.Now(), nil)
 
 	// The read is always relayed to the proxy's READ handler — Figure 7's
 	// READ does not check network status; only try_forwarding does. When
@@ -258,24 +175,7 @@ func (d *Device) Read(topic string, n int) ([]*msg.Notification, error) {
 	// "better data" it selects waits in the outgoing queue until the
 	// link returns. When the link is up the request costs one upstream
 	// transfer and the response arrives before the read completes.
-	//
-	// An unlimited read (n == 0, the paper's Max = ∞) asks the proxy for
-	// everything by sending N = 0 and offering the whole local queue.
-	haveN := n
-	if haveN == 0 || haveN > q.Len() {
-		haveN = q.Len()
-	}
-	have := q.BestN(haveN)
-	clientEvents := make([]msg.ID, 0, len(have))
-	for _, h := range have {
-		clientEvents = append(clientEvents, h.ID)
-	}
-	req := msg.ReadRequest{
-		Topic:        topic,
-		N:            n,
-		QueueSize:    q.Len(),
-		ClientEvents: clientEvents,
-	}
+	req := d.store.Offer(topic, n)
 	relay := true
 	if d.lnk.Up() {
 		if err := d.drain(d.cfg.RequestCost); err != nil {
@@ -283,7 +183,7 @@ func (d *Device) Read(topic string, n int) ([]*msg.Notification, error) {
 		} else if err := d.lnk.Transfer(link.DeviceToProxy, requestSize(&req)); err != nil {
 			relay = false
 		} else {
-			d.stats.RequestsSent++
+			d.store.Stats.RequestsSent++
 		}
 	}
 	if relay {
@@ -293,79 +193,28 @@ func (d *Device) Read(topic string, n int) ([]*msg.Notification, error) {
 			return nil, fmt.Errorf("read relay: %w", err)
 		}
 	}
-
-	var batch []*msg.Notification
-	if n == 0 {
-		batch = q.TakeBestN(q.Len())
-	} else {
-		batch = q.TakeBestN(n)
-	}
-	for _, b := range batch {
-		exp.Remove(b.ID)
-		read.Add(b.ID)
-	}
-	d.stats.ReadCount += len(batch)
-	sort.Slice(batch, func(i, j int) bool { return batch[i].Before(batch[j]) })
-	return batch, nil
+	return d.store.Take(topic, n), nil
 }
 
 // Peek returns copies of the up-to-n highest-ranked unexpired unread
 // notifications without consuming them. Peer devices use it to offer their
 // cache over an ad-hoc network (§4 future work).
 func (d *Device) Peek(topic string, n int) []*msg.Notification {
-	d.purgeExpired(topic)
-	q, ok := d.queues[topic]
-	if !ok {
-		return nil
-	}
-	if n <= 0 || n > q.Len() {
-		n = q.Len()
-	}
-	best := q.BestN(n)
-	out := make([]*msg.Notification, 0, len(best))
-	for _, b := range best {
-		out = append(out, b.Clone())
-	}
-	return out
+	d.store.Expire(topic, d.sched.Now(), nil)
+	return d.store.Peek(topic, n)
 }
 
 // ImportPeer stores a notification borrowed from a peer device's cache
 // over the ad-hoc network. It bypasses the last hop (no link transfer, no
 // battery charge for the cellular radio) and reports whether the
 // notification was new here.
-func (d *Device) ImportPeer(n *msg.Notification) bool {
-	q, exp, read := d.topicQueue(n.Topic)
-	if read.Contains(n.ID) || q.Contains(n.ID) {
-		return false
-	}
-	if n.Expired(d.sched.Now()) || n.Rank < d.cfg.RankThreshold {
-		return false
-	}
-	if err := q.Push(n); err != nil {
-		return false
-	}
-	_ = exp.Add(n)
-	d.stats.PeerImports++
-	return true
-}
+func (d *Device) ImportPeer(n *msg.Notification) bool { return d.store.Import(n, d.sched.Now()) }
 
 // MarkRead records that the user consumed the given notifications on a
 // sibling device: local unread copies are dropped (they would otherwise
 // become waste) and the IDs join the consumed set so re-forwards are
 // ignored. It returns how many local copies were released.
-func (d *Device) MarkRead(topic string, ids []msg.ID) int {
-	q, exp, read := d.topicQueue(topic)
-	released := 0
-	for _, id := range ids {
-		read.Add(id)
-		if _, ok := q.Remove(id); ok {
-			exp.Remove(id)
-			released++
-		}
-	}
-	d.stats.PeerReleases += released
-	return released
-}
+func (d *Device) MarkRead(topic string, ids []msg.ID) int { return d.store.MarkConsumed(topic, ids) }
 
 // Refill asks the proxy to top the local cache up by `slots` messages
 // without counting as a user read (a Peek request). Sibling-device
@@ -379,27 +228,17 @@ func (d *Device) Refill(topic string, slots int) error {
 	if d.batteryDead() {
 		return ErrBatteryDead
 	}
-	d.purgeExpired(topic)
-	q, _, _ := d.topicQueue(topic)
-	have := q.BestN(q.Len())
-	clientEvents := make([]msg.ID, 0, len(have))
-	for _, h := range have {
-		clientEvents = append(clientEvents, h.ID)
-	}
-	req := msg.ReadRequest{
-		Topic:        topic,
-		N:            q.Len() + slots,
-		QueueSize:    q.Len(),
-		ClientEvents: clientEvents,
-		Peek:         true,
-	}
+	d.store.Expire(topic, d.sched.Now(), nil)
+	req := d.store.Offer(topic, 0)
+	req.N = req.QueueSize + slots
+	req.Peek = true
 	if err := d.drain(d.cfg.RequestCost); err != nil {
 		return err
 	}
 	if err := d.lnk.Transfer(link.DeviceToProxy, requestSize(&req)); err != nil {
 		return fmt.Errorf("refill: %w", err)
 	}
-	d.stats.RequestsSent++
+	d.store.Stats.RequestsSent++
 	if err := d.backend.Read(req); err != nil {
 		return fmt.Errorf("refill relay: %w", err)
 	}

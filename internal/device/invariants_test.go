@@ -17,12 +17,11 @@ import (
 
 func checkDeviceInvariants(t *testing.T, d *Device, topic string, step int) {
 	t.Helper()
-	q := d.queues[topic]
-	if q == nil {
+	ts := d.store.topics[topic]
+	if ts == nil {
 		return
 	}
-	read := d.readIDs[topic]
-	now := d.sched.Now()
+	q, read, stats := ts.q, ts.consumed, d.Stats()
 
 	// 1. Storage bound respected.
 	if d.cfg.Capacity > 0 && q.Len() > d.cfg.Capacity {
@@ -37,18 +36,17 @@ func checkDeviceInvariants(t *testing.T, d *Device, topic string, step int) {
 		if n.Rank < d.cfg.RankThreshold {
 			t.Fatalf("step %d: below-threshold %s stored", step, n.ID)
 		}
-		_ = now
 	})
 	// 4. Battery never exceeds its budget by more than one drain.
-	if d.cfg.BatteryCapacity > 0 && d.stats.BatteryUsed > d.cfg.BatteryCapacity+d.cfg.ReceiveCost {
-		t.Fatalf("step %d: battery overdrawn: %v / %v", step, d.stats.BatteryUsed, d.cfg.BatteryCapacity)
+	if d.cfg.BatteryCapacity > 0 && stats.BatteryUsed > d.cfg.BatteryCapacity+d.cfg.ReceiveCost {
+		t.Fatalf("step %d: battery overdrawn: %v / %v", step, stats.BatteryUsed, d.cfg.BatteryCapacity)
 	}
 	// 5. Counters are consistent: everything received was read, expired,
 	// evicted, dropped, or is still queued.
-	total := d.stats.ReadCount + d.stats.ExpiredUnread + d.stats.EvictedStorage +
-		d.stats.RankDropsApplied + q.Len()
-	if total < d.stats.Received {
-		t.Fatalf("step %d: accounting leak: received %d > accounted %d", step, d.stats.Received, total)
+	total := stats.ReadCount + stats.ExpiredUnread + stats.EvictedStorage +
+		stats.RankDropsApplied + q.Len()
+	if total < stats.Received {
+		t.Fatalf("step %d: accounting leak: received %d > accounted %d", step, stats.Received, total)
 	}
 }
 

@@ -154,7 +154,7 @@ func TestRefillNoopWhenDownOrZero(t *testing.T) {
 
 func TestRefillBatteryDead(t *testing.T) {
 	f := newFixture(Config{BatteryCapacity: 0.1, RequestCost: 0.5})
-	f.dev.stats.BatteryUsed = 0.2 // drained
+	f.dev.store.Stats.BatteryUsed = 0.2 // drained
 	if err := f.dev.Refill("t", 1); err == nil {
 		t.Error("refill succeeded on a dead battery")
 	}

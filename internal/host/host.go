@@ -178,6 +178,10 @@ type Host struct {
 	upstream *wire.BrokerClient
 	workers  []*worker
 
+	// mu guards the session directory and the subscription table. Lock
+	// order: wheel callback mutex → h.mu → s.mu. The commit tick takes h.mu
+	// (and then s.mu) inside a wheel callback, so nothing may enter a wheel
+	// (Wheel.Run, Schedule) while holding either.
 	mu       sync.Mutex
 	sessions map[string]*Session
 	topics   map[string]*topicSub
@@ -531,10 +535,7 @@ func (h *Host) handleConn(conn *wire.Conn) {
 			if sess != nil && sess != s {
 				sess.detach(conn)
 			}
-			sess = s
-			ok := wire.OK(f)
-			ok.Caps = wire.LocalCaps()
-			h.respond(conn, ok)
+			sess = s // attach answered the hello
 		case wire.TypePing:
 			h.respond(conn, &wire.Frame{Type: wire.TypePong, Re: f.Seq})
 		case wire.TypeSubscribe:
@@ -574,7 +575,7 @@ func (h *Host) attach(conn *wire.Conn, hello *wire.Frame) (*Session, error) {
 		h.sessions[name] = s
 	}
 	h.mu.Unlock()
-	s.attach(conn, wire.HasCap(hello.Caps, wire.CapPushBatch), wire.HasCap(hello.Caps, wire.CapTrace))
+	s.attach(conn, hello)
 	return s, nil
 }
 

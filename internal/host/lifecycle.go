@@ -242,16 +242,7 @@ func (s *Session) rehydrate() {
 	s.mu.Unlock()
 	maxRec := s.host.opts.SpoolMaxRecordBytes
 
-	newProxy := func() *core.Proxy {
-		p := core.New(s.w.wheel, s)
-		if s.host.opts.Trace != nil {
-			p.SetTracer(sessionTracer{node: s.name, t: s.host.opts.Trace})
-		}
-		p.SetReleaser(burst.Notes.Put)
-		p.SetNetwork(false)
-		return p
-	}
-	p := newProxy()
+	p := s.newProxy()
 	restored := false
 	if !snapLoc.IsZero() {
 		var ps core.ProxySnapshot
@@ -271,7 +262,7 @@ func (s *Session) rehydrate() {
 				s.name, snapLoc.Path, snapLoc.Offset, err)
 			s.host.rehydrateFailures.Add(1)
 			p.Shutdown() // a partial Import may have armed timers
-			p = newProxy()
+			p = s.newProxy()
 		} else {
 			restored = true
 		}

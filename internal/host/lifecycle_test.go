@@ -335,6 +335,46 @@ func TestDoubleRehydrateTwoConnections(t *testing.T) {
 	readAll(t, winner, topic, []string{"d-0", "d-1"})
 }
 
+// TestFirstContactChurn pins the lock order wheel callback → h.mu → s.mu:
+// first-contact hellos take h.mu to create their session while the 1 ms
+// commit tick takes h.mu inside a wheel callback. Building the new session's
+// proxy on the wheel under h.mu (the parent did) deadlocks the two, and
+// every later handler parks behind them.
+func TestFirstContactChurn(t *testing.T) {
+	opts := hibOpts(t.TempDir())
+	opts.SpoolCommitEvery = time.Millisecond
+	tt := newTopology(t, opts)
+	const n = 200
+	var wg sync.WaitGroup
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			dev, err := wire.DialProxy(tt.addr, fmt.Sprintf("churn-%d", i))
+			if err != nil {
+				errs <- err
+				return
+			}
+			_ = dev.Close()
+		}(i)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("first-contact hellos deadlocked against the commit tick")
+	}
+	close(errs)
+	for err := range errs {
+		t.Errorf("hello: %v", err)
+	}
+	if got := len(tt.host.Sessions()); got != n {
+		t.Errorf("sessions = %d, want %d", got, n)
+	}
+}
+
 // TestKillRestartRecovery is the in-process chaos drill: hibernate a fleet,
 // let deltas accumulate, SIGKILL-equivalent the host (Kill drops every fd
 // without flushing), and bring up a fresh host — with a different worker

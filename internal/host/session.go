@@ -58,19 +58,29 @@ var (
 	_ core.BatchForwarder = (*Session)(nil)
 )
 
+// newSession builds a session around an empty proxy. It stays off the
+// wheel — Host.attach calls it under h.mu, and the commit tick takes h.mu
+// inside a wheel callback — which is safe because nothing can reach the
+// session before attach publishes it in h.sessions, and an empty proxy arms
+// no timer.
 func newSession(h *Host, name string, w *worker) *Session {
 	s := &Session{host: h, name: name, w: w, topics: make(map[string]struct{})}
-	w.wheel.Run(func() {
-		s.proxy = core.New(w.wheel, s)
-		if h.opts.Trace != nil {
-			s.proxy.SetTracer(sessionTracer{node: name, t: h.opts.Trace})
-		}
-		// Upstream arrivals are pooled; the proxy recycles every
-		// reference it drops (forwarding serializes onto the wire first).
-		s.proxy.SetReleaser(burst.Notes.Put)
-		s.proxy.SetNetwork(false) // no device yet
-	})
+	s.proxy = s.newProxy()
 	return s
+}
+
+// newProxy returns an empty proxy for the session, network down (no device
+// yet).
+func (s *Session) newProxy() *core.Proxy {
+	p := core.New(s.w.wheel, s)
+	if s.host.opts.Trace != nil {
+		p.SetTracer(sessionTracer{node: s.name, t: s.host.opts.Trace})
+	}
+	// Upstream arrivals are pooled; the proxy recycles every reference it
+	// drops (forwarding serializes onto the wire first).
+	p.SetReleaser(burst.Notes.Put)
+	p.SetNetwork(false)
+	return p
 }
 
 // sessionTracer fills the session's name into core events that do not name
@@ -88,14 +98,20 @@ func (st sessionTracer) Record(e trace.Event) {
 }
 
 // attach binds a (re)connecting device connection to the session,
-// superseding a stale one.
-func (s *Session) attach(conn *wire.Conn, batch, traceOK bool) {
+// superseding a stale one, and answers its hello. The answer is queued
+// before s.mu is released: a racing hello for the same name can find — and
+// close — this connection only afterwards, and Close flushes what is queued,
+// so every hello is answered.
+func (s *Session) attach(conn *wire.Conn, hello *wire.Frame) {
+	ok := wire.OK(hello)
+	ok.Caps = wire.LocalCaps()
 	s.mu.Lock()
 	old := s.conn
 	s.conn = conn
-	s.batch = batch
-	s.traceOK = traceOK
+	s.batch = wire.HasCap(hello.Caps, wire.CapPushBatch)
+	s.traceOK = wire.HasCap(hello.Caps, wire.CapTrace)
 	s.connects++
+	s.host.respond(conn, ok)
 	s.mu.Unlock()
 	if old != nil && old != conn {
 		_ = old.Close()

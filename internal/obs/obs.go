@@ -253,7 +253,9 @@ type Registry struct {
 
 	// onScrape hooks run at the top of WriteText, before any family
 	// lock is taken, so they may freely update metrics (runtime gauges
-	// pumped from runtime.ReadMemStats live here).
+	// pumped from runtime.ReadMemStats live here). scrapeMu is held while
+	// they run — one scrape at a time — because hooks keep state between
+	// scrapes (the GC-pause cursor); a hook must not call OnScrape.
 	scrapeMu sync.Mutex
 	onScrape []func()
 }
@@ -408,11 +410,10 @@ func (r *Registry) sample(name, help, typ string, labelNames []string, fn func()
 // format, sorted by family name.
 func (r *Registry) WriteText(w io.Writer) error {
 	r.scrapeMu.Lock()
-	hooks := append([]func(){}, r.onScrape...)
-	r.scrapeMu.Unlock()
-	for _, fn := range hooks {
+	for _, fn := range r.onScrape {
 		fn()
 	}
+	r.scrapeMu.Unlock()
 	r.mu.Lock()
 	names := make([]string, 0, len(r.families))
 	for name := range r.families {

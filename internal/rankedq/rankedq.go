@@ -8,7 +8,6 @@
 package rankedq
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 
@@ -324,37 +323,71 @@ type expiryHeap struct {
 	index   map[msg.ID]int
 }
 
-var _ heap.Interface = (*expiryHeap)(nil)
+// The heap is maintained by hand rather than through container/heap, whose
+// Push and Pop box every entry into an interface: an index entry is added
+// and removed once per notification a device holds, and that was two
+// allocations each.
 
 func (h *expiryHeap) Len() int { return len(h.entries) }
 
-func (h *expiryHeap) Less(i, j int) bool {
+func (h *expiryHeap) less(i, j int) bool {
 	if !h.entries[i].expires.Equal(h.entries[j].expires) {
 		return h.entries[i].expires.Before(h.entries[j].expires)
 	}
 	return h.entries[i].id < h.entries[j].id
 }
 
-func (h *expiryHeap) Swap(i, j int) {
+func (h *expiryHeap) swap(i, j int) {
 	h.entries[i], h.entries[j] = h.entries[j], h.entries[i]
 	h.index[h.entries[i].id] = i
 	h.index[h.entries[j].id] = j
 }
 
-func (h *expiryHeap) Push(x any) {
-	e, ok := x.(expiryEntry)
-	if !ok {
-		return // guarded by the exported API; never reached
+func (h *expiryHeap) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h.less(i, parent) {
+			break
+		}
+		h.swap(i, parent)
+		i = parent
 	}
-	h.index[e.id] = len(h.entries)
-	h.entries = append(h.entries, e)
 }
 
-func (h *expiryHeap) Pop() any {
+func (h *expiryHeap) down(i int) {
+	for {
+		child := 2*i + 1
+		if child >= len(h.entries) {
+			break
+		}
+		if r := child + 1; r < len(h.entries) && h.less(r, child) {
+			child = r
+		}
+		if !h.less(child, i) {
+			break
+		}
+		h.swap(i, child)
+		i = child
+	}
+}
+
+func (h *expiryHeap) push(e expiryEntry) {
+	h.index[e.id] = len(h.entries)
+	h.entries = append(h.entries, e)
+	h.up(len(h.entries) - 1)
+}
+
+// removeAt deletes the entry at i, refilling the hole with the last entry.
+func (h *expiryHeap) removeAt(i int) expiryEntry {
 	last := len(h.entries) - 1
+	h.swap(i, last)
 	e := h.entries[last]
 	h.entries = h.entries[:last]
 	delete(h.index, e.id)
+	if i < last {
+		h.down(i)
+		h.up(i)
+	}
 	return e
 }
 
@@ -375,7 +408,7 @@ func (x *ExpiryIndex) Add(n *msg.Notification) error {
 	if _, ok := x.h.index[n.ID]; ok {
 		return fmt.Errorf("duplicate expiry entry %q", n.ID)
 	}
-	heap.Push(&x.h, expiryEntry{id: n.ID, expires: n.Expires})
+	x.h.push(expiryEntry{id: n.ID, expires: n.Expires})
 	return nil
 }
 
@@ -385,7 +418,7 @@ func (x *ExpiryIndex) Remove(id msg.ID) bool {
 	if !ok {
 		return false
 	}
-	heap.Remove(&x.h, i)
+	x.h.removeAt(i)
 	return true
 }
 
@@ -402,11 +435,7 @@ func (x *ExpiryIndex) NextExpiry() (time.Time, bool) {
 func (x *ExpiryIndex) PopExpired(now time.Time) []msg.ID {
 	var out []msg.ID
 	for x.h.Len() > 0 && !x.h.entries[0].expires.After(now) {
-		e, ok := heap.Pop(&x.h).(expiryEntry)
-		if !ok {
-			break
-		}
-		out = append(out, e.id)
+		out = append(out, x.h.removeAt(0).id)
 	}
 	return out
 }

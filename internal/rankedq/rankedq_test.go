@@ -336,6 +336,63 @@ func TestExpiryIndexProperty(t *testing.T) {
 	}
 }
 
+// TestExpiryIndexInterleaved checks the hand-maintained heap against a
+// sorted model under interleaved adds, removals from anywhere, and pops:
+// PopExpired must return exactly the due entries in (expiry, ID) order.
+func TestExpiryIndexInterleaved(t *testing.T) {
+	for seed := int64(0); seed < 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		x := NewExpiryIndex()
+		model := map[msg.ID]time.Duration{}
+		now := time.Duration(0)
+		for step := 0; step < 2000; step++ {
+			switch rng.Intn(5) {
+			case 0, 1, 2:
+				id := msg.ID(fmt.Sprintf("e%03d", rng.Intn(300)))
+				if _, held := model[id]; held {
+					continue
+				}
+				life := now + time.Duration(rng.Intn(50))*time.Second
+				if err := x.Add(expiring(id, 1, life)); err != nil {
+					t.Fatal(err)
+				}
+				model[id] = life
+			case 3:
+				id := msg.ID(fmt.Sprintf("e%03d", rng.Intn(300)))
+				_, held := model[id]
+				if x.Remove(id) != held {
+					t.Fatalf("seed %d step %d: Remove(%s) disagrees with the model (held %v)", seed, step, id, held)
+				}
+				delete(model, id)
+			case 4:
+				now += time.Duration(rng.Intn(20)) * time.Second
+				var want []msg.ID
+				for id, life := range model {
+					if life <= now {
+						want = append(want, id)
+					}
+				}
+				sort.Slice(want, func(i, j int) bool {
+					if model[want[i]] != model[want[j]] {
+						return model[want[i]] < model[want[j]]
+					}
+					return want[i] < want[j]
+				})
+				got := x.PopExpired(t0.Add(now))
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("seed %d step %d: PopExpired = %v, want %v", seed, step, got, want)
+				}
+				for _, id := range want {
+					delete(model, id)
+				}
+			}
+			if x.Len() != len(model) {
+				t.Fatalf("seed %d step %d: Len = %d, model holds %d", seed, step, x.Len(), len(model))
+			}
+		}
+	}
+}
+
 func TestHistoryUnbounded(t *testing.T) {
 	h := NewHistory(0)
 	if evicted, added := h.Add("a"); len(evicted) != 0 || !added {

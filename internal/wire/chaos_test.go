@@ -78,7 +78,14 @@ func runChaosScenario(t *testing.T, chaotic bool) chaosResult {
 		t.Fatal(err)
 	}
 
-	dev, err := DialProxyOpts(flis.Addr().String(), "phone", chaosClientOptions(t))
+	opts := chaosClientOptions(t)
+	if !chaotic {
+		// The fault-free run must not reconnect at all, and has no fault to
+		// detect: with the chaos suite's 150 ms read deadline that assertion
+		// measures how long a busy box can starve the pinger.
+		opts.HeartbeatInterval = time.Second
+	}
+	dev, err := DialProxyOpts(flis.Addr().String(), "phone", opts)
 	if err != nil {
 		t.Fatal(err)
 	}

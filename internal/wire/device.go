@@ -4,18 +4,19 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
+	"lasthop/internal/core"
+	"lasthop/internal/device"
 	"lasthop/internal/msg"
-	"lasthop/internal/rankedq"
 	"lasthop/internal/trace"
 )
 
-// DeviceClient is the mobile client of a ProxyServer: it keeps a local
-// ranked queue per topic (fed by proxy pushes), and implements the §3.5
-// READ protocol — offering its best local events so the proxy only
-// transfers better data.
+// DeviceClient is the mobile client of a ProxyServer: a device.Store (fed by
+// proxy pushes) behind a connection, speaking the §3.5 READ protocol —
+// offering its best local events so the proxy only transfers better data.
 //
 // With AutoReconnect enabled the client survives the intermittent last
 // hop: a dead connection is re-dialed with backoff, the session is resumed
@@ -32,15 +33,13 @@ type DeviceClient struct {
 	exited  chan struct{} // closed when the maintenance loop exits
 
 	smu        sync.Mutex
-	queues     map[string]*rankedq.Queue
-	read       map[string]msg.IDSet
-	thresholds map[string]float64
+	store      *device.Store
 	policies   map[string]TopicPolicy
-	received   int
-	updates    int
-	drops      int
 	reconnects int
 	onPush     func(*msg.Notification)
+
+	now      func() time.Time // the store's clock; tests substitute it
+	trimOnce sync.Once        // a shortened resume list is logged once
 }
 
 // DialProxy connects and identifies to a proxy server with default
@@ -55,15 +54,14 @@ func DialProxy(addr, name string) (*DeviceClient, error) {
 // later dies.
 func DialProxyOpts(addr, name string, opts ClientOptions) (*DeviceClient, error) {
 	d := &DeviceClient{
-		name:       name,
-		addr:       addr,
-		opts:       opts.withDefaults(),
-		closing:    make(chan struct{}),
-		exited:     make(chan struct{}),
-		queues:     make(map[string]*rankedq.Queue),
-		read:       make(map[string]msg.IDSet),
-		thresholds: make(map[string]float64),
-		policies:   make(map[string]TopicPolicy),
+		name:     name,
+		addr:     addr,
+		opts:     opts.withDefaults(),
+		closing:  make(chan struct{}),
+		exited:   make(chan struct{}),
+		store:    device.NewStore(0, 0),
+		policies: make(map[string]TopicPolicy),
+		now:      time.Now,
 	}
 	conn, err := d.connect()
 	if err != nil {
@@ -96,61 +94,43 @@ func (d *DeviceClient) connect() (*Conn, error) {
 }
 
 // handshake identifies the device and replays its session: every
-// subscription is reasserted, and the per-topic queue and read ID sets are
-// resumed so the proxy re-queues anything that was lost in flight and
-// never re-sends what the user already consumed. It runs synchronously on
-// a connection whose read loop has not started; racing pushes are applied
-// to the local store as they arrive.
+// subscription is reasserted, and the store's held and consumed IDs are
+// resumed so the proxy re-queues anything that was lost in flight and does
+// not re-send what the user already consumed. The lists are cut to fit one
+// frame (fitResume); an ID cut from them can only come back as a re-forward
+// that the store dedups. It runs synchronously on a connection whose read
+// loop has not started; racing pushes are applied to the store as they
+// arrive.
 func (d *DeviceClient) handshake(conn *Conn) error {
 	conn.setRawDeadline(time.Now().Add(d.opts.DialTimeout))
 	defer conn.setRawDeadline(time.Time{})
-	onFrame := func(f *Frame) {
-		switch f.Type {
-		case TypePush:
-			if f.Notification != nil {
-				f.Notification.Trace = f.Trace
-				d.storeAndNotify(f.Notification)
-			}
-		case TypePushBatch:
-			adoptBatchTraces(f)
-			for _, n := range f.Batch {
-				if n != nil {
-					d.storeAndNotify(n)
-				}
-			}
-		}
-	}
-	if err := syncExchange(conn, &Frame{Type: TypeHello, Name: d.name, Caps: LocalCaps()}, onFrame); err != nil {
+	if err := syncExchange(conn, &Frame{Type: TypeHello, Name: d.name, Caps: LocalCaps()}, d.applyPushes); err != nil {
 		return fmt.Errorf("hello: %w", err)
 	}
-
-	type topicSession struct {
-		topic      string
-		pol        TopicPolicy
-		have, read []msg.ID
-	}
 	d.smu.Lock()
-	sessions := make([]topicSession, 0, len(d.policies))
-	for topic, pol := range d.policies {
-		s := topicSession{topic: topic, pol: pol}
-		if q := d.queues[topic]; q != nil {
-			q.Each(func(n *msg.Notification) { s.have = append(s.have, n.ID) })
-		}
-		for id := range d.read[topic] {
-			s.read = append(s.read, id)
-		}
-		sessions = append(sessions, s)
+	topics := make([]string, 0, len(d.policies))
+	for topic := range d.policies {
+		topics = append(topics, topic)
 	}
 	d.smu.Unlock()
-	sort.Slice(sessions, func(i, j int) bool { return sessions[i].topic < sessions[j].topic })
-
-	for _, s := range sessions {
-		pol := s.pol
-		if err := syncExchange(conn, &Frame{Type: TypeSubscribe, Topic: s.topic, TopicPolicy: &pol}, onFrame); err != nil {
-			return fmt.Errorf("resubscribe %q: %w", s.topic, err)
+	sort.Strings(topics)
+	for _, topic := range topics {
+		d.smu.Lock()
+		pol := d.policies[topic]
+		held, consumed := d.store.ResumeIDs(topic)
+		d.smu.Unlock()
+		if err := syncExchange(conn, &Frame{Type: TypeSubscribe, Topic: topic, TopicPolicy: &pol}, d.applyPushes); err != nil {
+			return fmt.Errorf("resubscribe %q: %w", topic, err)
 		}
-		if err := syncExchange(conn, &Frame{Type: TypeResume, Topic: s.topic, HaveIDs: s.have, ReadIDs: s.read}, onFrame); err != nil {
-			return fmt.Errorf("resume %q: %w", s.topic, err)
+		have, read := fitResume(topic, held, consumed)
+		if len(have) < len(held) || len(read) < len(consumed) {
+			d.trimOnce.Do(func() {
+				d.opts.Logf("wire: device %q: resume %q: %d held and %d consumed IDs do not fit a frame, replaying %d and %d; the rest may be re-forwarded",
+					d.name, topic, len(held), len(consumed), len(have), len(read))
+			})
+		}
+		if err := syncExchange(conn, &Frame{Type: TypeResume, Topic: topic, HaveIDs: have, ReadIDs: read}, d.applyPushes); err != nil {
+			return fmt.Errorf("resume %q: %w", topic, err)
 		}
 	}
 	return nil
@@ -211,22 +191,31 @@ func (d *DeviceClient) readFrames(conn *Conn) error {
 			return err
 		}
 		switch f.Type {
-		case TypePush:
-			if f.Notification != nil {
-				f.Notification.Trace = f.Trace
-				d.storeAndNotify(f.Notification)
-			}
-		case TypePushBatch:
-			adoptBatchTraces(f)
-			for _, n := range f.Batch {
-				if n != nil {
-					d.storeAndNotify(n)
-				}
-			}
 		case TypePing:
 			_ = conn.Send(&Frame{Type: TypePong, Re: f.Seq})
 		case TypeOK, TypeErr, TypePong:
 			d.resolve(f)
+		default:
+			d.applyPushes(f)
+		}
+	}
+}
+
+// applyPushes applies the notifications of a push or push-batch frame to
+// the store; other frames carry none.
+func (d *DeviceClient) applyPushes(f *Frame) {
+	switch f.Type {
+	case TypePush:
+		if f.Notification != nil {
+			f.Notification.Trace = f.Trace
+			d.storeAndNotify(f.Notification)
+		}
+	case TypePushBatch:
+		adoptBatchTraces(f)
+		for _, n := range f.Batch {
+			if n != nil {
+				d.storeAndNotify(n)
+			}
 		}
 	}
 }
@@ -245,11 +234,11 @@ func (d *DeviceClient) Close() error {
 	return nil
 }
 
-// callRetry issues a request, parking and retrying across reconnects when
-// the transport (not the remote application) failed.
-func (d *DeviceClient) callRetry(mk func() *Frame) error {
+// retry runs op, parking and re-running it across reconnects when the
+// transport (not the remote application) failed.
+func (d *DeviceClient) retry(op func() error) error {
 	for {
-		err := d.call(mk())
+		err := op()
 		if err == nil || !isConnLost(err) || !d.opts.AutoReconnect {
 			return err
 		}
@@ -257,53 +246,6 @@ func (d *DeviceClient) callRetry(mk func() *Frame) error {
 			return werr
 		}
 	}
-}
-
-// store applies one pushed notification to the local queue with the same
-// semantics as the simulated device: duplicates are rank revisions, and a
-// revision below the topic threshold discards the local copy. It reports
-// whether the notification was a first-time delivery (not a revision of
-// something already held or consumed).
-func (d *DeviceClient) store(n *msg.Notification) bool {
-	d.smu.Lock()
-	defer d.smu.Unlock()
-	q, ok := d.queues[n.Topic]
-	if !ok {
-		q = rankedq.NewQueue()
-		d.queues[n.Topic] = q
-		d.read[n.Topic] = make(msg.IDSet)
-	}
-	if d.read[n.Topic].Contains(n.ID) {
-		d.updates++
-		return false
-	}
-	if q.Contains(n.ID) {
-		d.updates++
-		if n.Rank < d.thresholds[n.Topic] {
-			q.Remove(n.ID)
-			d.drops++
-			d.traceEvent(trace.KindDrop, n, "device", "rank retracted below threshold on the device")
-			return false
-		}
-		q.UpdateRank(n.ID, n.Rank)
-		return false
-	}
-	if n.Expired(time.Now()) || n.Rank < d.thresholds[n.Topic] {
-		d.received++
-		d.traceHop(trace.KindDeviceRecv, n)
-		return true
-	}
-	d.received++
-	_ = q.Push(n)
-	d.traceHop(trace.KindDeviceRecv, n)
-	return true
-}
-
-// traceHop stamps the device hop onto a sampled notification's context and
-// records the event; no-op when tracing is off or the notification is
-// unsampled.
-func (d *DeviceClient) traceHop(kind trace.Kind, n *msg.Notification) {
-	d.opts.Trace.Hop(kind, d.name, n, time.Now())
 }
 
 // traceEvent records a device-side trace event for n; no-op when tracing
@@ -323,14 +265,22 @@ func (d *DeviceClient) traceEvent(kind trace.Kind, n *msg.Notification, queue, c
 	c.Record(e)
 }
 
-// storeAndNotify stores a pushed notification and, when it was a
-// first-time delivery, invokes the OnPush observer outside the state lock.
+// storeAndNotify applies a pushed notification to the store and, when it
+// was a first-time delivery (readable or not, but not a revision of
+// something held or consumed), invokes the OnPush observer outside the
+// state lock.
 func (d *DeviceClient) storeAndNotify(n *msg.Notification) {
-	fresh := d.store(n)
 	d.smu.Lock()
-	cb := d.onPush
+	var cb func(*msg.Notification)
+	switch d.store.Accept(n, d.now()) {
+	case device.Fresh, device.Unreadable:
+		d.opts.Trace.Hop(trace.KindDeviceRecv, d.name, n, time.Now()) // no-op untraced or unsampled
+		cb = d.onPush
+	case device.RankDrop:
+		d.traceEvent(trace.KindDrop, n, "device", "rank retracted below threshold on the device")
+	}
 	d.smu.Unlock()
-	if fresh && cb != nil {
+	if cb != nil {
 		cb(n)
 	}
 }
@@ -344,25 +294,74 @@ func (d *DeviceClient) SetOnPush(fn func(*msg.Notification)) {
 	d.smu.Unlock()
 }
 
-// Subscribe registers a topic on the proxy with the given policy.
+// Subscribe registers a topic on the proxy with the given policy. The
+// store's threshold and consumed-ID memory for the topic are fixed here,
+// before the proxy can push under the subscription, from the history bound
+// the policy gives the proxy.
 func (d *DeviceClient) Subscribe(topic string, pol TopicPolicy) error {
-	err := d.callRetry(func() *Frame {
+	d.smu.Lock()
+	d.store.Configure(topic, pol.Threshold, pol.proxyHistory())
+	d.smu.Unlock()
+	err := d.retry(func() error {
 		p := pol
-		return &Frame{Type: TypeSubscribe, Topic: topic, TopicPolicy: &p}
+		return d.call(&Frame{Type: TypeSubscribe, Topic: topic, TopicPolicy: &p})
 	})
 	if err != nil {
 		return err
 	}
 	d.smu.Lock()
-	d.thresholds[topic] = pol.Threshold
 	d.policies[topic] = pol
 	d.smu.Unlock()
 	return nil
 }
 
+// proxyHistory resolves HistoryLimit the way core.TopicConfig.withDefaults
+// does for the proxy's per-topic history: zero is the core default, and the
+// result is zero when the history is unbounded.
+func (tp TopicPolicy) proxyHistory() int {
+	switch {
+	case tp.HistoryLimit == 0:
+		return core.DefaultHistoryLimit
+	case tp.HistoryLimit < 0:
+		return 0
+	}
+	return tp.HistoryLimit
+}
+
+// fitResume cuts a resume frame's ID lists to what one frame can carry: the
+// oldest consumed IDs go first (consumed is newest first), then the
+// lowest-ranked held ones (held is best first). Sizes are upper bounds on
+// the JSON encoding, so the frame that results always encodes.
+func fitResume(topic string, held, consumed []msg.ID) (have, read []msg.ID) {
+	const envelope = 128 // type, seq and the three keys, with room to spare
+	budget := maxFrameBytes - envelope - jsonSizeBound(topic)
+	fit := func(ids []msg.ID) []msg.ID {
+		for i, id := range ids {
+			if budget -= jsonSizeBound(string(id)) + 1; budget < 0 {
+				return ids[:i]
+			}
+		}
+		return ids
+	}
+	have = fit(held)
+	return have, fit(consumed)
+}
+
+// jsonSizeBound bounds the length of s as a quoted JSON string: no escape
+// encoding/json emits is longer than six bytes per input byte.
+func jsonSizeBound(s string) int {
+	n := 2 + len(s)
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || strings.IndexByte(`"\<>&`, c) >= 0 {
+			n += 5
+		}
+	}
+	return n
+}
+
 // Unsubscribe deregisters a topic.
 func (d *DeviceClient) Unsubscribe(topic string) error {
-	if err := d.callRetry(func() *Frame { return &Frame{Type: TypeUnsubscribe, Topic: topic} }); err != nil {
+	if err := d.retry(func() error { return d.call(&Frame{Type: TypeUnsubscribe, Topic: topic}) }); err != nil {
 		return err
 	}
 	d.smu.Lock()
@@ -405,105 +404,63 @@ func (d *DeviceClient) Redial(addr string) error {
 // n highest-ranked unexpired local notifications (n == 0 means all). With
 // AutoReconnect the read survives connection loss: it is re-issued — with
 // a freshly computed offer — once the session resumes.
-func (d *DeviceClient) Read(topic string, n int) ([]*msg.Notification, error) {
-	for {
-		batch, err := d.readOnce(topic, n)
-		if err == nil || !isConnLost(err) || !d.opts.AutoReconnect {
-			return batch, err
-		}
-		if werr := d.awaitOnline(); werr != nil {
-			return nil, werr
-		}
-	}
+func (d *DeviceClient) Read(topic string, n int) (batch []*msg.Notification, err error) {
+	err = d.retry(func() error {
+		batch, err = d.readOnce(topic, n)
+		return err
+	})
+	return batch, err
 }
 
 func (d *DeviceClient) readOnce(topic string, n int) ([]*msg.Notification, error) {
 	d.smu.Lock()
-	q, ok := d.queues[topic]
-	if !ok {
-		q = rankedq.NewQueue()
-		d.queues[topic] = q
-		d.read[topic] = make(msg.IDSet)
-	}
-	d.purgeExpiredLocked(topic)
-	haveN := n
-	if haveN == 0 || haveN > q.Len() {
-		haveN = q.Len()
-	}
-	var clientEvents []msg.ID
-	for _, h := range q.BestN(haveN) {
-		clientEvents = append(clientEvents, h.ID)
-	}
-	req := msg.ReadRequest{Topic: topic, N: n, QueueSize: q.Len(), ClientEvents: clientEvents}
+	d.expireLocked(topic)
+	req := d.store.Offer(topic, n)
 	d.smu.Unlock()
 
 	// The OK lands after every push of this read (TCP ordering), so the
-	// local queue is complete when call returns.
+	// store is complete when call returns.
 	if err := d.call(&Frame{Type: TypeRead, Read: &req}); err != nil {
 		return nil, err
 	}
 
 	d.smu.Lock()
 	defer d.smu.Unlock()
-	d.purgeExpiredLocked(topic)
-	take := n
-	if take == 0 {
-		take = q.Len()
-	}
-	batch := q.TakeBestN(take)
+	d.expireLocked(topic)
+	batch := d.store.Take(topic, n)
 	for _, b := range batch {
-		d.read[topic].Add(b.ID)
 		d.traceEvent(trace.KindRead, b, "", "")
 	}
-	sort.Slice(batch, func(i, j int) bool { return batch[i].Before(batch[j]) })
 	return batch, nil
 }
 
-func (d *DeviceClient) purgeExpiredLocked(topic string) {
-	q := d.queues[topic]
-	if q == nil {
-		return
-	}
-	now := time.Now()
-	var stale []*msg.Notification
-	q.Each(func(n *msg.Notification) {
-		if n.Expired(now) {
-			stale = append(stale, n)
-		}
-	})
-	for _, n := range stale {
-		q.Remove(n.ID)
+func (d *DeviceClient) expireLocked(topic string) {
+	d.store.Expire(topic, d.now(), func(n *msg.Notification) {
 		d.traceEvent(trace.KindExpire, n, "device", "expired in the device queue before a read")
-	}
+	})
 }
 
 // QueueLen returns the local queue length for a topic.
 func (d *DeviceClient) QueueLen(topic string) int {
 	d.smu.Lock()
 	defer d.smu.Unlock()
-	q := d.queues[topic]
-	if q == nil {
-		return 0
-	}
-	return q.Len()
+	return d.store.QueueLen(topic)
 }
 
-// ReadSet returns a copy of the IDs the user has consumed on a topic.
+// ReadSet returns a copy of the consumed IDs the store still remembers on a
+// topic.
 func (d *DeviceClient) ReadSet(topic string) msg.IDSet {
 	d.smu.Lock()
 	defer d.smu.Unlock()
-	ids, ok := d.read[topic]
-	if !ok {
-		return make(msg.IDSet)
-	}
-	return ids.Clone()
+	return d.store.ReadSet(topic)
 }
 
 // Stats returns (received, updates, rank drops applied).
 func (d *DeviceClient) Stats() (received, updates, drops int) {
 	d.smu.Lock()
 	defer d.smu.Unlock()
-	return d.received, d.updates, d.drops
+	st := d.store.Stats
+	return st.Received, st.Updates, st.RankDropsApplied
 }
 
 // Reconnects reports how many times the session was automatically resumed
@@ -517,11 +474,6 @@ func (d *DeviceClient) Reconnects() int {
 // Topics lists the topics with local state, sorted.
 func (d *DeviceClient) Topics() []string {
 	d.smu.Lock()
-	topics := make([]string, 0, len(d.queues))
-	for t := range d.queues {
-		topics = append(topics, t)
-	}
-	d.smu.Unlock()
-	sort.Strings(topics)
-	return topics
+	defer d.smu.Unlock()
+	return d.store.Topics()
 }

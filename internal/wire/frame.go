@@ -484,7 +484,9 @@ const closeFlushTimeout = 100 * time.Millisecond
 
 // Close stops the flusher and closes the underlying connection, draining
 // any queued frames first (briefly, best effort — an unresponsive peer
-// loses them, which the session-resume protocol already tolerates).
+// loses them, which the session-resume protocol already tolerates). The
+// closed state is latched as the write error, so a Send racing Close fails
+// and releases its buffer instead of parking it on a ring nobody drains.
 func (c *Conn) Close() error {
 	c.closeOnce.Do(func() {
 		conns.Delete(c)
@@ -493,6 +495,9 @@ func (c *Conn) Close() error {
 		if len(c.ring) > 0 {
 			_ = c.c.SetWriteDeadline(time.Now().Add(closeFlushTimeout))
 			c.flushRingLocked()
+		}
+		if c.werr == nil {
+			c.werr = net.ErrClosed
 		}
 		c.wmu.Unlock()
 	})

@@ -136,22 +136,19 @@ func (d *DeviceClient) RegisterMetrics(reg *obs.Registry, device string) {
 	})
 	counter("lasthop_device_reconnects_total", "Automatic session resumptions.", d.Reconnects)
 
-	reg.SampleGauges("lasthop_device_queue_depth",
-		"Local ranked-queue depth per topic.",
-		[]string{"device", "topic"}, func() []obs.Sample {
+	// Both per-topic gauges read a length from the store under one lock;
+	// a scrape copies no ID.
+	topicGauge := func(name, help string, get func(topic string) int) {
+		reg.SampleGauges(name, help, []string{"device", "topic"}, func() []obs.Sample {
+			d.smu.Lock()
+			defer d.smu.Unlock()
 			var out []obs.Sample
-			for _, t := range d.Topics() {
-				out = append(out, obs.Sample{Labels: []string{device, t}, Value: float64(d.QueueLen(t))})
+			for _, t := range d.store.Topics() {
+				out = append(out, obs.Sample{Labels: []string{device, t}, Value: float64(get(t))})
 			}
 			return out
 		})
-	reg.SampleGauges("lasthop_device_read_ids",
-		"Consumed-notification ID set size per topic.",
-		[]string{"device", "topic"}, func() []obs.Sample {
-			var out []obs.Sample
-			for _, t := range d.Topics() {
-				out = append(out, obs.Sample{Labels: []string{device, t}, Value: float64(len(d.ReadSet(t)))})
-			}
-			return out
-		})
+	}
+	topicGauge("lasthop_device_queue_depth", "Local ranked-queue depth per topic.", d.store.QueueLen)
+	topicGauge("lasthop_device_read_ids", "Consumed-notification ID set size per topic.", d.store.ConsumedLen)
 }

@@ -214,9 +214,11 @@ func TestDisconnectedDeviceSpools(t *testing.T) {
 	}
 	// Go offline: the proxy must treat this as a network outage.
 	_ = dev.Close()
+	// (The queue view is 0 from the start, so it cannot say the proxy has
+	// seen the EOF; publishing before it has forwards into the dead socket.)
 	waitFor(t, "proxy to notice disconnect", func() bool {
-		snap, ok := h.proxy.Snapshot("news")
-		return ok && snap.QueueSizeView == 0
+		sessions := h.proxy.Sessions()
+		return len(sessions) == 1 && !sessions[0].Connected
 	})
 
 	for i := 0; i < 4; i++ {
