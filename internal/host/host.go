@@ -523,17 +523,23 @@ func (h *Host) handleConn(conn *wire.Conn) {
 		}
 		switch f.Type {
 		case wire.TypeHello:
-			s, err := h.attach(conn, f)
+			name := f.Name
+			if name == "" {
+				name = conn.RemoteAddr()
+			}
+			// A repeated hello that renames the connection moves it to
+			// another session. Release the old one before the new session's
+			// attach answers: a client holding its OK must never find the
+			// old session still owning this connection (network up, never
+			// spooling), and the deferred detach on disconnect would miss it.
+			if sess != nil && sess.name != name {
+				sess.detach(conn)
+				sess = nil
+			}
+			s, err := h.attach(conn, name, f)
 			if err != nil {
 				h.respond(conn, wire.Err(f, err))
 				return
-			}
-			// A repeated hello that renames the connection moves it to
-			// another session; release the old one first or it would keep
-			// believing it owns this connection (network up, never spooling)
-			// and the deferred detach on disconnect would miss it.
-			if sess != nil && sess != s {
-				sess.detach(conn)
 			}
 			sess = s // attach answered the hello
 		case wire.TypePing:
@@ -559,11 +565,7 @@ func (h *Host) handleConn(conn *wire.Conn) {
 // attach routes a connection to its session, creating the session on first
 // contact. A session that already has a live connection is superseded: the
 // stale connection is closed, exactly as a reconnecting device expects.
-func (h *Host) attach(conn *wire.Conn, hello *wire.Frame) (*Session, error) {
-	name := hello.Name
-	if name == "" {
-		name = conn.RemoteAddr()
-	}
+func (h *Host) attach(conn *wire.Conn, name string, hello *wire.Frame) (*Session, error) {
 	h.mu.Lock()
 	if h.closed {
 		h.mu.Unlock()

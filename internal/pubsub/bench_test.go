@@ -12,11 +12,13 @@ import (
 	"lasthop/internal/msg"
 )
 
-// benchEncodeFrame models the wire layer's per-connection push-frame
-// encode (appendFrame: a JSON object with a base64 payload) without
-// importing internal/wire, which would be an import cycle. Both fan-out
-// variants below call exactly this function, so the benchmark compares
-// encode-once against encode-per-target at identical per-encode cost.
+// benchEncodeFrame stands in for a per-connection push-frame encode
+// without importing internal/wire, which would be an import cycle. It is
+// a fixed synthetic cost — a text rendering with a base64 payload,
+// heavier than the wire layer's binary frames — not a model of them. Both
+// fan-out variants below call exactly this function, so the benchmark
+// compares encode-once against encode-per-target at identical per-encode
+// cost.
 func benchEncodeFrame(dst []byte, n *msg.Notification, payload []byte) []byte {
 	dst = append(dst, `{"type":"push","notification":{"id":`...)
 	dst = strconv.AppendQuote(dst, string(n.ID))

@@ -171,9 +171,6 @@ func (cs connSubscriber) DeliverShared(n *msg.Notification, enc *pubsub.SharedEn
 		}
 		b, err := appendFrame(dst, f)
 		putPushFrame(f)
-		if err == nil && len(b)-1 > maxFrameBytes {
-			err = fmt.Errorf("frame exceeds %d bytes", maxFrameBytes)
-		}
 		return b, err
 	})
 	if err != nil {

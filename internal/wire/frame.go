@@ -1,8 +1,9 @@
-// Package wire is the deployment substrate: a newline-delimited JSON
-// protocol over TCP connecting publishers and proxies to brokers, and
-// mobile devices to proxies. It lets the identical core.Proxy algorithm
-// that drives the simulator run as a real service — the paper's §4 plan of
-// "implementing the ideas in a real system".
+// Package wire is the deployment substrate: a length-prefixed binary
+// frame protocol over TCP (see codec.go for the layout) connecting
+// publishers and proxies to brokers, and mobile devices to proxies. It
+// lets the identical core.Proxy algorithm that drives the simulator run as
+// a real service — the paper's §4 plan of "implementing the ideas in a
+// real system".
 //
 // Topology:
 //
@@ -16,8 +17,6 @@
 package wire
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -75,8 +74,7 @@ const (
 	// CapTrace marks a peer that understands the optional trace-context
 	// frame fields (Frame.Trace and Frame.Traces). Contexts are only
 	// attached toward peers that advertised it; legacy peers receive the
-	// same frames minus the context, and a context arriving anyway would
-	// be ignored as an unknown JSON field.
+	// same frames minus the context.
 	CapTrace = "trace-ctx"
 )
 
@@ -220,7 +218,7 @@ type QuietWindowSpec struct {
 // reported by every subsequent send.
 type Conn struct {
 	c net.Conn
-	r *lineReader
+	r *frameReader
 
 	// readTimeout bounds the silence tolerated between frames: each Recv
 	// arms a deadline this far in the future, so a half-open connection
@@ -268,12 +266,8 @@ type Conn struct {
 	closeOnce sync.Once
 }
 
-// maxFrameBytes bounds a single frame (1 MiB), protecting servers from
-// unbounded lines.
-const maxFrameBytes = 1 << 20
-
 // readBufferBytes is the initial size of the per-connection read buffer;
-// it grows on demand up to maxFrameBytes.
+// it grows on demand to hold one maximal frame.
 const readBufferBytes = 64 * 1024
 
 // Egress-ring bounds: once either is hit, the writer flushes inline,
@@ -283,6 +277,14 @@ var (
 	maxRingFrames = 64
 	maxRingBytes  = 256 * 1024
 )
+
+// socketBufferBytes bounds the kernel's send and receive buffer of every
+// TCP connection. Left to autotune, a saturated hop parks megabytes there —
+// seconds of notifications the sender can no longer rank, expire or
+// retract — and since the bound is in bytes, the smaller the frames the
+// more notifications queue. Half a megabyte per direction still covers any
+// bandwidth-delay product the stack meets.
+const socketBufferBytes = 512 << 10
 
 // SetRingLimits tunes the process-wide egress-ring bounds: how many
 // encoded frames (and bytes) may accumulate per connection before the
@@ -303,11 +305,17 @@ func SetRingLimits(frames, bytes int) {
 // entries leave on Close.
 var conns sync.Map // *Conn → struct{}
 
-// NewConn wraps an established network connection.
+// NewConn wraps an established network connection, bounding its socket
+// buffers when it is a TCP connection (wrapped test transports keep theirs).
 func NewConn(c net.Conn) *Conn {
+	if tc, ok := c.(*net.TCPConn); ok {
+		// Best effort: a refused bound leaves the kernel's default.
+		_ = tc.SetReadBuffer(socketBufferBytes)
+		_ = tc.SetWriteBuffer(socketBufferBytes)
+	}
 	conn := &Conn{
 		c:      c,
-		r:      newLineReader(c),
+		r:      newFrameReader(c),
 		flushC: make(chan struct{}, 1),
 		done:   make(chan struct{}),
 	}
@@ -526,12 +534,12 @@ func (c *Conn) Send(f *Frame) error {
 	return nil
 }
 
-// SendShared enqueues an already-encoded, newline-terminated frame buffer
-// on the egress ring, consuming exactly one of the caller's references: on
-// success the ring's flush releases it (the pool recycles it on the last
-// reference), and on a latched write error it is released here. The same
-// buffer may be queued on many connections at once — encode once, Ref per
-// extra connection — which is the broadcast fan-out fast path.
+// SendShared enqueues an already-encoded frame buffer (appendFrame's
+// output) on the egress ring, consuming exactly one of the caller's
+// references: on success the ring's flush releases it (the pool recycles
+// it on the last reference), and on a latched write error it is released
+// here. The same buffer may be queued on many connections at once — encode
+// once, Ref per extra connection — which is the broadcast fan-out fast path.
 func (c *Conn) SendShared(b *burst.Buf) error {
 	c.wmu.Lock()
 	if c.werr != nil {
@@ -612,9 +620,6 @@ func (c *Conn) writeLocked(f *Frame) error {
 	buf := burst.Bufs.Get()
 	b, err := appendFrame(buf.B[:0], f)
 	buf.B = b
-	if err == nil && len(b)-1 > maxFrameBytes {
-		err = fmt.Errorf("frame exceeds %d bytes", maxFrameBytes)
-	}
 	if err != nil {
 		burst.Bufs.Put(buf)
 		return err
@@ -645,7 +650,7 @@ func (c *Conn) Recv() (*Frame, error) {
 	if c.readTimeout > 0 {
 		_ = c.c.SetReadDeadline(time.Now().Add(c.readTimeout))
 	}
-	line, err := c.r.next()
+	kind, body, size, err := c.r.next()
 	if err != nil {
 		return nil, err
 	}
@@ -659,19 +664,14 @@ func (c *Conn) Recv() (*Frame, error) {
 	} else {
 		f = new(Frame)
 	}
-	if !decodeFrameOpts(line, f, &c.dec) {
-		// Not one of the hot shapes (or not exactly so): release any
-		// pooled notifications the strict decoder partially filled, reset,
-		// and take the general path.
+	if err := decodeBody(kind, body, f, &c.dec); err != nil {
 		releaseFrameNotes(f)
-		*f = Frame{}
-		if err := json.Unmarshal(line, f); err != nil {
-			return nil, fmt.Errorf("bad frame: %w", err)
-		}
+		resetFrame(f)
+		return nil, fmt.Errorf("bad frame: %w", err)
 	}
 	if c.m != nil {
 		c.m.FramesIn.Inc()
-		c.m.BytesIn.Add(int64(len(line)))
+		c.m.BytesIn.Add(int64(size))
 	}
 	if f == c.recvFrame && f.Re != 0 {
 		// A response escapes the read loop to a cross-goroutine waiter
@@ -703,12 +703,12 @@ func releaseFrameNotes(f *Frame) {
 	}
 }
 
-// lineReader scans newline-delimited frames out of a growable read
-// buffer, one read syscall per refill: a burst that arrives in one TCP
-// segment yields N frames decoded directly from the same buffer, with no
-// intermediate copies. Lines returned by next are views into the buffer,
+// frameReader cuts length-prefixed frames out of a growable read buffer,
+// one read syscall per refill: a burst that arrives in one TCP segment
+// yields N frames decoded directly from the same buffer, with no
+// intermediate copies. Bodies returned by next are views into the buffer,
 // valid until the following call.
-type lineReader struct {
+type frameReader struct {
 	c          net.Conn
 	buf        []byte
 	start, end int
@@ -717,34 +717,26 @@ type lineReader struct {
 	sawEOF     bool
 }
 
-func newLineReader(c net.Conn) *lineReader {
-	return &lineReader{c: c, buf: make([]byte, readBufferBytes)}
+func newFrameReader(c net.Conn) *frameReader {
+	return &frameReader{c: c, buf: make([]byte, readBufferBytes)}
 }
 
-// next returns the next line with its newline (and any trailing '\r')
-// stripped. At EOF a final non-terminated line is returned as-is, like
-// bufio.Scanner; the connection-closed error follows on the next call.
-func (r *lineReader) next() ([]byte, error) {
+// next returns the next frame's kind and body, and its full size on the
+// wire (prefix and kind included). EOF inside a frame is an error like
+// EOF between frames: a frame either arrives whole or not at all.
+func (r *frameReader) next() (kind byte, body []byte, size int, err error) {
 	for {
-		if i := bytes.IndexByte(r.buf[r.start:r.end], '\n'); i >= 0 {
-			line := r.buf[r.start : r.start+i]
-			r.start += i + 1
-			if len(line) > 0 && line[len(line)-1] == '\r' {
-				line = line[:len(line)-1]
-			}
+		kind, body, size, err = splitFrame(r.buf[r.start:r.end])
+		if err != nil {
+			return 0, nil, 0, err
+		}
+		if size > 0 {
+			r.start += size
 			r.sinceFill++
-			return line, nil
+			return kind, body, size, nil
 		}
 		if r.sawEOF {
-			if r.end > r.start {
-				line := r.buf[r.start:r.end]
-				r.start = r.end
-				if len(line) > 0 && line[len(line)-1] == '\r' {
-					line = line[:len(line)-1]
-				}
-				return line, nil
-			}
-			return nil, fmt.Errorf("connection closed")
+			return 0, nil, 0, fmt.Errorf("connection closed")
 		}
 		if r.start > 0 {
 			copy(r.buf, r.buf[r.start:r.end])
@@ -752,14 +744,9 @@ func (r *lineReader) next() ([]byte, error) {
 			r.start = 0
 		}
 		if r.end == len(r.buf) {
-			if len(r.buf) > maxFrameBytes {
-				return nil, errFrameTooLong
-			}
-			grown := len(r.buf) * 2
-			if grown > maxFrameBytes+1 {
-				grown = maxFrameBytes + 1
-			}
-			nb := make([]byte, grown)
+			// Only a frame longer than the buffer gets here, and splitFrame
+			// has already bounded its length.
+			nb := make([]byte, min(2*len(r.buf), maxWireBytes))
 			copy(nb, r.buf[:r.end])
 			r.buf = nb
 		}
@@ -775,17 +762,26 @@ func (r *lineReader) next() ([]byte, error) {
 				continue
 			}
 			if n > 0 {
-				// Scan what arrived; a persistent error resurfaces on the
+				// Cut what arrived; a persistent error resurfaces on the
 				// next empty read.
 				continue
 			}
-			return nil, err
+			return 0, nil, 0, err
 		}
 	}
 }
 
-// errFrameTooLong rejects a line that outgrew the frame bound.
-var errFrameTooLong = fmt.Errorf("frame exceeds %d bytes", maxFrameBytes)
+// framePool recycles the transient Frame values built for pushes and
+// responses, whose lifetime ends when Send returns. (Encode buffers live in
+// burst.Bufs, shared with the egress ring.)
+var framePool = sync.Pool{New: func() any { return new(Frame) }}
+
+func getPushFrame() *Frame { return framePool.Get().(*Frame) }
+
+func putPushFrame(f *Frame) {
+	*f = Frame{}
+	framePool.Put(f)
+}
 
 // OK builds a success response to the given request frame. The frame
 // comes from the shared frame pool; send it with SendRelease to recycle

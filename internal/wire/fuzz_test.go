@@ -1,75 +1,141 @@
 package wire
 
-// Fuzz targets for the two decoders that face untrusted bytes: wire frames
-// and journal lines are both JSON, but the servers must never panic on
-// garbage.
+// Fuzz targets for the frame codec, which faces untrusted bytes: whatever
+// arrives, a server must answer with a frame or an error — never a panic,
+// never a leaked pooled notification.
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"math"
-	"reflect"
-	"strings"
 	"testing"
 	"time"
 
+	"lasthop/internal/burst"
 	"lasthop/internal/msg"
 )
 
+func mustEncode(f *testing.F, fr *Frame) []byte {
+	f.Helper()
+	out, err := appendFrame(nil, fr)
+	if err != nil {
+		f.Fatal(err)
+	}
+	return out
+}
+
+// rawFrame frames a hand-written compact body — field mask, then whatever
+// bytes follow it — as prefix, kind, body.
+func rawFrame(kind byte, mask uint64, fields ...byte) []byte {
+	body := append(binary.AppendUvarint(nil, mask), fields...)
+	return append(append(binary.AppendUvarint(nil, uint64(len(body))), kind), body...)
+}
+
+// codecSeeds is one valid frame per kind byte, shared by the byte-level
+// fuzz targets.
+func codecSeeds(f *testing.F) [][]byte {
+	at := time.Unix(1700000000, 123456789)
+	n := &msg.Notification{ID: "a", Topic: "t", Publisher: "p", Rank: 4.25, Published: at, Expires: at.Add(time.Hour), Payload: []byte("hi")}
+	tc := &msg.TraceContext{TraceID: "a", Origin: "b1", Hops: []msg.TraceHop{{Node: "b1", At: 1700000000000000000}}}
+	return [][]byte{
+		mustEncode(f, &Frame{Type: TypeHello, Name: "x", Caps: []string{CapPushBatch, "future-cap"}}),
+		mustEncode(f, &Frame{Type: TypePush, Notification: n, Trace: tc}),
+		mustEncode(f, &Frame{Type: TypePushBatch, Batch: []*msg.Notification{n, nil, n}, Traces: []*msg.TraceContext{tc, nil}}),
+		mustEncode(f, &Frame{Type: TypePublish, Seq: 12, Notification: n}),
+		mustEncode(f, &Frame{Type: TypeRead, Seq: 3, Read: &msg.ReadRequest{Topic: "t", N: 8, QueueSize: 9, ClientEvents: []msg.ID{"a", "b"}, Peek: true}}),
+		mustEncode(f, &Frame{Type: TypeOK, Re: 3, Count: 2}),
+		mustEncode(f, &Frame{Type: TypeErr, Re: 3, Message: "no", Code: CodeDuplicateID}),
+		mustEncode(f, &Frame{Type: TypePing, Seq: 1}),
+		mustEncode(f, &Frame{Type: TypePong, Re: 1}),
+		mustEncode(f, &Frame{Type: TypeSubscribe, Seq: 2, Topic: "t", TopicPolicy: &TopicPolicy{Policy: "buffer", Max: 8}}),
+		mustEncode(f, &Frame{Type: TypeResume, Seq: 4, Topic: "t", HaveIDs: []msg.ID{"a"}, ReadIDs: []msg.ID{"b"}}),
+	}
+}
+
+// FuzzFrameDecode feeds arbitrary byte streams to a pooled, frame-reusing
+// Recv — the configuration of the servers' read loops.
 func FuzzFrameDecode(f *testing.F) {
-	f.Add([]byte(`{"type":"hello","name":"x"}`))
-	f.Add([]byte(`{"type":"hello","name":"x","caps":["push-batch","future-cap"]}`))
-	f.Add([]byte(`{"type":"publish","notification":{"id":"a","topic":"t","rank":3}}`))
-	f.Add([]byte(`{"type":"read","read":{"topic":"t","n":8,"clientEvents":["a","b"]}}`))
-	f.Add([]byte(`{"type":"subscribe","topicPolicy":{"policy":"buffer","max":8}}`))
-	f.Add([]byte(`{"type":"push-batch","batch":[{"id":"a","topic":"t","rank":1},{"id":"b","topic":"t","rank":2,"payload":"aGk="}]}`))
-	f.Add([]byte(`{"type":"push-batch","batch":[null,{"id":"c","topic":"t","rank":3},null]}`))
-	f.Add([]byte(`{"type":"push-batch","batch":[]}`))
-	f.Add([]byte(`{"type":"push","notification":{"id":"a","topic":"t","rank":1},"trace":{"id":"a","origin":"b1","hops":[{"node":"b1","at":1700000000000000000}]}}`))
-	f.Add([]byte(`{"type":"push-batch","batch":[{"id":"a","topic":"t","rank":1},{"id":"b","topic":"t","rank":2}],"traces":[{"id":"a"},null]}`))
-	// Traces longer than the batch: adoptBatchTraces must ignore the tail.
-	f.Add([]byte(`{"type":"push-batch","batch":[{"id":"a","topic":"t","rank":1}],"traces":[{"id":"a"},{"id":"ghost"},null]}`))
-	// Oversized-but-legal frames: a payload that pushes the encoded frame
-	// near (but under) maxFrameBytes, and one batch of many small entries.
-	f.Add([]byte(`{"type":"push","notification":{"id":"big","topic":"t","rank":1,"payload":"` +
-		strings.Repeat("QUJDRA==", (maxFrameBytes-4096)/8) + `"}}`))
-	f.Add([]byte(`{"type":"push-batch","batch":[` +
-		strings.Repeat(`{"id":"x","topic":"t","rank":1},`, 4095) +
-		`{"id":"last","topic":"t","rank":1}]}`))
-	f.Add([]byte(`{`))
-	f.Add([]byte(`null`))
-	f.Add([]byte(`[1,2,3]`))
+	seeds := codecSeeds(f)
+	for _, s := range seeds {
+		f.Add(s)
+	}
+	push := seeds[1]
+	// Several frames in one stream, the last cut short.
+	f.Add(append(bytes.Join(seeds, nil), push[:len(push)-3]...))
+	// A frame of exactly the maximum length, and a batch of many entries.
+	const bigOverhead = 20 // mask, flags, "big", "t", "", rank, 3-byte payload length
+	big := mustEncode(f, &Frame{Type: TypePush, Notification: &msg.Notification{ID: "big", Topic: "t", Payload: make([]byte, maxFrameBytes-bigOverhead)}})
+	if len(big) != maxWireBytes {
+		f.Fatalf("the maximal seed is %d bytes short of the bound", maxWireBytes-len(big))
+	}
+	f.Add(big)
+	many := make([]*msg.Notification, 4096)
+	for i := range many {
+		many[i] = &msg.Notification{ID: "x", Topic: "t", Rank: 1}
+	}
+	f.Add(mustEncode(f, &Frame{Type: TypePushBatch, Batch: many}))
+	// Length prefixes: one past the bound, four bytes long, padded.
+	f.Add([]byte{0x81, 0x80, 0x40, kindPush})
+	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, kindPush})
+	f.Add([]byte{0x80, 0x00, kindOK})
+	// Bodies: unknown kind, unknown mask bit, a field its kind cannot
+	// carry, an overlong inner varint, an inner length past the body end,
+	// a batch count past the body end, trailing garbage.
+	f.Add(rawFrame(0x7f, 0))
+	f.Add(rawFrame(kindOK, hasTraces<<1))
+	f.Add(append([]byte{push[0], kindOK}, push[2:]...))
+	f.Add(rawFrame(kindOK, hasRe, 0x80, 0x00))
+	f.Add(rawFrame(kindErr, hasMessage, 0x7f))
+	f.Add(rawFrame(kindPushBatch, hasBatch, 0x7f, 0))
+	f.Add(rawFrame(kindPing, hasSeq, 1, 0xee))
+	f.Add([]byte(`{"type":"hello","name":"x"}` + "\n"))
+	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var fr Frame
-		if err := json.Unmarshal(data, &fr); err != nil {
-			return
-		}
-		// Whatever decoded must survive the paths a server exercises.
-		if fr.TopicPolicy != nil {
-			_, _ = fr.TopicPolicy.ToConfig("fuzz")
-		}
-		if fr.Read != nil {
-			_ = fr.Read.Validate()
-		}
-		if fr.Notification != nil {
-			_ = fr.Notification.Validate()
-		}
-		if fr.Subscription != nil {
-			_ = fr.Subscription.Validate()
-		}
-		if fr.RankUpdate != nil {
-			_ = fr.RankUpdate.Validate()
-		}
-		for _, n := range fr.Batch {
-			if n != nil {
-				_ = n.Validate()
+		base := burst.Notes.Outstanding()
+		conn, _ := recvOnly(data)
+		conn.SetNotePool(true)
+		conn.SetRecvReuse(true)
+		for {
+			fr, err := conn.Recv()
+			if err != nil {
+				break
 			}
+			// Whatever decoded must survive the paths a server exercises.
+			if fr.TopicPolicy != nil {
+				_, _ = fr.TopicPolicy.ToConfig("fuzz")
+			}
+			if fr.Read != nil {
+				_ = fr.Read.Validate()
+			}
+			if fr.Notification != nil {
+				_ = fr.Notification.Validate()
+			}
+			if fr.Subscription != nil {
+				_ = fr.Subscription.Validate()
+			}
+			if fr.RankUpdate != nil {
+				_ = fr.RankUpdate.Validate()
+			}
+			for _, n := range fr.Batch {
+				if n != nil {
+					_ = n.Validate()
+				}
+			}
+			// Hostile Traces lengths (longer or shorter than Batch) must
+			// never panic the reattachment the receive path performs.
+			adoptBatchTraces(fr)
+			// (JSON escaping may push a near-maximal control frame over
+			// the bound on the way back out; nothing else may fail.)
+			if _, err := appendFrame(nil, fr); err != nil && err != errFrameTooLong {
+				t.Fatalf("re-encode: %v", err)
+			}
+			releaseFrameNotes(fr)
 		}
-		// Hostile Traces lengths (longer or shorter than Batch) must never
-		// panic the reattachment the receive path performs.
-		adoptBatchTraces(&fr)
-		// Re-encoding must always succeed.
-		if _, err := json.Marshal(&fr); err != nil {
-			t.Fatalf("re-encode: %v", err)
+		// Other tests' teardown may still be returning notifications, so
+		// the count can fall below the baseline here — never stay above it.
+		if got := burst.Notes.Outstanding(); got > base {
+			t.Fatalf("%d pooled notifications leaked", got-base)
 		}
 	})
 }
@@ -96,38 +162,28 @@ func FuzzNotificationRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzBatchFrameEncode drives the hand-rolled hot-path encoder with
-// arbitrary batch contents and checks it against encoding/json: both
-// encodings must decode to the same frame, and the hand-rolled bytes must
-// survive the real frame decoder.
+// FuzzBatchFrameEncode round-trips batch frames built from arbitrary field
+// values — any byte string, any float including NaN and ±Inf, any instant —
+// through both the heap decoder and the pooled, interning one.
 func FuzzBatchFrameEncode(f *testing.F) {
 	f.Add(3, "id", "topic/a", "pub", 4.5, []byte("payload"), int64(1_700_000_000))
 	f.Add(1, "", "", "", -0.0, []byte(nil), int64(0))
 	f.Add(8, "nö\x00n", "t<a>&b", "svc\"q\\", 1e21, []byte{0x00, 0xff}, int64(4_000_000_000))
-	// Even batch sizes attach per-entry trace contexts (with nil gaps), so
-	// the seed corpus exercises the trace-field encoder too.
 	f.Add(5, "tr-1", "node/x", `origin "o"`, 2.5, []byte("p"), int64(123_456_789))
+	f.Add(6, "\xff", "t", "p", math.NaN(), []byte{1}, int64(-62135596800)) // the zero instant
+	f.Add(7, "old", "t", "p", math.Inf(-1), []byte{}, int64(math.MinInt64))
 	f.Fuzz(func(t *testing.T, count int, id, topic, publisher string, rank float64, payload []byte, sec int64) {
-		if math.IsNaN(rank) || math.IsInf(rank, 0) {
-			t.Skip("non-finite ranks are rejected at encode time")
-		}
 		if count < 0 {
 			count = -count
 		}
 		count = count%8 + 1
-		// Keep the timestamp within RFC 3339's representable years; the
-		// encoder falls back to encoding/json outside them, and Marshal
-		// itself errors there.
-		sec %= 250_000_000_000
-		if sec < 0 {
-			sec = -sec
-		}
-		at := time.Unix(sec, 0).UTC()
+		at := time.Unix(sec, sec&0x3fffffff%1e9)
 		batch := make([]*msg.Notification, count)
 		for i := range batch {
-			n := &msg.Notification{
-				ID: msg.ID(id), Topic: topic, Rank: rank, Published: at, Payload: payload,
+			if i%4 == 3 {
+				continue // a nil entry
 			}
+			n := &msg.Notification{ID: msg.ID(id), Topic: topic, Rank: rank, Published: at, Payload: payload}
 			if i%2 == 1 {
 				n.Publisher = publisher
 				n.Expires = at.Add(time.Duration(i) * time.Hour)
@@ -149,82 +205,72 @@ func FuzzBatchFrameEncode(f *testing.F) {
 				}
 			}
 		}
-		enc, err := appendFrame(nil, fr)
-		if err != nil {
-			t.Fatalf("appendFrame: %v", err)
+		enc, back := roundTrip(t, fr)
+		if !sameFrame(fr, back) {
+			t.Fatalf("batch changed in flight\nsent: %+v\n got: %+v\n enc: %x", fr, back, enc)
 		}
-		if enc[len(enc)-1] != '\n' {
-			t.Fatalf("missing newline terminator: %q", enc)
+
+		base := burst.Notes.Outstanding()
+		opts := &decodeOpts{pool: burst.Notes, names: make(map[string]string)}
+		kind, body, _, _ := splitFrame(enc)
+		var pooled Frame
+		err := decodeBody(kind, body, &pooled, opts)
+		same := err == nil && sameFrame(fr, &pooled)
+		releaseFrameNotes(&pooled)
+		if !same {
+			t.Fatalf("pooled decode diverged (%v)\nsent: %+v\n got: %+v", err, fr, &pooled)
 		}
-		ref, err := json.Marshal(fr)
-		if err != nil {
-			t.Fatalf("json.Marshal reference: %v", err)
-		}
-		var got, want Frame
-		if err := json.Unmarshal(enc[:len(enc)-1], &got); err != nil {
-			t.Fatalf("decode appendFrame output: %v\nenc: %s", err, enc)
-		}
-		if err := json.Unmarshal(ref, &want); err != nil {
-			t.Fatalf("decode reference: %v", err)
-		}
-		if len(got.Batch) != len(want.Batch) {
-			t.Fatalf("batch length diverged: %d vs %d", len(got.Batch), len(want.Batch))
-		}
-		for i := range got.Batch {
-			g, w := got.Batch[i], want.Batch[i]
-			if g.ID != w.ID || g.Topic != w.Topic || g.Publisher != w.Publisher ||
-				g.Rank != w.Rank || !g.Published.Equal(w.Published) ||
-				!g.Expires.Equal(w.Expires) || string(g.Payload) != string(w.Payload) {
-				t.Fatalf("entry %d diverged\n got: %+v\nwant: %+v\n enc: %s\n ref: %s", i, g, w, enc, ref)
-			}
-		}
-		if !reflect.DeepEqual(got.Traces, want.Traces) {
-			t.Fatalf("trace contexts diverged\n got: %+v\nwant: %+v\n enc: %s\n ref: %s",
-				got.Traces, want.Traces, enc, ref)
+		if got := burst.Notes.Outstanding(); got > base {
+			t.Fatalf("%d pooled notifications leaked", got-base)
 		}
 	})
 }
 
-// FuzzDecodeFrameEquivalence holds the hand-rolled frame decoder to
-// encoding/json's semantics: whenever the fast path accepts a line, the
-// general path must accept it too and produce a frame that re-encodes to
-// the identical JSON. (The fast path is allowed to bail — leniency, not
-// strictness, is the bug class.)
+// FuzzDecodeFrameEquivalence holds the decoder and the encoder to each
+// other on arbitrary input: whatever frame the decoder accepts must encode,
+// and that encoding must be a fixed point — it decodes to a frame that
+// encodes to the same bytes, with the same notifications. (The input itself
+// need not be canonical: a set flag may announce an empty field.)
 func FuzzDecodeFrameEquivalence(f *testing.F) {
-	f.Add([]byte(`{"type":"push","notification":{"id":"a","topic":"t","rank":4.25,"published":"2026-08-05T12:30:45.123456789Z","expires":"0001-01-01T00:00:00Z","payload":"aGk="}}`))
-	f.Add([]byte(`{"type":"push","notification":{"id":"a","topic":"t","rank":-1,"published":"2026-08-05T12:30:45+02:00","expires":"0001-01-01T00:00:00Z"},"trace":{"id":"t1","origin":"b1","hops":[{"node":"b1","at":1700000000000000000}]}}`))
-	f.Add([]byte(`{"type":"push-batch","batch":[{"id":"a","topic":"t","rank":1,"published":"2026-01-01T00:00:00Z","expires":"0001-01-01T00:00:00Z"}],"traces":[null]}`))
-	f.Add([]byte(`{"type":"publish","seq":12,"notification":{"id":"a","topic":"t","rank":0,"published":"2026-01-01T00:00:00Z","expires":"0001-01-01T00:00:00Z"}}`))
-	f.Add([]byte(`{"type":"ok","re":3}`))
-	f.Add([]byte(`{"type":"error","re":3,"message":"no","code":"duplicate-id"}`))
-	f.Add([]byte(`{"type":"ping","seq":1}`))
-	f.Add([]byte(`{"type":"ok","re":03}`))
-	f.Add([]byte(`{"type":"ok","re":3} trailing`))
-	f.Add([]byte(`{"type":"push","notification":{"id":"\u00e9","topic":"t","rank":1,"published":"2026-01-01T00:00:00Z","expires":"0001-01-01T00:00:00Z"}}`))
-	// Hop timestamps at and beyond the int64 range: encoding/json rejects
-	// anything past MaxInt64 (or below MinInt64), so the fast path must
-	// bail rather than wrap. MinInt64 itself is in range and must agree.
-	f.Add([]byte(`{"type":"push","notification":{"id":"a","topic":"t","rank":1},"trace":{"id":"t1","origin":"b1","hops":[{"node":"b1","at":9223372036854775807}]}}`))
-	f.Add([]byte(`{"type":"push","notification":{"id":"a","topic":"t","rank":1},"trace":{"id":"t1","origin":"b1","hops":[{"node":"b1","at":9223372036854775808}]}}`))
-	f.Add([]byte(`{"type":"push","notification":{"id":"a","topic":"t","rank":1},"trace":{"id":"t1","origin":"b1","hops":[{"node":"b1","at":9223372036854775809}]}}`))
-	f.Add([]byte(`{"type":"push","notification":{"id":"a","topic":"t","rank":1},"trace":{"id":"t1","origin":"b1","hops":[{"node":"b1","at":-9223372036854775808}]}}`))
-	f.Add([]byte(`{"type":"push","notification":{"id":"a","topic":"t","rank":1},"trace":{"id":"t1","origin":"b1","hops":[{"node":"b1","at":-9223372036854775809}]}}`))
+	seeds := codecSeeds(f)
+	for _, s := range seeds {
+		f.Add(s)
+	}
+	// Non-canonical but acceptable: fields announced and empty, a time
+	// flag announcing the zero instant, JSON with spelled-out empties.
+	f.Add(rawFrame(kindErr, hasMessage|hasCode, 0, 0))
+	f.Add(rawFrame(kindPushBatch, hasBatch|hasTraces, 0, 0))
+	zeroInstant := binary.AppendVarint([]byte{notePublished, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, -62135596800)
+	f.Add(rawFrame(kindPush, hasNote, append(zeroInstant, 0, 0)...))
+	spelledOut := []byte(`{"type":"ok","haveIDs":[],"caps":[],"batch":[]}`)
+	f.Add(append(append(binary.AppendUvarint(nil, uint64(len(spelledOut))), kindControl), spelledOut...))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var fast Frame
-		if !decodeFrame(data, &fast) {
+		var first Frame
+		if decodeFrame(data, &first) != nil {
 			return
 		}
-		var std Frame
-		if err := json.Unmarshal(data, &std); err != nil {
-			t.Fatalf("fast decoder accepted input encoding/json rejects (%v): %q", err, data)
+		enc, err := appendFrame(nil, &first)
+		if err == errFrameTooLong {
+			return // JSON escaping grew a near-maximal control frame
 		}
-		fj, err1 := json.Marshal(&fast)
-		sj, err2 := json.Marshal(&std)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("re-encode: %v / %v", err1, err2)
+		if err != nil {
+			t.Fatalf("decoder accepted a frame the encoder refuses (%v): %x", err, data)
 		}
-		if string(fj) != string(sj) {
-			t.Fatalf("decoders disagree on %q:\nfast: %s\nstd:  %s", data, fj, sj)
+		var second Frame
+		if err := decodeFrame(enc, &second); err != nil {
+			t.Fatalf("re-decode: %v\ninput: %x\n  enc: %x", err, data, enc)
+		}
+		again, err := appendFrame(nil, &second)
+		if err != nil || !bytes.Equal(enc, again) {
+			t.Fatalf("encoding is not a fixed point (%v)\ninput:  %x\nfirst:  %x\nsecond: %x", err, data, enc, again)
+		}
+		if !sameNote(first.Notification, second.Notification) || len(first.Batch) != len(second.Batch) {
+			t.Fatalf("notifications diverged\nfirst:  %+v\nsecond: %+v", &first, &second)
+		}
+		for i := range first.Batch {
+			if !sameNote(first.Batch[i], second.Batch[i]) {
+				t.Fatalf("batch entry %d diverged\nfirst:  %+v\nsecond: %+v", i, first.Batch[i], second.Batch[i])
+			}
 		}
 	})
 }

@@ -7,21 +7,24 @@
 # kill, duplicates bounded, and no trace-attributed "lost" outcome.
 # Finally the spool itself is checksum-verified with lasthop-journal.
 #
-# Scale with RECOVERY_DEVICES / RECOVERY_TOPICS / RECOVERY_N; keep the
-# report as a CI artifact with RECOVERY_REPORT.
+# The default scale (200 devices, 20 topics, 4000 notifications) is the one
+# that reproduced the first-contact deadlock; the drill takes a few seconds
+# there, so the 15 s timeout turns a hang into a prompt failure. Scale with
+# RECOVERY_DEVICES / RECOVERY_TOPICS / RECOVERY_N; keep the report as a CI
+# artifact with RECOVERY_REPORT.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-DEVICES="${RECOVERY_DEVICES:-60}"
-TOPICS="${RECOVERY_TOPICS:-12}"
-N="${RECOVERY_N:-1200}"
+DEVICES="${RECOVERY_DEVICES:-200}"
+TOPICS="${RECOVERY_TOPICS:-20}"
+N="${RECOVERY_N:-4000}"
 OUT="${RECOVERY_REPORT:-$(mktemp)}"
 SPOOL="$(mktemp -d)"
 trap 'rm -rf "$SPOOL"' EXIT
 
 go run ./cmd/lasthop-loadgen -recovery \
   -publishers 4 -devices "$DEVICES" -topics "$TOPICS" -n "$N" \
-  -spool-dir "$SPOOL" -trace-sample 1 -timeout 5m -q -out "$OUT"
+  -spool-dir "$SPOOL" -trace-sample 1 -timeout 15s -q -out "$OUT"
 
 python3 - "$OUT" "$DEVICES" <<'EOF'
 import json, sys
