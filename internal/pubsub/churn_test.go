@@ -31,21 +31,16 @@ func (nopSub) Deliver(*msg.Notification)        {}
 func (nopSub) DeliverRankUpdate(msg.RankUpdate) {}
 
 // TestBrokerConcurrentChurn hammers the sharded broker with everything at
-// once — publishes across many topics, subscribe/unsubscribe churn on
-// both ends of a federation link, and a third broker attaching and
-// detaching in a loop — then asserts the stable subscribers saw every
-// notification exactly once on both brokers. Run it under -race.
+// once — publishes across many topics and subscribe/unsubscribe churn on
+// the same topics — then asserts two stable subscribers per topic saw
+// every notification exactly once. Run it under -race.
 func TestBrokerConcurrentChurn(t *testing.T) {
 	const (
 		topics     = 24
 		publishers = 4
 		perPub     = 150
 	)
-	a := NewBroker("churn-a")
-	b := NewBroker("churn-b")
-	if err := a.Connect(b); err != nil {
-		t.Fatal(err)
-	}
+	a := NewBroker("churn")
 
 	names := make([]string, topics)
 	recsA := make([]*churnRec, topics)
@@ -60,22 +55,18 @@ func TestBrokerConcurrentChurn(t *testing.T) {
 		if err := a.Subscribe(sub(names[i], "stable-a"), recsA[i]); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.Subscribe(sub(names[i], "stable-b"), recsB[i]); err != nil {
+		if err := a.Subscribe(sub(names[i], "stable-b"), recsB[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	stop := make(chan struct{})
 	var churners sync.WaitGroup
-	// Subscription churn on both brokers.
 	for g := 0; g < 2; g++ {
 		churners.Add(1)
 		go func(g int) {
 			defer churners.Done()
-			target, who := a, fmt.Sprintf("churn-sub-a%d", g)
-			if g%2 == 1 {
-				target, who = b, fmt.Sprintf("churn-sub-b%d", g)
-			}
+			who := fmt.Sprintf("churn-sub-%d", g)
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
@@ -83,37 +74,17 @@ func TestBrokerConcurrentChurn(t *testing.T) {
 				default:
 				}
 				topic := names[i%topics]
-				if err := target.Subscribe(sub(topic, who), nopSub{}); err != nil {
+				if err := a.Subscribe(sub(topic, who), nopSub{}); err != nil {
 					t.Errorf("churn subscribe: %v", err)
 					return
 				}
-				if err := target.Unsubscribe(topic, who); err != nil {
+				if err := a.Unsubscribe(topic, who); err != nil {
 					t.Errorf("churn unsubscribe: %v", err)
 					return
 				}
 			}
 		}(g)
 	}
-	// Federation churn: a third broker flaps its overlay edge, forcing
-	// interest recomputation across every shard while publishes run.
-	churners.Add(1)
-	go func() {
-		defer churners.Done()
-		c := NewBroker("churn-c")
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if err := a.Connect(c); err != nil {
-				t.Errorf("federation churn connect: %v", err)
-				return
-			}
-			a.DetachPeer(c)
-			c.DetachPeer(a)
-		}
-	}()
 
 	var pubs sync.WaitGroup
 	for w := 0; w < publishers; w++ {
@@ -143,14 +114,14 @@ func TestBrokerConcurrentChurn(t *testing.T) {
 		}
 	}
 	for i, topic := range names {
-		for side, rec := range map[string]*churnRec{"a": recsA[i], "b": recsB[i]} {
+		for who, rec := range map[string]*churnRec{"stable-a": recsA[i], "stable-b": recsB[i]} {
 			rec.mu.Lock()
 			if len(rec.got) != want[topic] {
-				t.Errorf("broker %s topic %s: %d unique IDs, want %d", side, topic, len(rec.got), want[topic])
+				t.Errorf("%s topic %s: %d unique IDs, want %d", who, topic, len(rec.got), want[topic])
 			}
 			for id, c := range rec.got {
 				if c != 1 {
-					t.Errorf("broker %s topic %s: %s delivered %d times", side, topic, id, c)
+					t.Errorf("%s topic %s: %s delivered %d times", who, topic, id, c)
 				}
 			}
 			rec.mu.Unlock()

@@ -174,7 +174,7 @@ func TestAppendFrameMatchesEncodingJSON(t *testing.T) {
 		{Type: TypeResume, Seq: 3, Topic: "t", HaveIDs: []msg.ID{"a"}, ReadIDs: []msg.ID{"b", "c"}},
 		{Type: TypeRankUpdate, Seq: 4, RankUpdate: &msg.RankUpdate{Topic: "t", ID: "a", NewRank: 2}},
 		{Type: TypePushRank, RankUpdate: &msg.RankUpdate{Topic: "t", ID: "a", NewRank: 2}},
-		{Type: TypePeerPublish, Publisher: "b1", Notification: &msg.Notification{ID: "x", Topic: "t", Rank: 1, Published: at, Expires: exp, Payload: []byte("p")}, Trace: tc},
+		{Type: TypePublish, Publisher: "b1", Notification: &msg.Notification{ID: "x", Topic: "t", Rank: 1, Published: at, Expires: exp, Payload: []byte("p")}, Trace: tc},
 		{Type: "type-from-the-future", Seq: 5},
 	}
 	for i, f := range frames {
@@ -203,8 +203,8 @@ func TestAppendFrameMatchesEncodingJSON(t *testing.T) {
 	if out, err := appendFrame([]byte("keep"), big); err == nil || string(out) != "keep" {
 		t.Errorf("oversized frame: out = %d bytes, err = %v", len(out), err)
 	}
-	// Kind 0 inherits encoding/json's refusals.
-	if _, err := appendFrame(nil, &Frame{Type: TypePeerPublish, Notification: &msg.Notification{ID: "x", Topic: "t", Rank: math.NaN()}}); err == nil {
+	// Kind 0 (forced here by the publisher name) inherits encoding/json's refusals.
+	if _, err := appendFrame(nil, &Frame{Type: TypePublish, Publisher: "b1", Notification: &msg.Notification{ID: "x", Topic: "t", Rank: math.NaN()}}); err == nil {
 		t.Error("a NaN rank crossed a JSON control frame")
 	}
 }

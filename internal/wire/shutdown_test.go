@@ -107,9 +107,7 @@ func TestCloseIdempotent(t *testing.T) {
 		t.Errorf("second device close: %v", err)
 	}
 
-	aAddr, _, shutdown := federatedPair(t)
-	defer shutdown()
-	sub, err := DialBroker(aAddr, "sub")
+	sub, err := DialBroker(h.brokerAddr, "sub")
 	if err != nil {
 		t.Fatal(err)
 	}
