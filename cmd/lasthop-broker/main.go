@@ -18,7 +18,6 @@ import (
 	"lasthop/internal/flight"
 	"lasthop/internal/obs"
 	"lasthop/internal/pubsub"
-	"lasthop/internal/retry"
 	"lasthop/internal/trace"
 	"lasthop/internal/wire"
 )
@@ -34,14 +33,9 @@ func run() error {
 	var (
 		listen = flag.String("listen", ":7470", "address to listen on")
 		name   = flag.String("name", "broker", "broker node name")
-		peer   = flag.String("peer", "", "federate with the broker at this address (keep the overlay acyclic)")
 
-		reconnect   = flag.Bool("reconnect", true, "re-establish the peer link with backoff when it dies")
-		backoffInit = flag.Duration("backoff-initial", 100*time.Millisecond, "initial peer reconnect backoff")
-		backoffMax  = flag.Duration("backoff-max", 15*time.Second, "maximum peer reconnect backoff")
-		heartbeat   = flag.Duration("heartbeat", 5*time.Second, "peer heartbeat interval (0 = disabled)")
-		readTO      = flag.Duration("read-timeout", 0, "max silence tolerated on a client connection (0 = unlimited)")
-		writeTO     = flag.Duration("write-timeout", 10*time.Second, "max time for one client write (0 = unlimited)")
+		readTO  = flag.Duration("read-timeout", 0, "max silence tolerated on a client connection (0 = unlimited)")
+		writeTO = flag.Duration("write-timeout", 10*time.Second, "max time for one client write (0 = unlimited)")
 
 		ringFrames = flag.Int("flush-ring-frames", 0, "max encoded frames buffered per connection before an inline flush (0 = default 64)")
 		ringBytes  = flag.Int("flush-ring-bytes", 0, "max encoded bytes buffered per connection before an inline flush (0 = default 256KiB)")
@@ -123,21 +117,6 @@ func run() error {
 	lis, err := net.Listen("tcp", *listen)
 	if err != nil {
 		return err
-	}
-	if *peer != "" {
-		fed, err := wire.FederateBrokerOpts(broker, *peer, *name, wire.ClientOptions{
-			AutoReconnect:     *reconnect,
-			Backoff:           retry.Policy{Initial: *backoffInit, Max: *backoffMax},
-			HeartbeatInterval: *heartbeat,
-			WriteTimeout:      *writeTO,
-			Logf:              logf,
-			Metrics:           wm,
-		})
-		if err != nil {
-			return err
-		}
-		defer fed.Close()
-		logger.Info("federated", "component", "broker", "name", *name, "peer", *peer)
 	}
 	logger.Info("listening", "component", "broker", "name", *name, "addr", lis.Addr().String())
 	srv := wire.NewBrokerServerOpts(broker, wire.ServerOptions{

@@ -209,12 +209,11 @@ func printAttribution(traces []trace.NotificationTrace) {
 
 func printHopLatency(traces []trace.NotificationTrace) {
 	segs := map[string][]time.Duration{}
-	segOrder := []string{"broker", "federation", "proxyQueue", "lastHop"}
+	segOrder := []string{"broker", "proxyQueue", "lastHop"}
 	for i := range traces {
 		b := traces[i].LatencyBreakdown()
 		for name, d := range map[string]time.Duration{
 			"broker":     b.Broker,
-			"federation": b.Federation,
 			"proxyQueue": b.ProxyQueue,
 			"lastHop":    b.LastHop,
 		} {

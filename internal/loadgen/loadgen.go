@@ -223,8 +223,7 @@ type Report struct {
 	// Tracing summary, present when TraceSample > 0: how many traces were
 	// head-sampled, the terminal outcome tally, and the per-hop latency
 	// decomposition of the delivered traces (broker routing, proxy
-	// queueing, and the last hop; federation would appear on multi-broker
-	// topologies).
+	// queueing, and the last hop).
 	TraceSampled  uint64                  `json:"traceSampled,omitempty"`
 	TraceOutcomes map[string]uint64       `json:"traceOutcomes,omitempty"`
 	HopLatencyMs  map[string]HopQuantiles `json:"hopLatencyMs,omitempty"`
@@ -285,7 +284,6 @@ func hopSummary(traces []trace.NotificationTrace) map[string]HopQuantiles {
 		b := traces[i].LatencyBreakdown()
 		for name, d := range map[string]time.Duration{
 			"broker":     b.Broker,
-			"federation": b.Federation,
 			"proxyQueue": b.ProxyQueue,
 			"lastHop":    b.LastHop,
 		} {

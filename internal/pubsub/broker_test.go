@@ -225,133 +225,6 @@ func TestRankUpdateRouting(t *testing.T) {
 	}
 }
 
-func TestFederationRouting(t *testing.T) {
-	// Chain b1 - b2 - b3; subscriber on b3, publisher on b1.
-	b1, b2, b3 := NewBroker("b1"), NewBroker("b2"), NewBroker("b3")
-	if err := b1.Connect(b2); err != nil {
-		t.Fatal(err)
-	}
-	if err := b2.Connect(b3); err != nil {
-		t.Fatal(err)
-	}
-	r := &recorder{}
-	if err := b3.Subscribe(sub("news", "dev"), r); err != nil {
-		t.Fatal(err)
-	}
-	if err := b1.Advertise("news", "pub"); err != nil {
-		t.Fatal(err)
-	}
-	if err := b1.Publish(note("n1", "news", 3)); err != nil {
-		t.Fatal(err)
-	}
-	if r.count() != 1 {
-		t.Fatalf("remote subscriber got %d notifications", r.count())
-	}
-	// Rank updates follow the same path.
-	if err := b1.PublishRankUpdate(msg.RankUpdate{Topic: "news", ID: "n1", NewRank: 0.5}); err != nil {
-		t.Fatal(err)
-	}
-	if len(r.updates) != 1 {
-		t.Errorf("remote subscriber got %d updates", len(r.updates))
-	}
-}
-
-func TestFederationSubscribeBeforeConnect(t *testing.T) {
-	// Interest existing before the edge is created must propagate when
-	// the brokers connect.
-	b1, b2 := NewBroker("b1"), NewBroker("b2")
-	r := &recorder{}
-	if err := b2.Subscribe(sub("news", "dev"), r); err != nil {
-		t.Fatal(err)
-	}
-	if err := b1.Connect(b2); err != nil {
-		t.Fatal(err)
-	}
-	if err := b1.Advertise("news", "pub"); err != nil {
-		t.Fatal(err)
-	}
-	if err := b1.Publish(note("n1", "news", 3)); err != nil {
-		t.Fatal(err)
-	}
-	if r.count() != 1 {
-		t.Errorf("got %d notifications, want 1", r.count())
-	}
-}
-
-func TestFederationQuench(t *testing.T) {
-	// After the last subscriber leaves, traffic stops flowing to the
-	// remote broker (observable via a local subscriber staying at one
-	// delivery while the publisher keeps publishing).
-	b1, b2 := NewBroker("b1"), NewBroker("b2")
-	if err := b1.Connect(b2); err != nil {
-		t.Fatal(err)
-	}
-	r := &recorder{}
-	if err := b2.Subscribe(sub("news", "dev"), r); err != nil {
-		t.Fatal(err)
-	}
-	if err := b1.Advertise("news", "pub"); err != nil {
-		t.Fatal(err)
-	}
-	if err := b1.Publish(note("n1", "news", 3)); err != nil {
-		t.Fatal(err)
-	}
-	if err := b2.Unsubscribe("news", "dev"); err != nil {
-		t.Fatal(err)
-	}
-	if err := b1.Publish(note("n2", "news", 3)); err != nil {
-		t.Fatal(err)
-	}
-	if r.count() != 1 {
-		t.Errorf("quenched subscriber got %d notifications, want 1", r.count())
-	}
-}
-
-func TestFederationNoDuplicateDeliveries(t *testing.T) {
-	// Star topology: hub with three leaves, subscribers everywhere.
-	hub := NewBroker("hub")
-	leaves := []*Broker{NewBroker("l1"), NewBroker("l2"), NewBroker("l3")}
-	recs := make([]*recorder, len(leaves))
-	for i, l := range leaves {
-		if err := hub.Connect(l); err != nil {
-			t.Fatal(err)
-		}
-		recs[i] = &recorder{}
-		if err := l.Subscribe(sub("news", fmt.Sprintf("dev%d", i)), recs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := leaves[0].Advertise("news", "pub"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if err := leaves[0].Publish(note(msg.ID(fmt.Sprintf("n%d", i)), "news", 3)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, r := range recs {
-		if r.count() != 10 {
-			t.Errorf("leaf %d got %d notifications, want 10", i, r.count())
-		}
-	}
-}
-
-func TestConnectErrors(t *testing.T) {
-	b1, b2 := NewBroker("b1"), NewBroker("b2")
-	if err := b1.Connect(nil); err == nil {
-		t.Error("nil peer accepted")
-	}
-	if err := b1.Connect(b1); err == nil {
-		t.Error("self peer accepted")
-	}
-	if err := b1.Connect(b2); err != nil {
-		t.Fatal(err)
-	}
-	if err := b1.Connect(b2); err == nil {
-		t.Error("duplicate edge accepted")
-	}
-}
-
 func TestTopicsAndSubscribers(t *testing.T) {
 	b := NewBroker("b1")
 	if err := b.Subscribe(sub("b-topic", "z"), &recorder{}); err != nil {

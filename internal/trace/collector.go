@@ -118,11 +118,8 @@ func (t *NotificationTrace) first(kinds ...Kind) *Event {
 // notification. Segments that the timeline does not cover are negative.
 type Breakdown struct {
 	// Broker: publish accept to hand-off toward the last-hop proxy
-	// (includes shard routing and any federation transit).
+	// (includes shard routing).
 	Broker time.Duration
-	// Federation: transit across overlay edges (0 when single-broker,
-	// negative when the trace has no federation events).
-	Federation time.Duration
 	// ProxyQueue: proxy receive to the forward decision — time spent in
 	// the Figure 7 queues.
 	ProxyQueue time.Duration
@@ -134,27 +131,13 @@ type Breakdown struct {
 // not observed (undelivered notifications, partial anomaly traces) are
 // negative.
 func (t *NotificationTrace) LatencyBreakdown() Breakdown {
-	b := Breakdown{Broker: -1, Federation: -1, ProxyQueue: -1, LastHop: -1}
+	b := Breakdown{Broker: -1, ProxyQueue: -1, LastHop: -1}
 	pub := t.first(KindPublish)
 	recv := t.first(KindProxyRecv)
 	fwd := t.first(KindForward)
 	dev := t.first(KindDeviceRecv)
 	if pub != nil && recv != nil {
 		b.Broker = recv.At.Sub(pub.At)
-	}
-	// Federation transit: first federation forward to the first route event
-	// recorded after it (the downstream broker's shard route).
-	for i := range t.Events {
-		if t.Events[i].Kind != KindFederate {
-			continue
-		}
-		for j := i + 1; j < len(t.Events); j++ {
-			if t.Events[j].Kind == KindRoute {
-				b.Federation = t.Events[j].At.Sub(t.Events[i].At)
-				break
-			}
-		}
-		break
 	}
 	if recv != nil && fwd != nil {
 		b.ProxyQueue = fwd.At.Sub(recv.At)
@@ -301,8 +284,8 @@ func (c *Collector) Node() string {
 // PublishAccepted is the trace origin: called by the broker when a
 // publish is accepted. It decides sampling, mints and attaches the
 // context (trace ID = notification ID), and records the publish-accept
-// event. Notifications arriving with a context already attached (e.g.
-// re-routed through federation) keep it.
+// event. Notifications arriving with a context already attached (a
+// publisher may pre-attach one) keep it.
 func (c *Collector) PublishAccepted(n *msg.Notification, node string, now time.Time) {
 	if c == nil {
 		return

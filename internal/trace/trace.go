@@ -3,8 +3,7 @@
 // debugging and for inspecting why a policy wasted or lost a particular
 // message. It serves both the simulator (Buffer/Writer tracers over
 // simulated time) and the live networked stack (Collector, which follows
-// sampled notifications publisher → broker → federation → proxy queues →
-// device and attributes each terminal outcome to the queue decision that
+// sampled notifications publisher → broker → proxy queues → device and attributes each terminal outcome to the queue decision that
 // caused it). Tracing is optional and costs nothing when disabled (the
 // nil Tracer records nothing).
 package trace
@@ -37,8 +36,6 @@ const (
 	// KindRoute marks the broker routing the notification through its
 	// topic shard to local subscribers (Count = fan-out width).
 	KindRoute Kind = "broker-route"
-	// KindFederate marks a forward over a broker-to-broker overlay edge.
-	KindFederate Kind = "federation-forward"
 	// KindProxyRecv marks the last-hop proxy receiving the notification
 	// from its upstream broker.
 	KindProxyRecv Kind = "proxy-recv"

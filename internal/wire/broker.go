@@ -80,8 +80,8 @@ func (s *BrokerServer) Serve(lis net.Listener) error {
 		conn.SetMetrics(s.opts.Metrics)
 		// Server read loops consume each frame synchronously before the
 		// next Recv, so both ingest optimizations are safe here: decoded
-		// notifications come from the burst pool (handle/servePeerFrames
-		// release them) and the Frame itself is reused across reads.
+		// notifications come from the burst pool (handle releases them)
+		// and the Frame itself is reused across reads.
 		conn.SetNotePool(true)
 		conn.SetRecvReuse(true)
 		s.mu.Lock()
@@ -210,22 +210,6 @@ func (s *BrokerServer) handle(conn *Conn) {
 			return
 		}
 		switch f.Type {
-		case TypePeerHello:
-			// The connection is a federating broker, not a client:
-			// attach it as an overlay edge and switch to peer framing
-			// for the rest of its life. The dialer's hello carries its
-			// caps; answering with our own peer-hello completes the
-			// symmetric capability exchange (legacy dialers log and
-			// ignore the unexpected frame — harmless).
-			edge := &peerEdge{conn: conn, logf: s.logf, drop: s.broker.NotePeerDrop}
-			edge.traceOK.Store(HasCap(f.Caps, CapTrace))
-			_ = conn.Send(&Frame{Type: TypePeerHello, Name: s.broker.Name(), Caps: LocalCaps()})
-			if err := s.broker.AttachPeer(edge); err != nil {
-				s.logf("broker: attach peer %s: %v", conn.RemoteAddr(), err)
-				return
-			}
-			servePeerFrames(s.broker, conn, edge, s.logf)
-			return
 		case TypeHello:
 			if f.Name != "" {
 				clientName = f.Name
@@ -250,7 +234,7 @@ func (s *BrokerServer) handle(conn *Conn) {
 			f.Notification.Trace = f.Trace
 			err := s.broker.Publish(f.Notification)
 			// Publish is synchronous and retains nothing: subscribers got
-			// pooled clones and federation encoded inline. The ingress
+			// pooled clones or a shared encoding. The ingress
 			// note goes back to the pool whether the publish was accepted,
 			// rejected as a duplicate by the seen set, or failed.
 			burst.Notes.Put(f.Notification)

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"lasthop/internal/burst"
 	"lasthop/internal/faultnet"
 	"lasthop/internal/msg"
 	"lasthop/internal/pubsub"
@@ -235,86 +234,4 @@ func TestDeviceAutoReconnectResumesSession(t *testing.T) {
 	if len(sessions) != 1 || sessions[0].Name != "phone" || sessions[0].Connects < 2 {
 		t.Errorf("sessions = %+v, want phone with >= 2 connects", sessions)
 	}
-}
-
-// TestFederationAutoReconnect severs a broker-to-broker link and checks
-// that the overlay re-forms and routes again without operator action.
-func TestFederationAutoReconnect(t *testing.T) {
-	la, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	brokerA := pubsub.NewBroker("broker-a")
-	srvA := NewBrokerServer(brokerA, t.Logf)
-	go func() { _ = srvA.Serve(la) }()
-	defer srvA.Close()
-
-	// B listens behind a fault injector so the peer link can be cut.
-	lb, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	flis := faultnet.Wrap(lb, faultnet.Options{Seed: 3})
-	srvB := NewBrokerServer(pubsub.NewBroker("broker-b"), t.Logf)
-	go func() { _ = srvB.Serve(flis) }()
-	defer srvB.Close()
-
-	fed, err := FederateBrokerOpts(brokerA, flis.Addr().String(), "broker-a", chaosClientOptions(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fed.Close()
-
-	pub, err := DialBroker(la.Addr().String(), "publisher")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pub.Close()
-	if err := pub.Advertise("news", ""); err != nil {
-		t.Fatal(err)
-	}
-	sub, err := DialBrokerOpts(flis.Addr().String(), "subscriber", chaosClientOptions(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
-	got := make(chan msg.ID, 64)
-	sub.OnPush(func(n *msg.Notification) { got <- n.ID; burst.Notes.Put(n) }, nil)
-	if err := sub.Subscribe(msg.Subscription{Topic: "news", Options: msg.SubscriptionOptions{Max: 8}}); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "cross-broker delivery before cut", func() bool {
-		if err := pub.Publish(wireNote(msg.ID(fmt.Sprintf("pre%d", time.Now().UnixNano())), "news", 3)); err != nil {
-			t.Fatal(err)
-		}
-		select {
-		case <-got:
-			return true
-		default:
-			return false
-		}
-	})
-
-	// Sever everything attached to B: the federation edge and the
-	// subscriber both reconnect and replay their state.
-	if flis.CutAll() == 0 {
-		t.Fatal("no connections to cut")
-	}
-	waitFor(t, "federation reconnect", func() bool { return fed.Reconnects() >= 1 })
-	waitFor(t, "subscriber reconnect", func() bool { return sub.Reconnects() >= 1 })
-
-	for len(got) > 0 {
-		<-got
-	}
-	waitFor(t, "cross-broker delivery after reconnect", func() bool {
-		if err := pub.Publish(wireNote(msg.ID(fmt.Sprintf("post%d", time.Now().UnixNano())), "news", 3)); err != nil {
-			t.Fatal(err)
-		}
-		select {
-		case <-got:
-			return true
-		default:
-			return false
-		}
-	})
 }

@@ -51,7 +51,7 @@ func benchConns(b *testing.B, width int) []*Conn {
 // per-target path pays. "shared" encodes once and enqueues the same
 // ref-counted buffer on every ring (the PR's datapath); "pertarget"
 // re-encodes per connection (the pre-shared baseline, still the
-// federation and last-hop fallback). ns/delivery divides the op cost by
+// last-hop fallback). ns/delivery divides the op cost by
 // the width.
 func BenchmarkWireFanout(b *testing.B) {
 	payload := make([]byte, 256)

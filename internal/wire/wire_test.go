@@ -485,138 +485,6 @@ func TestDeviceMobilityDrivesWireSubscriptions(t *testing.T) {
 	}
 }
 
-// federatedPair spins up two broker servers joined by a wire federation
-// edge.
-func federatedPair(t *testing.T) (aAddr, bAddr string, shutdown func()) {
-	t.Helper()
-	mk := func(name string) (*BrokerServer, *pubsub.Broker, net.Listener) {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := pubsub.NewBroker(name)
-		srv := NewBrokerServer(b, t.Logf)
-		go func() { _ = srv.Serve(l) }()
-		return srv, b, l
-	}
-	srvA, brokerA, la := mk("broker-a")
-	srvB, _, lb := mk("broker-b")
-	fed, err := FederateBroker(brokerA, lb.Addr().String(), "broker-a", t.Logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return la.Addr().String(), lb.Addr().String(), func() {
-		_ = fed.Close()
-		srvA.Close()
-		srvB.Close()
-	}
-}
-
-func TestFederationOverTCP(t *testing.T) {
-	aAddr, bAddr, shutdown := federatedPair(t)
-	defer shutdown()
-
-	// Publisher on A, subscriber on B: notifications cross the wire edge.
-	pub, err := DialBroker(aAddr, "publisher")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pub.Close()
-	sub, err := DialBroker(bAddr, "subscriber")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
-
-	var mu sync.Mutex
-	var got []*msg.Notification
-	var updates []msg.RankUpdate
-	sub.OnPush(
-		func(n *msg.Notification) { mu.Lock(); got = append(got, n.Clone()); mu.Unlock(); burst.Notes.Put(n) },
-		func(u msg.RankUpdate) { mu.Lock(); updates = append(updates, u); mu.Unlock() },
-	)
-	if err := sub.Subscribe(msg.Subscription{Topic: "news", Options: msg.SubscriptionOptions{Max: 8}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := pub.Advertise("news", ""); err != nil {
-		t.Fatal(err)
-	}
-	// The subscription interest needs a moment to cross the overlay.
-	waitFor(t, "cross-broker delivery", func() bool {
-		if err := pub.Publish(wireNote(msg.ID(fmt.Sprintf("n%d", time.Now().UnixNano())), "news", 3)); err != nil {
-			t.Fatal(err)
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		return len(got) > 0
-	})
-	// Rank updates cross too.
-	mu.Lock()
-	firstID := got[0].ID
-	mu.Unlock()
-	if err := pub.PublishRankUpdate(msg.RankUpdate{Topic: "news", ID: firstID, NewRank: 1}); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "cross-broker rank update", func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(updates) == 1
-	})
-}
-
-func TestFederationQuenchOverTCP(t *testing.T) {
-	aAddr, bAddr, shutdown := federatedPair(t)
-	defer shutdown()
-	pub, err := DialBroker(aAddr, "publisher")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pub.Close()
-	if err := pub.Advertise("news", ""); err != nil {
-		t.Fatal(err)
-	}
-	sub, err := DialBroker(bAddr, "subscriber")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
-	var mu sync.Mutex
-	count := 0
-	sub.OnPush(func(n *msg.Notification) { mu.Lock(); count++; mu.Unlock(); burst.Notes.Put(n) }, nil)
-	if err := sub.Subscribe(msg.Subscription{Topic: "news", Options: msg.SubscriptionOptions{Max: 8}}); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "first cross-broker delivery", func() bool {
-		if err := pub.Publish(wireNote(msg.ID(fmt.Sprintf("q%d", time.Now().UnixNano())), "news", 3)); err != nil {
-			t.Fatal(err)
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		return count > 0
-	})
-	// After the subscriber leaves, the interest is quenched across the
-	// wire: the count stops growing.
-	if err := sub.Unsubscribe("news"); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(50 * time.Millisecond) // let the quench cross
-	mu.Lock()
-	before := count
-	mu.Unlock()
-	for i := 0; i < 5; i++ {
-		if err := pub.Publish(wireNote(msg.ID(fmt.Sprintf("after%d", i)), "news", 3)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	time.Sleep(100 * time.Millisecond)
-	mu.Lock()
-	after := count
-	mu.Unlock()
-	if after != before {
-		t.Errorf("deliveries after quench: %d -> %d", before, after)
-	}
-}
-
 func TestTopicPolicyToConfig(t *testing.T) {
 	cfg, err := TopicPolicy{}.ToConfig("t")
 	if err != nil {

@@ -73,8 +73,7 @@ const (
 
 // Routing substrate (internal/pubsub).
 type (
-	// Broker is a topic-based pub/sub routing node; brokers federate
-	// into acyclic overlays with Connect.
+	// Broker is a topic-based pub/sub routing node.
 	Broker = pubsub.Broker
 	// BrokerSubscriber receives notifications from a broker.
 	BrokerSubscriber = pubsub.Subscriber
@@ -313,7 +312,4 @@ var (
 	NewProxyServer  = wire.NewProxyServer
 	DialBroker      = wire.DialBroker
 	DialProxy       = wire.DialProxy
-	// FederateBroker attaches a remote broker as an overlay peer of a
-	// local one, extending the federation across machines.
-	FederateBroker = wire.FederateBroker
 )
