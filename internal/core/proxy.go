@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -812,7 +813,7 @@ func (p *Proxy) Read(req msg.ReadRequest) error {
 			n--
 		}
 	}
-	sort.Slice(combined, func(i, j int) bool { return combined[i].n.Before(combined[j].n) })
+	slices.SortFunc(combined, func(a, b candidate) int { return a.n.Compare(b.n) })
 	if n < 0 {
 		n = 0
 	}
@@ -973,11 +974,12 @@ func (ts *topicState) bestAcross(n int) []*msg.Notification {
 	if n <= 0 {
 		return nil
 	}
-	out := make([]*msg.Notification, 0, 3*n)
+	size := min(n, ts.outgoing.Len()) + min(n, ts.prefetch.Len()) + min(n, ts.holding.Len())
+	out := make([]*msg.Notification, 0, size)
 	out = append(out, ts.outgoing.BestN(n)...)
 	out = append(out, ts.prefetch.BestN(n)...)
 	out = append(out, ts.holding.BestN(n)...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Before(out[j]) })
+	slices.SortFunc(out, (*msg.Notification).Compare)
 	if len(out) > n {
 		out = out[:n]
 	}

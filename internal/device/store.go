@@ -191,9 +191,17 @@ func (s *Store) Take(topic string, n int) []*msg.Notification {
 	if n == 0 {
 		n = t.q.Len()
 	}
+	all := n >= t.q.Len()
 	batch := t.q.TakeBestN(n)
+	if all {
+		// The expiry index holds only held IDs, so it empties with the queue.
+		t.exp.Clear()
+	} else {
+		for _, b := range batch {
+			t.exp.Remove(b.ID)
+		}
+	}
 	for _, b := range batch {
-		t.exp.Remove(b.ID)
 		// Remembered for as long as the proxy could re-send it.
 		if t.window == nil || t.window.Contains(b.ID) {
 			t.consumed.Add(b.ID)

@@ -278,3 +278,137 @@ func TestStoreAgainstProxy(t *testing.T) {
 		}
 	}
 }
+
+// TestStoreTakeAllClearsExpiry: Take(0) takes the whole queue in one sort and
+// empties the expiry index in one step, which is sound only while the index
+// holds nothing but held IDs. Two stores see the same random accepts,
+// expiries, rank drops and sibling reads; one reads with Take(0), the
+// reference one notification at a time. They must agree on what was read,
+// in what order, and on every counter.
+func TestStoreTakeAllClearsExpiry(t *testing.T) {
+	topics := []string{"a", "b"}
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		now := t0
+		s, ref := NewStore(48, 1), NewStore(48, 1)
+		for _, topic := range topics {
+			s.Configure(topic, 1, 32)
+			ref.Configure(topic, 1, 32)
+		}
+		// expirable counts what the expiry index must hold: held IDs with a
+		// lifetime, and nothing else.
+		expirable := func(topic string) int {
+			c := 0
+			s.topics[topic].q.Each(func(n *msg.Notification) {
+				if !n.NeverExpires() {
+					c++
+				}
+			})
+			return c
+		}
+		next := 0
+		recent := func() msg.ID { return msg.ID(fmt.Sprintf("n%05d", next-1-rng.Intn(min(next, 16)))) }
+		for step := 0; step < 1500; step++ {
+			topic := topics[rng.Intn(len(topics))]
+			switch rng.Intn(11) {
+			case 0, 1, 2, 3, 4: // first push
+				n := &msg.Notification{
+					ID: msg.ID(fmt.Sprintf("n%05d", next)), Topic: topic,
+					Rank: float64(rng.Intn(6)), Published: now.Add(-time.Duration(rng.Intn(2)) * time.Second),
+				}
+				next++
+				if rng.Intn(2) == 0 {
+					n.Expires = now.Add(time.Duration(rng.Intn(300)) * time.Second)
+				}
+				s.Accept(n.Clone(), now)
+				ref.Accept(n, now)
+			case 5: // revision, below the threshold a rank drop
+				if next == 0 {
+					continue
+				}
+				n := &msg.Notification{ID: recent(), Topic: topic, Rank: float64(rng.Intn(6)) / 2}
+				s.Accept(n.Clone(), now)
+				ref.Accept(n, now)
+			case 6:
+				s.Expire(topic, now, nil)
+				ref.Expire(topic, now, nil)
+			case 7: // read on a sibling device
+				if next == 0 {
+					continue
+				}
+				ids := []msg.ID{recent()}
+				s.MarkConsumed(topic, ids)
+				ref.MarkConsumed(topic, ids)
+			case 8:
+				now = now.Add(time.Duration(rng.Intn(60)) * time.Second)
+			case 9: // the user reads everything
+				var want []msg.ID
+				for ref.QueueLen(topic) > 0 {
+					want = append(want, ref.Take(topic, 1)[0].ID)
+				}
+				got := s.Take(topic, 0)
+				if fmt.Sprint(ids(got)) != fmt.Sprint(want) {
+					t.Fatalf("seed %d step %d: Take(0) = %v, one at a time %v", seed, step, ids(got), want)
+				}
+				for i := 1; i < len(got); i++ {
+					if !got[i-1].Before(got[i]) {
+						t.Fatalf("seed %d step %d: Take(0) out of rank order at %d", seed, step, i)
+					}
+				}
+				if n := s.topics[topic].exp.Len(); n != 0 {
+					t.Fatalf("seed %d step %d: %d expiry entries left after Take(0)", seed, step, n)
+				}
+			case 10: // the user reads a few
+				k := 1 + rng.Intn(3)
+				if got, want := ids(s.Take(topic, k)), ids(ref.Take(topic, k)); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("seed %d step %d: Take(%d) = %v, reference %v", seed, step, k, got, want)
+				}
+			}
+			for _, topic := range topics {
+				if got, want := s.topics[topic].exp.Len(), expirable(topic); got != want {
+					t.Fatalf("seed %d step %d: topic %s expiry index holds %d, %d held notifications expire", seed, step, topic, got, want)
+				}
+			}
+			if s.Stats != ref.Stats {
+				t.Fatalf("seed %d step %d: stats %+v, reference %+v", seed, step, s.Stats, ref.Stats)
+			}
+		}
+		if s.Stats.ReadCount == 0 || s.Stats.ExpiredUnread == 0 || s.Stats.RankDropsApplied == 0 || s.Stats.PeerReleases == 0 {
+			t.Fatalf("seed %d: the sequence missed an operation: %+v", seed, s.Stats)
+		}
+	}
+}
+
+func ids(notes []*msg.Notification) []msg.ID {
+	out := make([]msg.ID, len(notes))
+	for i, n := range notes {
+		out[i] = n.ID
+	}
+	return out
+}
+
+// BenchmarkStoreReadAll is one Read(topic, 0) against 2,048 held
+// notifications: the device offers every held ID, then takes them all.
+func BenchmarkStoreReadAll(b *testing.B) {
+	const depth = 2048
+	rng := rand.New(rand.NewSource(1))
+	s := NewStore(0, 0)
+	s.Configure("t", 0, 64)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for k := 0; k < depth; k++ {
+			s.Accept(&msg.Notification{
+				ID: msg.ID(fmt.Sprintf("b%d-%05d", i, k)), Topic: "t",
+				Rank: float64(rng.Intn(100)), Published: t0, Expires: t0.Add(time.Hour),
+			}, t0)
+		}
+		b.StartTimer()
+		if req := s.Offer("t", 0); len(req.ClientEvents) != depth {
+			b.Fatalf("offered %d IDs", len(req.ClientEvents))
+		}
+		if got := len(s.Take("t", 0)); got != depth {
+			b.Fatalf("took %d", got)
+		}
+	}
+}

@@ -318,7 +318,9 @@ func (h *Host) dispatchPush(n *msg.Notification) {
 		burst.Notes.Put(n) // nobody wants it; recycle the upstream copy
 		return
 	}
-	h.opts.Trace.Hop(trace.KindProxyRecv, h.name, n, time.Now())
+	if n.Trace != nil { // Hop would ignore it, but only after time.Now
+		h.opts.Trace.Hop(trace.KindProxyRecv, h.name, n, time.Now())
+	}
 	// All members must be split off before the first delivery: Wheel.Run
 	// executes the delivery inline, and a hibernated session recycles its
 	// member immediately — splitting afterwards would read a reset note.

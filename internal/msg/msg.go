@@ -288,7 +288,7 @@ func (n *Notification) Validate() error {
 		return errors.New("notification has no ID")
 	case n.Topic == "":
 		return errors.New("notification has no topic")
-	case n.Rank < MinRank || n.Rank > MaxRank:
+	case !validRank(n.Rank):
 		return fmt.Errorf("rank %v outside [%v, %v]", n.Rank, float64(MinRank), float64(MaxRank))
 	case !n.Expires.IsZero() && n.Expires.Before(n.Published):
 		return fmt.Errorf("expiration %v precedes publication %v", n.Expires, n.Published)
@@ -311,6 +311,26 @@ func (n *Notification) Before(other *Notification) bool {
 	return n.ID < other.ID
 }
 
+// Compare is Before as a three-way comparison for slices.SortFunc: negative
+// when n ranks ahead of other, positive when behind, zero only for the same
+// rank, publication instant and ID.
+func (n *Notification) Compare(other *Notification) int {
+	switch {
+	case n.Rank > other.Rank:
+		return -1
+	case n.Rank < other.Rank:
+		return 1
+	}
+	if c := n.Published.Compare(other.Published); c != 0 {
+		return c
+	}
+	return strings.Compare(string(n.ID), string(other.ID))
+}
+
+// validRank reports whether r lies in [MinRank, MaxRank]. NaN does not: it
+// fails both comparisons, and Before is no order for a NaN rank.
+func validRank(r float64) bool { return r >= MinRank && r <= MaxRank }
+
 // RankUpdate revises the rank of a previously published notification
 // (§3.4). A positive change boosts a useful notification; a negative change
 // helps retract notifications after they reach mailboxes but before they
@@ -328,7 +348,7 @@ func (u *RankUpdate) Validate() error {
 		return errors.New("rank update has no ID")
 	case u.Topic == "":
 		return errors.New("rank update has no topic")
-	case u.NewRank < MinRank || u.NewRank > MaxRank:
+	case !validRank(u.NewRank):
 		return fmt.Errorf("rank %v outside [%v, %v]", u.NewRank, float64(MinRank), float64(MaxRank))
 	default:
 		return nil

@@ -2,6 +2,7 @@ package msg
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -121,6 +122,7 @@ func TestNotificationValidate(t *testing.T) {
 		{"no topic", func(n *Notification) { n.Topic = "" }, false},
 		{"negative rank", func(n *Notification) { n.Rank = -1 }, false},
 		{"huge rank", func(n *Notification) { n.Rank = MaxRank + 1 }, false},
+		{"NaN rank", func(n *Notification) { n.Rank = math.NaN() }, false},
 		{"expires before published", func(n *Notification) { n.Expires = n.Published.Add(-time.Second) }, false},
 		{"expires at published", func(n *Notification) { n.Expires = n.Published }, true},
 	}
@@ -172,6 +174,22 @@ func TestBeforeIsStrictOrder(t *testing.T) {
 	}
 }
 
+// TestCompareMatchesBefore: Compare is Before's order, three-way. Ranks and
+// instants come from small ranges so that every tie-break level is reached.
+func TestCompareMatchesBefore(t *testing.T) {
+	f := func(r1, r2, dt1, dt2, id1, id2 uint8) bool {
+		n1 := newNote(ID('a'+rune(id1%3)), float64(r1%3)/2)
+		n2 := newNote(ID('a'+rune(id2%3)), float64(r2%3)/2)
+		n1.Published = t0.Add(time.Duration(dt1%3) * time.Second)
+		n2.Published = t0.Add(time.Duration(dt2%3) * time.Second)
+		c := n1.Compare(n2)
+		return (c < 0) == n1.Before(n2) && (c > 0) == n2.Before(n1) && c == -n2.Compare(n1)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
 func normRank(r float64) float64 {
 	if r < 0 {
 		r = -r
@@ -192,6 +210,7 @@ func TestRankUpdateValidate(t *testing.T) {
 		{Topic: "t", ID: NoID, NewRank: 3},
 		{Topic: "t", ID: "a", NewRank: -0.5},
 		{Topic: "t", ID: "a", NewRank: MaxRank * 2},
+		{Topic: "t", ID: "a", NewRank: math.NaN()},
 	} {
 		if err := u.Validate(); err == nil {
 			t.Errorf("invalid update %+v accepted", u)

@@ -9,7 +9,7 @@ package multidev
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"lasthop/internal/device"
 	"lasthop/internal/link"
@@ -157,6 +157,6 @@ func (g *Group) Read(memberName, topic string, n int) ([]*msg.Notification, erro
 			}
 		}
 	}
-	sort.Slice(batch, func(i, j int) bool { return batch[i].Before(batch[j]) })
+	slices.SortFunc(batch, (*msg.Notification).Compare)
 	return batch, nil
 }

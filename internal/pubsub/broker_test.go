@@ -3,6 +3,7 @@ package pubsub
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -122,6 +123,33 @@ func TestPublishValidation(t *testing.T) {
 	bad := note("", "news", 3)
 	if err := b.Publish(bad); err == nil {
 		t.Error("invalid notification accepted")
+	}
+}
+
+// TestPublishRefusesNaNRank: a NaN rank fails every comparison, so a range
+// check written as two comparisons lets it through to the subscribers' rank
+// heaps, where it has no place in the order. Neither a publish nor a
+// revision may carry one.
+func TestPublishRefusesNaNRank(t *testing.T) {
+	b := NewBroker("b1")
+	r := &recorder{}
+	if err := b.Advertise("news", "pub"); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Subscribe(sub("news", "dev"), r); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Publish(note("nan", "news", math.NaN())); err == nil {
+		t.Error("NaN-ranked notification accepted")
+	}
+	if err := b.Publish(note("n1", "news", 5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.PublishRankUpdate(msg.RankUpdate{Topic: "news", ID: "n1", NewRank: math.NaN()}); err == nil {
+		t.Error("NaN rank update accepted")
+	}
+	if r.count() != 1 || len(r.updates) != 0 {
+		t.Errorf("subscriber saw %d notifications and %d updates, want 1 and 0", r.count(), len(r.updates))
 	}
 }
 

@@ -9,6 +9,7 @@ package rankedq
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"lasthop/internal/msg"
@@ -140,6 +141,27 @@ func (q *queueHeap) maybeShrink() {
 	q.index = index
 }
 
+// takeAll empties the heap and returns its items in rank order: one sort
+// instead of a pop per item, each of which rewrites an index entry per level
+// of its sift. Memory follows maybeShrink's rule: a queue whose array grew
+// past shrinkFloor hands that array out and keeps neither it nor its index
+// map; a smaller one keeps both for the next arrivals.
+func (q *queueHeap) takeAll() []*msg.Notification {
+	out := q.items
+	if cap(out) < shrinkFloor {
+		out = make([]*msg.Notification, len(q.items))
+		copy(out, q.items)
+		clear(q.items)
+		q.items = q.items[:0]
+		clear(q.index)
+	} else {
+		q.items = nil
+		q.index = make(map[msg.ID]int)
+	}
+	slices.SortFunc(out, (*msg.Notification).Compare)
+	return out
+}
+
 // NewQueue returns an empty rank-ordered queue.
 func NewQueue() *Queue {
 	return &Queue{h: queueHeap{index: make(map[msg.ID]int)}}
@@ -220,16 +242,18 @@ func (q *Queue) UpdateRank(id msg.ID, rank float64) bool {
 }
 
 // BestN returns the up-to-n highest-ranked notifications in rank order
-// without removing them. With n <= 0 it returns nil. It runs in
+// without removing them. With n <= 0 it returns nil. A partial read runs in
 // O(n log len) by popping and restoring, which matters because the proxy
 // calls it on every user read against queues that can hold a year of
-// backlog.
+// backlog; a read of the whole queue sorts a copy and leaves the heap alone.
 func (q *Queue) BestN(n int) []*msg.Notification {
 	if n <= 0 || q.h.Len() == 0 {
 		return nil
 	}
-	if n > q.h.Len() {
-		n = q.h.Len()
+	if n >= q.h.Len() {
+		out := slices.Clone(q.h.items)
+		slices.SortFunc(out, (*msg.Notification).Compare)
+		return out
 	}
 	out := q.TakeBestN(n)
 	for _, item := range out {
@@ -239,13 +263,13 @@ func (q *Queue) BestN(n int) []*msg.Notification {
 }
 
 // TakeBestN removes and returns the up-to-n highest-ranked notifications in
-// rank order.
+// rank order. Taking the whole queue sorts it once instead of popping it.
 func (q *Queue) TakeBestN(n int) []*msg.Notification {
 	if n <= 0 {
 		return nil
 	}
-	if n > q.h.Len() {
-		n = q.h.Len()
+	if n >= q.h.Len() {
+		return q.h.takeAll()
 	}
 	out := make([]*msg.Notification, 0, n)
 	for i := 0; i < n; i++ {
@@ -420,6 +444,13 @@ func (x *ExpiryIndex) Remove(id msg.ID) bool {
 	}
 	x.h.removeAt(i)
 	return true
+}
+
+// Clear drops every entry. Like Remove, it keeps the backing storage.
+func (x *ExpiryIndex) Clear() {
+	clear(x.h.entries)
+	x.h.entries = x.h.entries[:0]
+	clear(x.h.index)
 }
 
 // NextExpiry returns the earliest indexed expiration instant.

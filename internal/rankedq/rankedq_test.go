@@ -2,7 +2,9 @@ package rankedq
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -587,5 +589,144 @@ func TestQueueRemoveShrinks(t *testing.T) {
 	}
 	if c := cap(q.h.items); c >= grown {
 		t.Fatalf("Remove path did not shrink: cap still %d (burst cap %d)", c, grown)
+	}
+}
+
+// TestQueueWholeQueueMatchesPopOrder: a read of at least the whole queue
+// sorts instead of popping, and must hand out exactly what a PopBest loop
+// would. Ranks and publication instants come from small sets so every
+// tie-break is exercised; Remove and UpdateRank interleave with the pushes
+// so the heap is not in insertion shape; sizes span 0–3 × shrinkFloor so
+// both memory branches of TakeBestN run.
+func TestQueueWholeQueueMatchesPopOrder(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		q := NewQueue()
+		var live []msg.ID
+		steps := rng.Intn(4 * shrinkFloor)
+		for i := 0; i < steps; i++ {
+			switch op := rng.Intn(10); {
+			case op < 7 || len(live) == 0:
+				n := note(msg.ID(fmt.Sprintf("w%03d", i)), float64(rng.Intn(4)))
+				n.Published = t0.Add(time.Duration(rng.Intn(3)) * time.Second)
+				if err := q.Push(n); err != nil {
+					t.Fatal(err)
+				}
+				live = append(live, n.ID)
+			case op < 9:
+				k := rng.Intn(len(live))
+				if _, ok := q.Remove(live[k]); !ok {
+					t.Fatalf("seed %d: Remove(%s) of a queued ID failed", seed, live[k])
+				}
+				live = append(live[:k], live[k+1:]...)
+			default:
+				q.UpdateRank(live[rng.Intn(len(live))], float64(rng.Intn(4)))
+			}
+		}
+
+		// The reference order: pop a copy of the queue dry.
+		ref := NewQueue()
+		q.Each(func(n *msg.Notification) { _ = ref.Push(n) })
+		var want []*msg.Notification
+		for {
+			n, ok := ref.PopBest()
+			if !ok {
+				break
+			}
+			want = append(want, n)
+		}
+		same := func(got []*msg.Notification) bool {
+			if len(got) != len(want) {
+				return false
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					return false
+				}
+			}
+			return true
+		}
+
+		heap := slices.Clone(q.h.items)
+		if got := q.BestN(q.Len() + rng.Intn(3)); !same(got) {
+			t.Fatalf("seed %d: BestN = %v, pop order %v", seed, ids(got), ids(want))
+		}
+		if !slices.Equal(q.h.items, heap) || q.Len() != len(want) {
+			t.Fatalf("seed %d: BestN of the whole queue moved the heap", seed)
+		}
+		for i, n := range q.h.items {
+			if got, ok := q.Get(n.ID); !ok || got != n || q.h.index[n.ID] != i || !q.Contains(n.ID) {
+				t.Fatalf("seed %d: index broken for %s after BestN", seed, n.ID)
+			}
+		}
+		if best, ok := q.PeekBest(); len(want) > 0 && (!ok || best != want[0]) {
+			t.Fatalf("seed %d: PeekBest = %v after BestN, want %s", seed, best, want[0].ID)
+		}
+
+		grown := cap(q.h.items)
+		if got := q.TakeBestN(q.Len() + rng.Intn(3)); !same(got) {
+			t.Fatalf("seed %d: TakeBestN = %v, pop order %v", seed, ids(got), ids(want))
+		}
+		if q.Len() != 0 || len(q.h.index) != 0 {
+			t.Fatalf("seed %d: TakeBestN left %d items, %d index entries", seed, q.Len(), len(q.h.index))
+		}
+		if _, ok := q.PeekBest(); ok {
+			t.Fatalf("seed %d: PeekBest on a taken queue returned ok", seed)
+		}
+		if c := cap(q.h.items); grown >= shrinkFloor && c != 0 || grown < shrinkFloor && c != grown {
+			t.Fatalf("seed %d: capacity %d after taking a queue of capacity %d", seed, c, grown)
+		}
+		for _, n := range want {
+			if q.Contains(n.ID) {
+				t.Fatalf("seed %d: %s still indexed after TakeBestN", seed, n.ID)
+			}
+		}
+
+		// The emptied queue is fully usable, taken IDs included.
+		for i, n := range want {
+			if i == 8 {
+				break
+			}
+			if err := q.Push(note(n.ID, float64(i))); err != nil {
+				t.Fatalf("seed %d: re-push of taken %s: %v", seed, n.ID, err)
+			}
+		}
+		if len(want) >= 2 {
+			if _, ok := q.Remove(want[0].ID); !ok {
+				t.Fatalf("seed %d: Remove after TakeBestN failed", seed)
+			}
+			prev := math.Inf(1)
+			for q.Len() > 0 {
+				n, _ := q.PopBest()
+				if n.Rank > prev || n.ID == want[0].ID {
+					t.Fatalf("seed %d: PopBest after TakeBestN returned %s (rank %v, previous %v)", seed, n.ID, n.Rank, prev)
+				}
+				prev = n.Rank
+			}
+		}
+	}
+}
+
+// BenchmarkQueueTakeAll is one device read of a 2,048-deep queue with
+// Max = ∞: refill, offer (BestN of the whole queue), take (TakeBestN of it).
+func BenchmarkQueueTakeAll(b *testing.B) {
+	const depth = 2048
+	notes := make([]*msg.Notification, depth)
+	rng := rand.New(rand.NewSource(1))
+	for i := range notes {
+		notes[i] = note(msg.ID(fmt.Sprintf("b%05d", i)), float64(rng.Intn(100)))
+	}
+	q := NewQueue()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, n := range notes {
+			_ = q.Push(n)
+		}
+		if got := len(q.BestN(depth)); got != depth {
+			b.Fatalf("BestN returned %d", got)
+		}
+		if got := len(q.TakeBestN(depth)); got != depth {
+			b.Fatalf("TakeBestN returned %d", got)
+		}
 	}
 }

@@ -274,7 +274,9 @@ func (d *DeviceClient) storeAndNotify(n *msg.Notification) {
 	var cb func(*msg.Notification)
 	switch d.store.Accept(n, d.now()) {
 	case device.Fresh, device.Unreadable:
-		d.opts.Trace.Hop(trace.KindDeviceRecv, d.name, n, time.Now()) // no-op untraced or unsampled
+		if n.Trace != nil { // Hop would ignore it, but only after time.Now
+			d.opts.Trace.Hop(trace.KindDeviceRecv, d.name, n, time.Now())
+		}
 		cb = d.onPush
 	case device.RankDrop:
 		d.traceEvent(trace.KindDrop, n, "device", "rank retracted below threshold on the device")

@@ -276,9 +276,9 @@ func NewProxyServerOpts(opts ProxyOptions) (*ProxyServer, error) {
 	}
 	upstream.OnPush(
 		func(n *msg.Notification) {
-			// Hop is nil-safe, but time.Now is not free on the hot path —
-			// only pay for it when a collector is actually attached.
-			if ps.opts.Trace != nil {
+			// Hop ignores untraced notifications, but its time.Now argument
+			// is not free on the hot path: read the clock only for a traced one.
+			if n.Trace != nil {
 				ps.opts.Trace.Hop(trace.KindProxyRecv, ps.name, n, time.Now())
 			}
 			ps.ingress.push(ps.sched.Run, ingressItem{n: n})
