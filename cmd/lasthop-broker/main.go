@@ -37,9 +37,6 @@ func run() error {
 		readTO  = flag.Duration("read-timeout", 0, "max silence tolerated on a client connection (0 = unlimited)")
 		writeTO = flag.Duration("write-timeout", 10*time.Second, "max time for one client write (0 = unlimited)")
 
-		ringFrames = flag.Int("flush-ring-frames", 0, "max encoded frames buffered per connection before an inline flush (0 = default 64)")
-		ringBytes  = flag.Int("flush-ring-bytes", 0, "max encoded bytes buffered per connection before an inline flush (0 = default 256KiB)")
-
 		flightRing  = flag.Int("flight-ring", flight.DefaultRingEvents, "flight-recorder events retained per subsystem (0 = disable recording)")
 		watchdogIvl = flag.Duration("watchdog", 2*time.Second, "stall-watchdog probe interval (0 = disabled)")
 		bundleDir   = flag.String("bundle-dir", "lasthop-bundles", "directory for post-mortem dump bundles (watchdog trips, SIGQUIT, /debug/flight/dump)")
@@ -58,7 +55,6 @@ func run() error {
 	}
 	logf := obs.Logf(logger, "broker")
 
-	wire.SetRingLimits(*ringFrames, *ringBytes)
 	flight.Enable(*flightRing)
 	broker := pubsub.NewBroker(*name)
 	reg := obs.NewRegistry()

@@ -67,9 +67,6 @@ func run() error {
 		spoolFsync   = flag.String("spool-fsync", "commit", "spool fsync policy: always, commit, or never")
 		compactSegs  = flag.Int("spool-compact-segments", 0, "compact a worker's spool once it exceeds this many segments (0 = default)")
 
-		ringFrames = flag.Int("flush-ring-frames", 0, "max encoded frames buffered per connection before an inline flush (0 = default 64)")
-		ringBytes  = flag.Int("flush-ring-bytes", 0, "max encoded bytes buffered per connection before an inline flush (0 = default 256KiB)")
-
 		flightRing  = flag.Int("flight-ring", flight.DefaultRingEvents, "flight-recorder events retained per subsystem (0 = disable recording)")
 		watchdogIvl = flag.Duration("watchdog", 2*time.Second, "stall-watchdog probe interval (0 = disabled)")
 		bundleDir   = flag.String("bundle-dir", "lasthop-bundles", "directory for post-mortem dump bundles (watchdog trips, SIGQUIT, /debug/flight/dump)")
@@ -88,7 +85,6 @@ func run() error {
 	}
 	logf := obs.Logf(logger, "proxy")
 
-	wire.SetRingLimits(*ringFrames, *ringBytes)
 	flight.Enable(*flightRing)
 	reg := obs.NewRegistry()
 	wm := wire.NewMetrics(reg)

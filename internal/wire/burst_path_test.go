@@ -2,6 +2,8 @@ package wire
 
 import (
 	"net"
+	"runtime"
+	"syscall"
 	"testing"
 	"time"
 
@@ -76,6 +78,60 @@ func TestIdleConnNoFlushes(t *testing.T) {
 	time.Sleep(250 * time.Millisecond)
 	if got := client.Flushes(); got != flushed {
 		t.Errorf("idle connection flushed again: %d → %d flushes", flushed, got)
+	}
+}
+
+// TestNewConnBoundsSocketBuffers pins the kernel queue under each end of a
+// TCP connection at two reader refills. Linux reports double the size
+// requested, so each buffer must read at most 4 × readBufferBytes.
+func TestNewConnBoundsSocketBuffers(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("socket buffer sizes are read back with Linux semantics")
+	}
+	client, server := connPair(t)
+	for _, c := range []*Conn{client, server} {
+		raw, err := c.c.(*net.TCPConn).SyscallConn()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, opt := range map[string]int{"SO_SNDBUF": syscall.SO_SNDBUF, "SO_RCVBUF": syscall.SO_RCVBUF} {
+			var size int
+			var serr error
+			if err := raw.Control(func(fd uintptr) {
+				size, serr = syscall.GetsockoptInt(int(fd), syscall.SOL_SOCKET, opt)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if serr != nil {
+				t.Fatalf("%s: %v", name, serr)
+			}
+			if size > 4*readBufferBytes {
+				t.Errorf("%s of %s = %d bytes, want ≤ %d", name, c.c.LocalAddr(), size, 4*readBufferBytes)
+			}
+		}
+	}
+}
+
+// TestSendNowFlushAllocFree pins the vectored flush at zero heap
+// allocations: a frame sent and flushed through a warm egress ring to a
+// peer that keeps draining costs nothing per call.
+func TestSendNowFlushAllocFree(t *testing.T) {
+	client, server := connPair(t)
+	go func() {
+		buf := make([]byte, readBufferBytes)
+		for {
+			if _, err := server.c.Read(buf); err != nil {
+				return
+			}
+		}
+	}()
+	f := &Frame{Type: TypePing, Seq: 1}
+	if got := testing.AllocsPerRun(1000, func() {
+		if err := client.SendNow(f); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("SendNow allocated %v times per call, want 0", got)
 	}
 }
 

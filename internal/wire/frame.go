@@ -234,11 +234,14 @@ type Conn struct {
 
 	// The egress ring (wmu-guarded): encoded frames awaiting the next
 	// vectored flush. ring owns the pooled buffers; vecs is the scratch
-	// net.Buffers rebuilt for each writev (WriteTo consumes its slice in
-	// place, so ownership never rides on it).
+	// net.Buffers rebuilt for each writev, and unsent is the header WriteTo
+	// consumes in place. unsent lives here rather than on the stack because
+	// WriteTo's pointer receiver reaches the socket through an interface,
+	// which would move a local copy to the heap on every flush.
 	ring      []*burst.Buf
 	ringBytes int
 	vecs      net.Buffers
+	unsent    net.Buffers
 
 	// m aggregates wire metrics; nil disables instrumentation.
 	// firstBuffered (wmu-guarded) records when the current ring started
@@ -272,34 +275,25 @@ const readBufferBytes = 64 * 1024
 
 // Egress-ring bounds: once either is hit, the writer flushes inline,
 // which is the natural backpressure (matching the old write-buffer-full
-// degradation to a synchronous flush). Process-wide; see SetRingLimits.
-var (
+// degradation to a synchronous flush).
+const (
 	maxRingFrames = 64
 	maxRingBytes  = 256 * 1024
 )
 
 // socketBufferBytes bounds the kernel's send and receive buffer of every
-// TCP connection. Left to autotune, a saturated hop parks megabytes there —
-// seconds of notifications the sender can no longer rank, expire or
-// retract — and since the bound is in bytes, the smaller the frames the
-// more notifications queue. Half a megabyte per direction still covers any
-// bandwidth-delay product the stack meets.
-const socketBufferBytes = 512 << 10
-
-// SetRingLimits tunes the process-wide egress-ring bounds: how many
-// encoded frames (and bytes) may accumulate per connection before the
-// writer flushes inline instead of waiting for the flusher's vectored
-// write. Zero or negative keeps the current value. Call once at startup,
-// before any connection exists — the bounds are read without
-// synchronization on the hot path.
-func SetRingLimits(frames, bytes int) {
-	if frames > 0 {
-		maxRingFrames = frames
-	}
-	if bytes > 0 {
-		maxRingBytes = bytes
-	}
-}
+// TCP connection at two reader refills: one being decoded while the next
+// arrives. Anything more is a standing queue of notifications that neither
+// end can rank, expire or retract any more, and since the bound is in
+// bytes, the smaller the frames the more notifications wait in it. Linux
+// doubles the request and, at the default tcp_adv_win_scale of 1, advertises
+// half of that, so the window is exactly this many bytes. On a 2-core box,
+// fanout-burst's latency_p50_ms read ~600 ms at 512 KiB and ~140 ms here;
+// one refill (64 KiB) cut it further but starved the host's upstream reader
+// (throughput -8 %), and 16 KiB fell under loopback's 64 KiB MSS
+// (throughput /12). Only the send or only the receive side, or only the
+// device-facing connections, left the backlog where it was.
+const socketBufferBytes = 2 * readBufferBytes
 
 // conns registers every live connection for the flusher stall probe;
 // entries leave on Close.
@@ -398,12 +392,13 @@ func (c *Conn) flushRingLocked() {
 		for _, b := range c.ring {
 			c.vecs = append(c.vecs, b.B)
 		}
-		// WriteTo advances vecs in place (one writev per IOV_MAX chunk on
+		// WriteTo advances unsent in place (one writev per IOV_MAX chunk on
 		// TCP); the backing buffers stay owned by the ring.
-		v := c.vecs
-		if _, err := v.WriteTo(c.c); err != nil {
+		c.unsent = c.vecs
+		if _, err := c.unsent.WriteTo(c.c); err != nil {
 			c.werr = err
 		}
+		c.unsent = nil
 		c.flushes.Add(1)
 		flight.Record(flight.SubFlush, flight.KindFlush, -1, int64(len(c.ring)), int64(c.ringBytes))
 	}
