@@ -23,148 +23,258 @@ type Queue struct {
 	h queueHeap
 }
 
+// queueHeap is a binary heap of slot handles over an arena of slots. Each
+// queued notification sits in a slot whose index, its handle, stays put for
+// as long as it is queued, so the ID index is written only when a
+// notification enters or leaves, never by a sift. The heap array lives in
+// the same backing array as the arena — slots[i].heap is the handle at heap
+// position i, for i < size — so one allocation grows both.
 type queueHeap struct {
-	items []*msg.Notification
-	index map[msg.ID]int
+	slots []slot
+	size  int // heap length
+	// free heads the list of unused slots, linked through their pos
+	// fields and ended by -1. A push reuses a freed slot before it grows
+	// the arena, so a queue at steady depth allocates nothing per push.
+	free  int32
+	index map[msg.ID]int32 // ID → handle
 }
 
-func (q *queueHeap) Len() int { return len(q.items) }
+// slot i holds the notification with handle i and its heap position, and
+// the handle at heap position i.
+type slot struct {
+	n *msg.Notification // nil when the slot is free
+	// pos is n's heap position; a free slot's pos links to the next free
+	// slot.
+	pos  int32
+	heap int32
+}
 
-// The sifts below are hole-based rather than swap-based: the item being
+func newQueueHeap() queueHeap {
+	return queueHeap{free: -1, index: make(map[msg.ID]int32)}
+}
+
+func (q *queueHeap) Len() int { return q.size }
+
+// at returns the notification at heap position i.
+func (q *queueHeap) at(i int) *msg.Notification { return q.slots[q.slots[i].heap].n }
+
+// place puts handle h at heap position i.
+func (q *queueHeap) place(i int, h int32) {
+	q.slots[i].heap = h
+	q.slots[h].pos = int32(i)
+}
+
+// The sifts below are hole-based rather than swap-based: the handle being
 // placed is held aside while ancestors or children slide into the hole, so
-// each displaced item's index entry is written once. container/heap's
-// Swap-driven sift would hash and write two index entries per level, and
-// the index map writes dominate this structure's cost on the forward path.
+// each displaced handle is stored once and its slot's pos rewritten once —
+// two array stores per level, where a heap of notifications indexed by ID
+// would hash the ID and write a map entry per level.
 
-// siftUp places n starting from the hole at i, sliding ancestors down.
-func (q *queueHeap) siftUp(i int, n *msg.Notification) {
+// siftUp places handle h starting from the hole at i, sliding ancestors down.
+func (q *queueHeap) siftUp(i int, h int32) {
+	n := q.slots[h].n
 	for i > 0 {
 		parent := (i - 1) / 2
-		p := q.items[parent]
-		if !n.Before(p) {
+		ph := q.slots[parent].heap
+		if !n.Before(q.slots[ph].n) {
 			break
 		}
-		q.items[i] = p
-		q.index[p.ID] = i
+		q.place(i, ph)
 		i = parent
 	}
-	q.items[i] = n
-	q.index[n.ID] = i
+	q.place(i, h)
 }
 
-// siftDown places n starting from the hole at i, sliding the best child up.
-func (q *queueHeap) siftDown(i int, n *msg.Notification) {
-	size := len(q.items)
+// siftDown places handle h starting from the hole at i, sliding the best
+// child up.
+func (q *queueHeap) siftDown(i int, h int32) {
+	n := q.slots[h].n
 	for {
 		child := 2*i + 1
-		if child >= size {
+		if child >= q.size {
 			break
 		}
-		if r := child + 1; r < size && q.items[r].Before(q.items[child]) {
-			child = r
+		ch := q.slots[child].heap
+		if r := child + 1; r < q.size {
+			if rh := q.slots[r].heap; q.slots[rh].n.Before(q.slots[ch].n) {
+				child, ch = r, rh
+			}
 		}
-		c := q.items[child]
-		if !c.Before(n) {
+		if !q.slots[ch].n.Before(n) {
 			break
 		}
-		q.items[i] = c
-		q.index[c.ID] = i
+		q.place(i, ch)
 		i = child
 	}
-	q.items[i] = n
-	q.index[n.ID] = i
+	q.place(i, h)
 }
 
-// fix places n into the hole at i, restoring heap order in whichever
-// direction it violates it.
-func (q *queueHeap) fix(i int, n *msg.Notification) {
-	if i > 0 && n.Before(q.items[(i-1)/2]) {
-		q.siftUp(i, n)
+// fix places handle h into the hole at i, restoring heap order in
+// whichever direction it violates it.
+func (q *queueHeap) fix(i int, h int32) {
+	if i > 0 && q.slots[h].n.Before(q.at((i-1)/2)) {
+		q.siftUp(i, h)
 		return
 	}
-	q.siftDown(i, n)
+	q.siftDown(i, h)
 }
 
 func (q *queueHeap) push(n *msg.Notification) {
-	q.items = append(q.items, nil)
-	q.siftUp(len(q.items)-1, n)
-}
-
-func (q *queueHeap) pop() *msg.Notification {
-	n := q.items[0]
-	delete(q.index, n.ID)
-	last := len(q.items) - 1
-	moved := q.items[last]
-	q.items[last] = nil
-	q.items = q.items[:last]
-	if last > 0 {
-		q.siftDown(0, moved)
+	h := q.free
+	if h >= 0 {
+		q.free = q.slots[h].pos
+		q.slots[h].n = n
+	} else {
+		// Every slot is in use, so the arena is exactly as long as the heap
+		// and the new slot also holds the heap's new last position.
+		h = int32(len(q.slots))
+		if q.slots == nil {
+			// A queue released by a whole-queue take regrows from nil on
+			// every refill; skipping append's one- and two-slot steps saves
+			// two allocations each time.
+			q.slots = make([]slot, 0, 4)
+		}
+		q.slots = append(q.slots, slot{n: n})
 	}
-	return n
+	q.index[n.ID] = h
+	q.size++
+	q.siftUp(q.size-1, h)
 }
 
-// removeAt deletes the item at i, refilling the hole with the last item.
+// removeAt deletes the item at heap position i, refilling the hole with the
+// last handle, frees its slot and applies the memory rule.
 func (q *queueHeap) removeAt(i int) *msg.Notification {
-	n := q.items[i]
+	h := q.slots[i].heap
+	n := q.slots[h].n
 	delete(q.index, n.ID)
-	last := len(q.items) - 1
-	moved := q.items[last]
-	q.items[last] = nil
-	q.items = q.items[:last]
-	if i < last {
-		q.fix(i, moved)
+	q.slots[h].n, q.slots[h].pos = nil, q.free
+	q.free = h
+	q.size--
+	if last := q.size; i < last {
+		q.fix(i, q.slots[last].heap)
 	}
+	q.maybeShrink()
 	return n
 }
 
-// shrinkFloor is the smallest backing capacity worth releasing: queues
-// that never grew past it keep their array forever.
+// shrinkFloor is the smallest arena capacity worth releasing: queues that
+// never grew past it keep their arena forever.
 const shrinkFloor = 64
 
-// maybeShrink releases the backing array (and the index map, which Go
-// never shrinks on its own) once the queue drains below a quarter of its
+// maybeShrink releases the arena and the index map (which Go never shrinks
+// on its own) once the queue drains below a quarter of the arena's
 // capacity, so a burst does not pin its high-water memory for the rest of
 // the session. The new capacity is half the old one — still at least twice
 // the live length — so push/pop traffic around the boundary cannot thrash.
+// The compacted arena numbers its slots in heap order and has none free.
 func (q *queueHeap) maybeShrink() {
-	c := cap(q.items)
-	if c < shrinkFloor || len(q.items) > c/4 {
+	c := cap(q.slots)
+	if c < shrinkFloor || q.size > c/4 {
 		return
 	}
-	items := make([]*msg.Notification, len(q.items), c/2)
-	copy(items, q.items)
-	q.items = items
-	index := make(map[msg.ID]int, len(items))
-	for i, n := range items {
-		index[n.ID] = i
+	slots := make([]slot, q.size, c/2)
+	index := make(map[msg.ID]int32, q.size)
+	for i := range slots {
+		n := q.at(i)
+		slots[i] = slot{n: n, pos: int32(i), heap: int32(i)}
+		index[n.ID] = int32(i)
 	}
-	q.index = index
+	q.slots, q.free, q.index = slots, -1, index
+}
+
+// notes returns the queued notifications in heap order, in a new slice.
+func (q *queueHeap) notes() []*msg.Notification {
+	out := make([]*msg.Notification, q.size)
+	for i := range out {
+		out[i] = q.at(i)
+	}
+	return out
 }
 
 // takeAll empties the heap and returns its items in rank order: one sort
-// instead of a pop per item, each of which rewrites an index entry per level
-// of its sift. Memory follows maybeShrink's rule: a queue whose array grew
-// past shrinkFloor hands that array out and keeps neither it nor its index
-// map; a smaller one keeps both for the next arrivals.
+// instead of a pop per item. Memory follows maybeShrink's rule: a queue
+// whose arena grew past shrinkFloor keeps neither it nor its index map; a
+// smaller one keeps both for the next arrivals.
 func (q *queueHeap) takeAll() []*msg.Notification {
-	out := q.items
-	if cap(out) < shrinkFloor {
-		out = make([]*msg.Notification, len(q.items))
-		copy(out, q.items)
-		clear(q.items)
-		q.items = q.items[:0]
+	out := q.notes()
+	if cap(q.slots) < shrinkFloor {
+		clear(q.slots)
+		q.slots, q.size, q.free = q.slots[:0], 0, -1
 		clear(q.index)
 	} else {
-		q.items = nil
-		q.index = make(map[msg.ID]int)
+		*q = newQueueHeap()
 	}
 	slices.SortFunc(out, (*msg.Notification).Compare)
 	return out
 }
 
+// topN returns the n best items, n < Len, in pop order without moving any.
+// The next item in pop order is the root or a child of an item already
+// taken, so a small heap of candidate positions seeded with the root yields
+// them one by one: take its best, then add that position's two children.
+// Before is a total order, so the result is exactly what n pops would give.
+func (q *queueHeap) topN(n int) []*msg.Notification {
+	out := make([]*msg.Notification, 0, n)
+	var buf [32]int32 // the frontier holds at most n+1 positions
+	front := append(buf[:0], 0)
+	for len(out) < n {
+		p := front[0]
+		out = append(out, q.at(int(p)))
+		last := len(front) - 1
+		moved := front[last]
+		front = front[:last]
+		if last > 0 {
+			q.frontDown(front, moved)
+		}
+		for c := 2*p + 1; c <= 2*p+2 && int(c) < q.size; c++ {
+			front = append(front, c)
+			q.frontUp(front)
+		}
+	}
+	return out
+}
+
+// frontUp sifts the last candidate of topN's frontier up into place.
+func (q *queueHeap) frontUp(f []int32) {
+	i := len(f) - 1
+	p := f[i]
+	n := q.at(int(p))
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !n.Before(q.at(int(f[parent]))) {
+			break
+		}
+		f[i] = f[parent]
+		i = parent
+	}
+	f[i] = p
+}
+
+// frontDown places candidate p into the hole at the root of topN's
+// frontier, sliding the better child up.
+func (q *queueHeap) frontDown(f []int32, p int32) {
+	n := q.at(int(p))
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= len(f) {
+			break
+		}
+		if r := child + 1; r < len(f) && q.at(int(f[r])).Before(q.at(int(f[child]))) {
+			child = r
+		}
+		if !q.at(int(f[child])).Before(n) {
+			break
+		}
+		f[i] = f[child]
+		i = child
+	}
+	f[i] = p
+}
+
 // NewQueue returns an empty rank-ordered queue.
 func NewQueue() *Queue {
-	return &Queue{h: queueHeap{index: make(map[msg.ID]int)}}
+	return &Queue{h: newQueueHeap()}
 }
 
 // Len returns the number of queued notifications.
@@ -178,11 +288,11 @@ func (q *Queue) Contains(id msg.ID) bool {
 
 // Get returns the queued notification with the given ID, if any.
 func (q *Queue) Get(id msg.ID) (*msg.Notification, bool) {
-	i, ok := q.h.index[id]
+	h, ok := q.h.index[id]
 	if !ok {
 		return nil, false
 	}
-	return q.h.items[i], true
+	return q.h.slots[h].n, true
 }
 
 // Push inserts a notification. Inserting a duplicate ID is an error: the
@@ -203,7 +313,7 @@ func (q *Queue) PeekBest() (*msg.Notification, bool) {
 	if q.h.Len() == 0 {
 		return nil, false
 	}
-	return q.h.items[0], true
+	return q.h.at(0), true
 }
 
 // PopBest removes and returns the highest-ranked notification.
@@ -211,55 +321,47 @@ func (q *Queue) PopBest() (*msg.Notification, bool) {
 	if q.h.Len() == 0 {
 		return nil, false
 	}
-	n := q.h.pop()
-	q.h.maybeShrink()
-	return n, true
+	return q.h.removeAt(0), true
 }
 
 // Remove deletes the notification with the given ID, returning it if it was
 // queued. This implements the pseudo-code's "queue \ event" subtraction.
 func (q *Queue) Remove(id msg.ID) (*msg.Notification, bool) {
-	i, ok := q.h.index[id]
+	h, ok := q.h.index[id]
 	if !ok {
 		return nil, false
 	}
-	n := q.h.removeAt(i)
-	q.h.maybeShrink()
-	return n, true
+	return q.h.removeAt(int(q.h.slots[h].pos)), true
 }
 
 // UpdateRank revises the rank of a queued notification in place and
 // restores heap order. It reports whether the notification was queued.
 func (q *Queue) UpdateRank(id msg.ID, rank float64) bool {
-	i, ok := q.h.index[id]
+	h, ok := q.h.index[id]
 	if !ok {
 		return false
 	}
-	n := q.h.items[i]
-	n.Rank = rank
-	q.h.fix(i, n)
+	q.h.slots[h].n.Rank = rank
+	q.h.fix(int(q.h.slots[h].pos), h)
 	return true
 }
 
 // BestN returns the up-to-n highest-ranked notifications in rank order
-// without removing them. With n <= 0 it returns nil. A partial read runs in
-// O(n log len) by popping and restoring, which matters because the proxy
-// calls it on every user read against queues that can hold a year of
-// backlog; a read of the whole queue sorts a copy and leaves the heap alone.
+// without removing them or moving anything in the heap. With n <= 0 it
+// returns nil. A partial read walks the top of the heap in O(n log n),
+// which matters because the proxy calls it on every user read against
+// queues that can hold a year of backlog; a read of the whole queue sorts a
+// copy.
 func (q *Queue) BestN(n int) []*msg.Notification {
 	if n <= 0 || q.h.Len() == 0 {
 		return nil
 	}
 	if n >= q.h.Len() {
-		out := slices.Clone(q.h.items)
+		out := q.h.notes()
 		slices.SortFunc(out, (*msg.Notification).Compare)
 		return out
 	}
-	out := q.TakeBestN(n)
-	for _, item := range out {
-		q.h.push(item)
-	}
-	return out
+	return q.h.topN(n)
 }
 
 // TakeBestN removes and returns the up-to-n highest-ranked notifications in
@@ -272,12 +374,8 @@ func (q *Queue) TakeBestN(n int) []*msg.Notification {
 		return q.h.takeAll()
 	}
 	out := make([]*msg.Notification, 0, n)
-	for i := 0; i < n; i++ {
-		best, ok := q.PopBest()
-		if !ok {
-			break
-		}
-		out = append(out, best)
+	for len(out) < n {
+		out = append(out, q.h.removeAt(0))
 	}
 	return out
 }
@@ -289,29 +387,29 @@ func (q *Queue) PopWorst() (*msg.Notification, bool) {
 	if q.h.Len() == 0 {
 		return nil, false
 	}
-	worst := q.h.items[0]
-	for _, n := range q.h.items[1:] {
-		if worst.Before(n) {
-			worst = n
+	worst := 0
+	for i := 1; i < q.h.Len(); i++ {
+		if q.h.at(worst).Before(q.h.at(i)) {
+			worst = i
 		}
 	}
-	return q.Remove(worst.ID)
+	return q.h.removeAt(worst), true
 }
 
 // IDs returns the IDs of all queued notifications in unspecified order.
 func (q *Queue) IDs() []msg.ID {
-	ids := make([]msg.ID, 0, len(q.h.items))
-	for _, n := range q.h.items {
-		ids = append(ids, n.ID)
+	ids := make([]msg.ID, 0, q.h.Len())
+	for i := range q.h.size {
+		ids = append(ids, q.h.at(i).ID)
 	}
 	return ids
 }
 
 // IDSet returns the queued IDs as a set.
 func (q *Queue) IDSet() msg.IDSet {
-	s := make(msg.IDSet, len(q.h.items))
-	for _, n := range q.h.items {
-		s.Add(n.ID)
+	s := make(msg.IDSet, q.h.Len())
+	for i := range q.h.size {
+		s.Add(q.h.at(i).ID)
 	}
 	return s
 }
@@ -319,15 +417,14 @@ func (q *Queue) IDSet() msg.IDSet {
 // Each calls fn for every queued notification in unspecified order. The
 // callback must not mutate the queue.
 func (q *Queue) Each(fn func(*msg.Notification)) {
-	for _, n := range q.h.items {
-		fn(n)
+	for i := range q.h.size {
+		fn(q.h.at(i))
 	}
 }
 
 // Clear removes all queued notifications.
 func (q *Queue) Clear() {
-	q.h.items = nil
-	q.h.index = make(map[msg.ID]int)
+	q.h = newQueueHeap()
 }
 
 // ExpiryIndex tracks expirable notifications in a min-heap keyed by
@@ -350,67 +447,76 @@ type expiryHeap struct {
 // The heap is maintained by hand rather than through container/heap, whose
 // Push and Pop box every entry into an interface: an index entry is added
 // and removed once per notification a device holds, and that was two
-// allocations each.
+// allocations each. Its sifts are hole-based like queueHeap's, so each
+// displaced entry's index entry is written once per level, not twice.
 
 func (h *expiryHeap) Len() int { return len(h.entries) }
 
-func (h *expiryHeap) less(i, j int) bool {
-	if !h.entries[i].expires.Equal(h.entries[j].expires) {
-		return h.entries[i].expires.Before(h.entries[j].expires)
+func (e expiryEntry) before(o expiryEntry) bool {
+	if c := e.expires.Compare(o.expires); c != 0 {
+		return c < 0
 	}
-	return h.entries[i].id < h.entries[j].id
+	return e.id < o.id
 }
 
-func (h *expiryHeap) swap(i, j int) {
-	h.entries[i], h.entries[j] = h.entries[j], h.entries[i]
-	h.index[h.entries[i].id] = i
-	h.index[h.entries[j].id] = j
-}
-
-func (h *expiryHeap) up(i int) {
+// up places e starting from the hole at i, sliding ancestors down.
+func (h *expiryHeap) up(i int, e expiryEntry) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(i, parent) {
+		p := h.entries[parent]
+		if !e.before(p) {
 			break
 		}
-		h.swap(i, parent)
+		h.entries[i] = p
+		h.index[p.id] = i
 		i = parent
 	}
+	h.entries[i] = e
+	h.index[e.id] = i
 }
 
-func (h *expiryHeap) down(i int) {
+// down places e starting from the hole at i, sliding the earlier child up.
+func (h *expiryHeap) down(i int, e expiryEntry) {
+	size := len(h.entries)
 	for {
 		child := 2*i + 1
-		if child >= len(h.entries) {
+		if child >= size {
 			break
 		}
-		if r := child + 1; r < len(h.entries) && h.less(r, child) {
+		if r := child + 1; r < size && h.entries[r].before(h.entries[child]) {
 			child = r
 		}
-		if !h.less(child, i) {
+		c := h.entries[child]
+		if !c.before(e) {
 			break
 		}
-		h.swap(i, child)
+		h.entries[i] = c
+		h.index[c.id] = i
 		i = child
 	}
+	h.entries[i] = e
+	h.index[e.id] = i
 }
 
 func (h *expiryHeap) push(e expiryEntry) {
-	h.index[e.id] = len(h.entries)
-	h.entries = append(h.entries, e)
-	h.up(len(h.entries) - 1)
+	h.entries = append(h.entries, expiryEntry{})
+	h.up(len(h.entries)-1, e)
 }
 
 // removeAt deletes the entry at i, refilling the hole with the last entry.
 func (h *expiryHeap) removeAt(i int) expiryEntry {
-	last := len(h.entries) - 1
-	h.swap(i, last)
-	e := h.entries[last]
-	h.entries = h.entries[:last]
+	e := h.entries[i]
 	delete(h.index, e.id)
+	last := len(h.entries) - 1
+	moved := h.entries[last]
+	h.entries[last] = expiryEntry{}
+	h.entries = h.entries[:last]
 	if i < last {
-		h.down(i)
-		h.up(i)
+		if i > 0 && moved.before(h.entries[(i-1)/2]) {
+			h.up(i, moved)
+		} else {
+			h.down(i, moved)
+		}
 	}
 	return e
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -519,7 +518,7 @@ func TestQueueShrinksAfterBurst(t *testing.T) {
 			t.Fatalf("push: %v", err)
 		}
 	}
-	grown := cap(q.h.items)
+	grown := cap(q.h.slots)
 	if grown < burst {
 		t.Fatalf("expected capacity >= %d after burst, got %d", burst, grown)
 	}
@@ -530,7 +529,7 @@ func TestQueueShrinksAfterBurst(t *testing.T) {
 			t.Fatal("queue drained early")
 		}
 	}
-	if c := cap(q.h.items); c >= grown/2+1 {
+	if c := cap(q.h.slots); c >= grown/2+1 {
 		t.Fatalf("backing array not released: len=%d cap=%d (burst cap %d)", q.Len(), c, grown)
 	}
 	// Shrinking must preserve the index: every remaining ID resolves and
@@ -561,11 +560,11 @@ func TestQueueSmallNeverShrinks(t *testing.T) {
 			t.Fatalf("push: %v", err)
 		}
 	}
-	before := cap(q.h.items)
+	before := cap(q.h.slots)
 	for q.Len() > 0 {
 		q.PopBest()
 	}
-	if c := cap(q.h.items); c != before {
+	if c := cap(q.h.slots); c != before {
 		t.Fatalf("small queue shrank below floor: cap %d -> %d", before, c)
 	}
 }
@@ -581,13 +580,13 @@ func TestQueueRemoveShrinks(t *testing.T) {
 			t.Fatalf("push: %v", err)
 		}
 	}
-	grown := cap(q.h.items)
+	grown := cap(q.h.slots)
 	for _, id := range all[:burst-burst/16] {
 		if _, ok := q.Remove(id); !ok {
 			t.Fatalf("remove %q failed", id)
 		}
 	}
-	if c := cap(q.h.items); c >= grown {
+	if c := cap(q.h.slots); c >= grown {
 		t.Fatalf("Remove path did not shrink: cap still %d (burst cap %d)", c, grown)
 	}
 }
@@ -647,15 +646,18 @@ func TestQueueWholeQueueMatchesPopOrder(t *testing.T) {
 			return true
 		}
 
-		heap := slices.Clone(q.h.items)
+		before := snapshot(q)
 		if got := q.BestN(q.Len() + rng.Intn(3)); !same(got) {
 			t.Fatalf("seed %d: BestN = %v, pop order %v", seed, ids(got), ids(want))
 		}
-		if !slices.Equal(q.h.items, heap) || q.Len() != len(want) {
+		if !before.equal(q) || q.Len() != len(want) {
 			t.Fatalf("seed %d: BestN of the whole queue moved the heap", seed)
 		}
-		for i, n := range q.h.items {
-			if got, ok := q.Get(n.ID); !ok || got != n || q.h.index[n.ID] != i || !q.Contains(n.ID) {
+		if err := checkQueue(q); err != nil {
+			t.Fatalf("seed %d: after BestN: %v", seed, err)
+		}
+		for _, n := range want {
+			if got, ok := q.Get(n.ID); !ok || got != n || !q.Contains(n.ID) {
 				t.Fatalf("seed %d: index broken for %s after BestN", seed, n.ID)
 			}
 		}
@@ -663,7 +665,7 @@ func TestQueueWholeQueueMatchesPopOrder(t *testing.T) {
 			t.Fatalf("seed %d: PeekBest = %v after BestN, want %s", seed, best, want[0].ID)
 		}
 
-		grown := cap(q.h.items)
+		grown := cap(q.h.slots)
 		if got := q.TakeBestN(q.Len() + rng.Intn(3)); !same(got) {
 			t.Fatalf("seed %d: TakeBestN = %v, pop order %v", seed, ids(got), ids(want))
 		}
@@ -673,7 +675,7 @@ func TestQueueWholeQueueMatchesPopOrder(t *testing.T) {
 		if _, ok := q.PeekBest(); ok {
 			t.Fatalf("seed %d: PeekBest on a taken queue returned ok", seed)
 		}
-		if c := cap(q.h.items); grown >= shrinkFloor && c != 0 || grown < shrinkFloor && c != grown {
+		if c := cap(q.h.slots); grown >= shrinkFloor && c != 0 || grown < shrinkFloor && c != grown {
 			t.Fatalf("seed %d: capacity %d after taking a queue of capacity %d", seed, c, grown)
 		}
 		for _, n := range want {

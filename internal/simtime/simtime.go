@@ -10,7 +10,7 @@
 package simtime
 
 import (
-	"container/heap"
+	"math"
 	"sync"
 	"time"
 )
@@ -38,8 +38,11 @@ type Scheduler interface {
 // Virtual is a deterministic discrete-event scheduler. It is not safe for
 // concurrent use: the simulation driver owns it.
 type Virtual struct {
-	now    time.Time
-	events eventHeap
+	now time.Time
+	// origin is the start instant without a monotonic clock reading:
+	// event keys count wall-clock nanoseconds from it.
+	origin time.Time
+	events []*event // min-heap in (at, seq) order
 	seq    uint64
 }
 
@@ -49,67 +52,109 @@ var (
 	_ Scheduler = (*Wall)(nil)
 )
 
+// event is one scheduled callback; it is also the callback's Timer.
 type event struct {
-	at        time.Time
-	seq       uint64
-	fn        func()
-	cancelled bool
-	index     int
+	v  *Virtual
+	at time.Time
+	// key is at in nanoseconds since v.origin, so that ordering compares
+	// integers rather than time.Time values. An instant more than ~292
+	// years from the origin saturates the int64 range, and ties between
+	// saturated keys fall back to comparing at itself.
+	key   int64
+	seq   uint64
+	fn    func()
+	index int // position in v.events; -1 once fired or cancelled
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if !h[i].at.Equal(h[j].at) {
-		return h[i].at.Before(h[j].at)
+// before is the firing order: by instant, then by scheduling order.
+func (e *event) before(o *event) bool {
+	if e.key != o.key {
+		return e.key < o.key
 	}
-	return h[i].seq < h[j].seq
-}
-
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-func (h *eventHeap) Push(x any) {
-	e, ok := x.(*event)
-	if !ok {
-		return // guarded by the exported API; never reached
+	if e.key == math.MaxInt64 || e.key == math.MinInt64 {
+		if c := e.at.Compare(o.at); c != 0 {
+			return c < 0
+		}
 	}
-	e.index = len(*h)
-	*h = append(*h, e)
+	return e.seq < o.seq
 }
 
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
-}
-
-type virtualTimer struct {
-	v *Virtual
-	e *event
-}
-
-func (t *virtualTimer) Cancel() bool {
-	if t.e.cancelled || t.e.index < 0 {
+// Cancel prevents the callback from running, reporting whether it was
+// still pending.
+func (e *event) Cancel() bool {
+	if e.index < 0 {
 		return false
 	}
-	t.e.cancelled = true
-	heap.Remove(&t.v.events, t.e.index)
-	t.e.index = -1
+	e.v.removeAt(e.index)
+	e.fn = nil
 	return true
+}
+
+// The event heap is maintained by hand rather than through container/heap:
+// no interface boxing, and its sifts are hole-based like rankedq's, so a
+// displaced event is stored and re-indexed once per level.
+
+// up places e starting from the hole at i, sliding ancestors down.
+func (v *Virtual) up(i int, e *event) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		p := v.events[parent]
+		if !e.before(p) {
+			break
+		}
+		v.events[i] = p
+		p.index = i
+		i = parent
+	}
+	v.events[i] = e
+	e.index = i
+}
+
+// down places e starting from the hole at i, sliding the earlier child up.
+func (v *Virtual) down(i int, e *event) {
+	size := len(v.events)
+	for {
+		child := 2*i + 1
+		if child >= size {
+			break
+		}
+		c := v.events[child]
+		if r := child + 1; r < size && v.events[r].before(c) {
+			child, c = r, v.events[r]
+		}
+		if !c.before(e) {
+			break
+		}
+		v.events[i] = c
+		c.index = i
+		i = child
+	}
+	v.events[i] = e
+	e.index = i
+}
+
+// removeAt takes the event at i off the heap, refilling the hole with the
+// last event.
+func (v *Virtual) removeAt(i int) *event {
+	e := v.events[i]
+	e.index = -1
+	last := len(v.events) - 1
+	moved := v.events[last]
+	v.events[last] = nil
+	v.events = v.events[:last]
+	if i < last {
+		if i > 0 && moved.before(v.events[(i-1)/2]) {
+			v.up(i, moved)
+		} else {
+			v.down(i, moved)
+		}
+	}
+	return e
 }
 
 // NewVirtual returns a virtual scheduler starting at the given instant.
 func NewVirtual(start time.Time) *Virtual {
-	return &Virtual{now: start}
+	return &Virtual{now: start, origin: start.Round(0)}
 }
 
 // Now returns the current virtual instant.
@@ -128,10 +173,11 @@ func (v *Virtual) ScheduleAt(at time.Time, fn func()) Timer {
 	if at.Before(v.now) {
 		at = v.now
 	}
-	e := &event{at: at, seq: v.seq, fn: fn}
+	e := &event{v: v, at: at, key: int64(at.Sub(v.origin)), seq: v.seq, fn: fn}
 	v.seq++
-	heap.Push(&v.events, e)
-	return &virtualTimer{v: v, e: e}
+	v.events = append(v.events, nil)
+	v.up(len(v.events)-1, e)
+	return e
 }
 
 // Run executes fn immediately; the virtual scheduler is single-threaded.
@@ -143,20 +189,15 @@ func (v *Virtual) Pending() int { return len(v.events) }
 // Step runs the earliest pending callback, advancing the clock to its
 // deadline. It reports whether a callback ran.
 func (v *Virtual) Step() bool {
-	for len(v.events) > 0 {
-		e, ok := heap.Pop(&v.events).(*event)
-		if !ok {
-			return false
-		}
-		e.index = -1
-		if e.cancelled {
-			continue
-		}
-		v.now = e.at
-		e.fn()
-		return true
+	if len(v.events) == 0 {
+		return false
 	}
-	return false
+	e := v.removeAt(0)
+	fn := e.fn
+	e.fn = nil
+	v.now = e.at
+	fn()
+	return true
 }
 
 // RunUntil runs every callback scheduled up to and including the given
