@@ -21,6 +21,7 @@ import (
 	"net"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -145,12 +146,14 @@ type worker struct {
 	heartbeat atomic.Int64
 }
 
-// topicSub is the ref-counted state of one multiplexed upstream
-// subscription: however many sessions subscribe to the topic, the broker
-// sees exactly one subscriber (the host).
+// topicSub is the shared state of one multiplexed upstream subscription:
+// however many sessions subscribe to the topic, the broker sees exactly one
+// subscriber (the host).
 type topicSub struct {
-	refs     int
-	sessions map[*Session]struct{}
+	// sessions holds one reference per subscribed session. It is
+	// copy-on-write: replaced under h.mu, never changed in place, so
+	// dispatch walks the list it read after releasing the lock.
+	sessions []*Session
 	// ready is closed once the upstream subscribe resolved; err (set
 	// before the close, immutable after) tells latecomers whether it
 	// failed. Sessions piggybacking on an in-flight subscribe wait on it
@@ -304,16 +307,7 @@ func (h *Host) workerFor(name string) *worker {
 // proxy only ever rewrites envelope fields (Rank), never Payload, and the
 // group's last release recycles the upstream note itself.
 func (h *Host) dispatchPush(n *msg.Notification) {
-	h.mu.Lock()
-	ts := h.topics[n.Topic]
-	var targets []*Session
-	if ts != nil {
-		targets = make([]*Session, 0, len(ts.sessions))
-		for s := range ts.sessions {
-			targets = append(targets, s)
-		}
-	}
-	h.mu.Unlock()
+	targets := h.topicSessions(n.Topic)
 	if len(targets) == 0 {
 		burst.Notes.Put(n) // nobody wants it; recycle the upstream copy
 		return
@@ -334,14 +328,13 @@ func (h *Host) dispatchPush(n *msg.Notification) {
 	}
 	for i, s := range targets {
 		m := copies[i]
-		sess := s
 		// Wheel.Run drops the callback once the wheel closed; the flag
 		// lets this goroutine reclaim the note instead of leaking it at
 		// shutdown.
 		delivered := false
-		sess.w.wheel.Run(func() {
+		s.w.wheel.Run(func() {
 			delivered = true
-			sess.deliverNotify(m)
+			s.deliverNotify(m)
 		})
 		if !delivered {
 			burst.Notes.Put(m)
@@ -351,20 +344,25 @@ func (h *Host) dispatchPush(n *msg.Notification) {
 
 // dispatchRank fans an upstream rank revision out to the topic's sessions.
 func (h *Host) dispatchRank(u msg.RankUpdate) {
+	for _, s := range h.topicSessions(u.Topic) {
+		s.w.wheel.Run(func() { s.deliverRank(u) })
+	}
+}
+
+// topicSessions returns the topic's current session list; the caller may
+// walk it without h.mu because it is never changed in place.
+func (h *Host) topicSessions(topic string) []*Session {
 	h.mu.Lock()
-	ts := h.topics[u.Topic]
-	var targets []*Session
-	if ts != nil {
-		targets = make([]*Session, 0, len(ts.sessions))
-		for s := range ts.sessions {
-			targets = append(targets, s)
-		}
+	defer h.mu.Unlock()
+	if ts := h.topics[topic]; ts != nil {
+		return ts.sessions
 	}
-	h.mu.Unlock()
-	for _, s := range targets {
-		sess := s
-		sess.w.wheel.Run(func() { sess.deliverRank(u) })
-	}
+	return nil
+}
+
+// withSession returns list with s appended, as a new slice.
+func withSession(list []*Session, s *Session) []*Session {
+	return append(list[:len(list):len(list)], s)
 }
 
 // Serve accepts device connections until the listener closes. After an
@@ -646,12 +644,11 @@ func (h *Host) subscribe(sess *Session, f *wire.Frame) error {
 	}
 	first := ts == nil
 	if first {
-		ts = &topicSub{sessions: make(map[*Session]struct{}), ready: make(chan struct{})}
+		ts = &topicSub{ready: make(chan struct{})}
 		h.topics[f.Topic] = ts
 	}
-	ts.refs++
-	refs := ts.refs
-	ts.sessions[sess] = struct{}{}
+	ts.sessions = withSession(ts.sessions, sess)
+	refs := len(ts.sessions)
 	h.mu.Unlock()
 	flight.Record(flight.SubMux, flight.KindSubscribe, -1, flight.TopicHash(f.Topic), int64(refs))
 
@@ -665,6 +662,9 @@ func (h *Host) subscribe(sess *Session, f *wire.Frame) error {
 		ts.err = err
 		close(ts.ready)
 		if err != nil {
+			// The entry leaves with every reference taken on it: this
+			// session's and those of the sessions waiting on ready, which
+			// roll back below.
 			delete(h.topics, f.Topic)
 		}
 		h.mu.Unlock()
@@ -673,7 +673,6 @@ func (h *Host) subscribe(sess *Session, f *wire.Frame) error {
 		err = ts.err
 	}
 	if err != nil {
-		h.dropRef(sess, f.Topic, ts)
 		sess.w.wheel.Run(func() {
 			if sess.proxy == nil {
 				return
@@ -690,20 +689,6 @@ func (h *Host) subscribe(sess *Session, f *wire.Frame) error {
 	// it without this topic.
 	sess.w.wheel.Run(func() { sess.spoolMembership(msg.SpoolDelta{Subscribe: f.Topic}) })
 	return nil
-}
-
-// dropRef releases one session's reference on a topic subscription and
-// reports nothing; the caller decides about the upstream unsubscribe via
-// unsubscribe(). Used on subscribe rollback, where the upstream sub either
-// failed (nothing to release) or is shared (refs only).
-func (h *Host) dropRef(sess *Session, topic string, ts *topicSub) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	ts.refs--
-	delete(ts.sessions, sess)
-	if ts.refs <= 0 && h.topics[topic] == ts {
-		delete(h.topics, topic)
-	}
 }
 
 // unsubscribe removes the topic from the session's proxy and releases its
@@ -736,11 +721,10 @@ func (h *Host) unsubscribe(sess *Session, topic string) error {
 	ts := h.topics[topic]
 	var drained chan struct{}
 	if ts != nil {
-		if _, held := ts.sessions[sess]; held {
-			ts.refs--
-			flight.Record(flight.SubMux, flight.KindUnsubscribe, -1, flight.TopicHash(topic), int64(ts.refs))
-			delete(ts.sessions, sess)
-			if ts.refs <= 0 {
+		if i := slices.Index(ts.sessions, sess); i >= 0 {
+			ts.sessions = slices.Concat(ts.sessions[:i], ts.sessions[i+1:])
+			flight.Record(flight.SubMux, flight.KindUnsubscribe, -1, flight.TopicHash(topic), int64(len(ts.sessions)))
+			if len(ts.sessions) == 0 {
 				// Last reference: keep the entry in h.topics, marked
 				// draining, until the upstream unsubscribe resolves, so a
 				// concurrent new subscriber serializes behind it instead of
@@ -787,11 +771,10 @@ func (h *Host) respondErr(conn *wire.Conn, req *wire.Frame, err error) {
 func (h *Host) TopicRefs(topic string) int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	ts := h.topics[topic]
-	if ts == nil {
-		return 0
+	if ts := h.topics[topic]; ts != nil {
+		return len(ts.sessions)
 	}
-	return ts.refs
+	return 0
 }
 
 // UpstreamTopics lists the topics the host currently holds one broker

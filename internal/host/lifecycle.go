@@ -475,11 +475,10 @@ func (h *Host) recoverSpooled() error {
 			if ts == nil {
 				ready := make(chan struct{})
 				close(ready) // resolved: New subscribes before serving
-				ts = &topicSub{sessions: make(map[*Session]struct{}), ready: ready}
+				ts = &topicSub{ready: ready}
 				h.topics[t] = ts
 			}
-			ts.refs++
-			ts.sessions[s] = struct{}{}
+			ts.sessions = withSession(ts.sessions, s)
 		}
 		h.sessions[name] = s
 		recovered++

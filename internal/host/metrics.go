@@ -63,7 +63,7 @@ func (h *Host) RegisterMetrics(reg *obs.Registry, host string) {
 			h.mu.Lock()
 			out := make([]obs.Sample, 0, len(h.topics))
 			for t, ts := range h.topics {
-				out = append(out, obs.Sample{Labels: []string{host, t}, Value: float64(ts.refs)})
+				out = append(out, obs.Sample{Labels: []string{host, t}, Value: float64(len(ts.sessions))})
 			}
 			h.mu.Unlock()
 			return out

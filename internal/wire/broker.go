@@ -354,9 +354,8 @@ func (c *BrokerClient) connect() (*Conn, error) {
 	}
 	// Pushes decode into pooled notifications; dispatchPush transfers them
 	// to the registered callback (which inherits the release duty) or
-	// returns them itself. The frame is reused across pushes — responses,
-	// which escape to a concurrently running call(), relinquish it (see
-	// Conn.Recv).
+	// returns them itself. The frame is reused across every read: resolve
+	// copies a response's reply out of it.
 	conn.SetNotePool(true)
 	conn.SetRecvReuse(true)
 	if err := c.handshake(conn); err != nil {
@@ -590,11 +589,7 @@ func (c *BrokerClient) Publish(n *msg.Notification) error {
 	attempt := 0
 	for {
 		err := c.call(&Frame{Type: TypePublish, Notification: n})
-		if err == nil {
-			return nil
-		}
-		var re *RemoteError
-		if attempt > 0 && errors.As(err, &re) && re.Code == CodeDuplicateID {
+		if err == nil || attempt > 0 && isDuplicate(err) {
 			return nil
 		}
 		if !isConnLost(err) || !c.opts.AutoReconnect {
@@ -616,58 +611,53 @@ func (c *BrokerClient) Publish(n *msg.Notification) error {
 // the earlier attempt landed and counts as success.
 func (c *BrokerClient) PublishBatch(ns []*msg.Notification) []error {
 	errs := make([]error, len(ns))
-	frames := make([]*Frame, len(ns))
-	idx := make([]int, len(ns))
+	w := waiters.Get().(*waiter)
+	defer putWaiter(w)
 	for i, n := range ns {
 		f := getPushFrame()
 		f.Type = TypePublish
 		f.Notification = n
-		frames[i] = f
-		idx[i] = i
+		w.frames = append(w.frames, f)
+		w.idx = append(w.idx, i)
 	}
-	// The frames outlive retries (retry rounds resend subsets of the same
-	// pointers) but not this call: callBatch encodes synchronously, so
-	// they all go back to the pool on the way out.
-	all := frames
-	defer func() {
-		for _, f := range all {
-			putPushFrame(f)
+	// The frames outlive retries (a retry round resends the failed ones,
+	// compacted to the front) but not this call: callBatch encodes
+	// synchronously, so each goes back to the pool once its outcome is final.
+	frames, idx := w.frames, w.idx
+	for attempt := 0; ; attempt++ {
+		retry := 0
+		for k, err := range c.callBatch(w, frames) {
+			switch {
+			case err == nil || attempt > 0 && isDuplicate(err):
+			case isConnLost(err) && c.opts.AutoReconnect:
+				frames[k].Seq = 0
+				frames[retry], idx[retry] = frames[k], idx[k]
+				retry++
+				continue
+			default:
+				errs[idx[k]] = err
+			}
+			putPushFrame(frames[k])
 		}
-	}()
-	attempt := 0
-	for {
-		batchErrs := c.callBatch(frames)
-		var retryFrames []*Frame
-		var retryIdx []int
-		for k, err := range batchErrs {
-			if err == nil {
-				continue
-			}
-			var re *RemoteError
-			if attempt > 0 && errors.As(err, &re) && re.Code == CodeDuplicateID {
-				continue
-			}
-			if isConnLost(err) && c.opts.AutoReconnect {
-				f := frames[k]
-				f.Seq = 0
-				retryFrames = append(retryFrames, f)
-				retryIdx = append(retryIdx, idx[k])
-				continue
-			}
-			errs[idx[k]] = err
-		}
-		if len(retryFrames) == 0 {
+		frames, idx = frames[:retry], idx[:retry]
+		if retry == 0 {
 			return errs
 		}
 		if werr := c.awaitOnline(); werr != nil {
-			for _, i := range retryIdx {
+			for k, i := range idx {
 				errs[i] = werr
+				putPushFrame(frames[k])
 			}
 			return errs
 		}
-		frames, idx = retryFrames, retryIdx
-		attempt++
 	}
+}
+
+// isDuplicate reports a publish the broker refused because it already
+// holds the ID: on a retry, proof that the earlier attempt landed.
+func isDuplicate(err error) bool {
+	var re *RemoteError
+	return errors.As(err, &re) && re.Code == CodeDuplicateID
 }
 
 // PublishRankUpdate routes a rank revision through the broker. Rank

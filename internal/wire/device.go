@@ -79,11 +79,10 @@ func (d *DeviceClient) connect() (*Conn, error) {
 		return nil, err
 	}
 	// Pushed notifications are retained by the device store, but the frame
-	// carrying them is done once storeAndNotify returns, so it is reused
-	// across pushes; read/subscribe responses escape to the waiting call
-	// and relinquish it (see Conn.Recv). Topic strings repeat on every
-	// push, so they are interned — the pool itself stays off because the
-	// store keeps the notifications.
+	// carrying them is done once storeAndNotify returns, and resolve copies
+	// a response's reply out of it, so one frame serves every read. Topic
+	// strings repeat on every push, so they are interned — the pool itself
+	// stays off because the store keeps the notifications.
 	conn.SetRecvReuse(true)
 	conn.SetInternNames(true)
 	if err := d.handshake(conn); err != nil {

@@ -260,8 +260,7 @@ type Conn struct {
 
 	// Receive-side options; single reader goroutine, no locking.
 	recvPooled bool   // decode notifications out of burst.Notes
-	recvReuse  bool   // reuse one Frame across Recv calls
-	recvFrame  *Frame // the reused frame when recvReuse is set
+	recvFrame  *Frame // reused across Recv calls; nil allocates per call
 	dec        decodeOpts
 
 	flushC    chan struct{} // kicks the flusher; capacity 1
@@ -464,7 +463,12 @@ func (c *Conn) SetNotePool(on bool) {
 // everything reachable from it, notifications excepted — see SetNotePool)
 // before the next Recv. Call before the connection is shared between
 // goroutines.
-func (c *Conn) SetRecvReuse(on bool) { c.recvReuse = on }
+func (c *Conn) SetRecvReuse(on bool) {
+	c.recvFrame = nil
+	if on {
+		c.recvFrame = new(Frame)
+	}
+}
 
 // SetInternNames gives the decoder a per-connection intern table for
 // topic and publisher strings without enabling the notification pool —
@@ -649,12 +653,8 @@ func (c *Conn) Recv() (*Frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	var f *Frame
-	if c.recvReuse {
-		if c.recvFrame == nil {
-			c.recvFrame = new(Frame)
-		}
-		f = c.recvFrame
+	f := c.recvFrame
+	if f != nil {
 		resetFrame(f)
 	} else {
 		f = new(Frame)
@@ -667,13 +667,6 @@ func (c *Conn) Recv() (*Frame, error) {
 	if c.m != nil {
 		c.m.FramesIn.Inc()
 		c.m.BytesIn.Add(int64(size))
-	}
-	if f == c.recvFrame && f.Re != 0 {
-		// A response escapes the read loop to a cross-goroutine waiter
-		// (caller.resolve); give up the reusable frame instead of
-		// resetting it underneath that goroutine. Pushes — the high-volume
-		// traffic — keep reusing the same frame.
-		c.recvFrame = nil
 	}
 	return f, nil
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -35,7 +36,7 @@ type caller struct {
 	mu      sync.Mutex
 	conn    *Conn
 	seq     uint64
-	pending map[uint64]chan *Frame
+	pending map[uint64]chan reply
 	closed  bool
 	connErr error         // transport failure; nil while the conn is live
 	dead    error         // terminal: no reconnection will follow
@@ -43,155 +44,182 @@ type caller struct {
 }
 
 func newCaller(conn *Conn) caller {
-	return caller{conn: conn, pending: make(map[uint64]chan *Frame)}
+	return caller{conn: conn, pending: make(map[uint64]chan reply)}
 }
 
-// call sends a request and waits for its OK/Err/Pong response. The pending
-// channel is registered before the frame hits the wire so a fast response
-// cannot race the registration. Transport failures are reported as
-// ErrConnLost wraps; application failures as *RemoteError.
-func (c *caller) call(f *Frame) error {
-	ch := make(chan *Frame, 1)
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return errClientClosed
-	}
-	if c.dead != nil {
-		err := c.dead
-		c.mu.Unlock()
-		return err
-	}
-	if c.conn == nil || c.connErr != nil {
-		err := c.connErr
-		c.mu.Unlock()
-		if err == nil {
-			err = errors.New("reconnecting")
-		}
-		return fmt.Errorf("%w: %v", ErrConnLost, err)
-	}
-	conn := c.conn
-	c.seq++
-	seq := c.seq
-	c.pending[seq] = ch
-	c.mu.Unlock()
+// reply is what a waiting call needs of an OK, Err or Pong frame. resolve
+// copies it out (decoded strings are already copies), so no response frame
+// leaves the read loop, which reuses one frame for every read.
+type reply struct {
+	re            uint64
+	typ           string
+	code, message string
+}
 
-	f.Seq = seq
-	if err := conn.SendNow(f); err != nil {
-		c.mu.Lock()
-		delete(c.pending, seq)
-		c.mu.Unlock()
-		return fmt.Errorf("%w: send: %v", ErrConnLost, err)
-	}
-
-	resp, ok := <-ch
-	if !ok || resp == nil {
-		return fmt.Errorf("%w: awaiting response", ErrConnLost)
-	}
-	if resp.Type == TypeErr {
-		return &RemoteError{Code: resp.Code, Message: resp.Message}
+// err is the request's outcome: nil, or the peer's application error.
+func (r reply) err() error {
+	if r.typ == TypeErr {
+		return &RemoteError{Code: r.code, Message: r.message}
 	}
 	return nil
+}
+
+// waiter is one call's pooled scratch: the reply channel every frame of
+// the call is registered under, the batch's per-frame results, and
+// PublishBatch's frames and their positions in the caller's batch.
+type waiter struct {
+	ch     chan reply
+	first  uint64 // sequence of the call's first frame
+	errs   []error
+	frames []*Frame
+	idx    []int
+}
+
+var waiters = sync.Pool{New: func() any { return new(waiter) }}
+
+// putWaiter recycles w. Its channel is already nil if it may not be reused
+// (see roundTrip).
+func putWaiter(w *waiter) {
+	clear(w.errs)
+	clear(w.frames)
+	w.errs, w.frames, w.idx = w.errs[:0], w.frames[:0], w.idx[:0]
+	waiters.Put(w)
+}
+
+// errAwaiting marks a sent frame whose reply has not arrived yet.
+var errAwaiting = errors.New("awaiting response")
+
+// call sends a request, flushed at once, and waits for its OK/Err/Pong
+// response. Transport failures are reported as ErrConnLost wraps;
+// application failures as *RemoteError.
+func (c *caller) call(f *Frame) error {
+	w := waiters.Get().(*waiter)
+	var errs [1]error
+	c.roundTrip(w, []*Frame{f}, errs[:], true)
+	putWaiter(w)
+	return errs[0]
 }
 
 // callBatch pipelines several requests over one connection: every frame is
 // registered and buffered before any response is awaited, so the whole
 // burst rides a single vectored flush (and the remote's responses coalesce
-// the same way coming back). Results are positional; a transport failure
-// mid-send fails that frame and every later one with ErrConnLost.
-func (c *caller) callBatch(fs []*Frame) []error {
-	errs := make([]error, len(fs))
-	failAll := func(err error) []error {
-		for i := range errs {
-			errs[i] = err
-		}
-		return errs
-	}
-	// One response channel serves the whole batch: the sequences are
-	// allocated contiguously under the lock, so each response maps back to
-	// its request positionally (Re − first) and the burst costs one
-	// channel allocation, not one per frame.
-	ch := make(chan *Frame, len(fs))
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return failAll(errClientClosed)
-	}
-	if c.dead != nil {
-		err := c.dead
-		c.mu.Unlock()
-		return failAll(err)
-	}
-	if c.conn == nil || c.connErr != nil {
-		err := c.connErr
-		c.mu.Unlock()
-		if err == nil {
-			err = errors.New("reconnecting")
-		}
-		return failAll(fmt.Errorf("%w: %v", ErrConnLost, err))
-	}
-	conn := c.conn
-	first := c.seq + 1
-	for i := range fs {
-		c.seq++
-		fs[i].Seq = c.seq
-		c.pending[c.seq] = ch
-	}
-	c.mu.Unlock()
+// the same way coming back). Results are positional and live in w until
+// its next call; a transport failure mid-send fails that frame and every
+// later one with ErrConnLost.
+func (c *caller) callBatch(w *waiter, fs []*Frame) []error {
+	w.errs = slices.Grow(w.errs[:0], len(fs))[:len(fs)]
+	c.roundTrip(w, fs, w.errs, false)
+	return w.errs
+}
 
-	sent := len(fs)
-	for i, f := range fs {
-		if err := conn.Send(f); err != nil {
-			sent = i
+// roundTrip registers fs under w's reply channel with consecutive
+// sequences, sends them (each flushed at once when now is set, otherwise
+// left to the flusher to coalesce) and sets errs[i] to the outcome of
+// fs[i]. Registration precedes the send, so a fast response cannot race
+// it; each response maps back to its frame by sequence (Re − first). A
+// frame that was not sent fails with the registration or send error. The
+// channel stays in w only if every reply registered on it was taken off
+// it: one that fail() closed, or that a reply to an unsent frame may still
+// reach (an inline flush can write part of the ring before it fails), is
+// dropped.
+func (c *caller) roundTrip(w *waiter, fs []*Frame, errs []error, now bool) {
+	if cap(w.ch) < len(fs) {
+		w.ch = make(chan reply, len(fs))
+	}
+	sent := 0
+	conn, err := c.register(w, fs)
+	for err == nil && sent < len(fs) {
+		if now {
+			err = conn.SendNow(fs[sent])
+		} else {
+			err = conn.Send(fs[sent])
+		}
+		if err != nil {
 			c.mu.Lock()
-			for _, g := range fs[i:] {
+			for _, g := range fs[sent:] {
 				delete(c.pending, g.Seq)
 			}
 			c.mu.Unlock()
-			werr := fmt.Errorf("%w: send: %v", ErrConnLost, err)
-			for j := i; j < len(fs); j++ {
-				errs[j] = werr
-			}
-			break
+			err = fmt.Errorf("%w: send: %v", ErrConnLost, err)
+		} else {
+			sent++
 		}
 	}
-	resolved := make([]bool, sent)
+	for j := range errs {
+		errs[j] = err
+	}
+	for j := range sent {
+		errs[j] = errAwaiting
+	}
 	for got := 0; got < sent; {
-		resp, ok := <-ch
-		if !ok || resp == nil {
-			// fail() closed the channel: every response still outstanding
-			// is lost with the connection.
+		r, ok := <-w.ch
+		if !ok {
 			lost := fmt.Errorf("%w: awaiting response", ErrConnLost)
-			for j := 0; j < sent; j++ {
-				if !resolved[j] {
+			for j := range sent {
+				if errs[j] == errAwaiting {
 					errs[j] = lost
 				}
 			}
-			break
+			w.ch = nil
+			return
 		}
-		j := int(resp.Re - first)
-		if j < 0 || j >= sent || resolved[j] {
-			continue // stray response; not ours
+		j := int(r.re - w.first)
+		if j < 0 || j >= sent || errs[j] != errAwaiting {
+			continue // a reply to a frame whose send failed
 		}
-		resolved[j] = true
+		errs[j] = r.err()
 		got++
-		if resp.Type == TypeErr {
-			errs[j] = &RemoteError{Code: resp.Code, Message: resp.Message}
-		}
 	}
-	return errs
+	if sent < len(fs) {
+		w.ch = nil
+	}
 }
 
-// resolve routes an OK/Err/Pong frame to its waiting call. The send
+// register admits a call's frames: it numbers them consecutively, files
+// each under w's channel, and returns the connection to send them on — or,
+// when the caller is closed, dead or between connections, the error every
+// frame fails with.
+func (c *caller) register(w *waiter, fs []*Frame) (*Conn, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.terminalLocked(); err != nil {
+		return nil, err
+	}
+	if c.conn == nil || c.connErr != nil {
+		err := c.connErr
+		if err == nil {
+			err = errors.New("reconnecting")
+		}
+		return nil, fmt.Errorf("%w: %v", ErrConnLost, err)
+	}
+	w.first = c.seq + 1
+	for _, f := range fs {
+		c.seq++
+		f.Seq = c.seq
+		c.pending[c.seq] = w.ch
+	}
+	return c.conn, nil
+}
+
+// terminalLocked returns the error of a caller that will take no more
+// requests (closed, or reconnection abandoned); mu must be held.
+func (c *caller) terminalLocked() error {
+	if c.closed {
+		return errClientClosed
+	}
+	return c.dead
+}
+
+// resolve routes an OK/Err/Pong frame to its waiting call; a response to
+// no pending request (a repeated or unknown Re) is dropped. The send
 // happens under the lock so fail() cannot close a shared batch channel
 // between the lookup and the send; registration sizes every channel's
 // buffer to its outstanding responses, so the send never blocks.
 func (c *caller) resolve(f *Frame) {
 	c.mu.Lock()
-	ch := c.pending[f.Re]
-	delete(c.pending, f.Re)
-	if ch != nil {
-		ch <- f
+	if ch, ok := c.pending[f.Re]; ok {
+		delete(c.pending, f.Re)
+		ch <- reply{re: f.Re, typ: f.Type, code: f.Code, message: f.Message}
 	}
 	c.mu.Unlock()
 }
@@ -204,7 +232,7 @@ func (c *caller) fail(err error) {
 	if c.online == nil {
 		c.online = make(chan struct{})
 	}
-	closed := make(map[chan *Frame]struct{}, len(c.pending))
+	closed := make(map[chan reply]struct{}, len(c.pending))
 	for _, ch := range c.pending {
 		if _, done := closed[ch]; done {
 			continue
@@ -212,7 +240,7 @@ func (c *caller) fail(err error) {
 		closed[ch] = struct{}{}
 		close(ch)
 	}
-	c.pending = make(map[uint64]chan *Frame)
+	c.pending = make(map[uint64]chan reply)
 	c.mu.Unlock()
 }
 
@@ -264,7 +292,7 @@ func (c *caller) reset(conn *Conn) bool {
 	}
 	c.conn = conn
 	c.connErr = nil
-	c.pending = make(map[uint64]chan *Frame)
+	c.pending = make(map[uint64]chan reply)
 	c.wakeLocked()
 	return true
 }
@@ -291,17 +319,9 @@ func (c *caller) wakeLocked() {
 func (c *caller) awaitOnline() error {
 	for {
 		c.mu.Lock()
-		switch {
-		case c.closed:
-			c.mu.Unlock()
-			return errClientClosed
-		case c.dead != nil:
-			err := c.dead
+		if err := c.terminalLocked(); err != nil || c.conn != nil && c.connErr == nil {
 			c.mu.Unlock()
 			return err
-		case c.conn != nil && c.connErr == nil:
-			c.mu.Unlock()
-			return nil
 		}
 		ch := c.online
 		if ch == nil {

@@ -18,13 +18,16 @@
 # (The window is an argument, not an environment variable: bash's own
 # SECONDS counts the shell's run time.)
 #
-# Exit status: 1 if any run reported "correct": false or failed > 0;
-# otherwise 2 if a median moved past its bound; otherwise 0.
+# Exit status: 64 on a usage error, or when bench/ or BENCHMARK.json
+# differs between BASE and the working tree (a pair measured with two
+# different benchmarks is not a pair); 1 if any run reported
+# "correct": false or failed > 0; otherwise 2 if a median moved past its
+# bound; otherwise 0.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if [ $# -lt 1 ]; then
-  sed -n '3,22s/^# \{0,1\}//p' "$0" >&2
+  sed -n '3,25s/^# \{0,1\}//p' "$0" >&2
   exit 64
 fi
 workload=$1
@@ -32,6 +35,13 @@ pairs=${2:-4}
 base=${3:-HEAD}
 window=${4:-20}
 seed=${5:-1}
+
+if ! git diff --quiet "$base" -- bench BENCHMARK.json ||
+  [ -n "$(git ls-files --others --exclude-standard -- bench)" ]; then
+  echo "bench_pairs: bench/ or BENCHMARK.json differs between $base and the working tree;" \
+    "a pair measured with two different benchmarks is not a pair" >&2
+  exit 64
+fi
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
