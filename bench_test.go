@@ -206,7 +206,7 @@ func BenchmarkProxyNotify(b *testing.B) {
 
 type nopForwarder struct{}
 
-func (nopForwarder) Forward(*lasthop.Notification) error { return nil }
+func (nopForwarder) ForwardBatch([]*lasthop.Notification) error { return nil }
 
 // BenchmarkProxyRead measures the READ handler against a large backlog.
 func BenchmarkProxyRead(b *testing.B) {

@@ -14,7 +14,9 @@ type exampleForwarder struct {
 	dev *lasthop.Device
 }
 
-func (f *exampleForwarder) Forward(n *lasthop.Notification) error { return f.dev.Receive(n) }
+func (f *exampleForwarder) ForwardBatch(b []*lasthop.Notification) error {
+	return lasthop.ForwardEach(b, f.dev.Receive)
+}
 
 // Example wires a broker, a proxy running the unified prefetching
 // algorithm, and a device together, and survives a network outage.

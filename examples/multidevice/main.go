@@ -29,7 +29,7 @@ type fwd struct {
 	dev *device.Device
 }
 
-func (f *fwd) Forward(n *msg.Notification) error { return f.dev.Receive(n) }
+func (f *fwd) ForwardBatch(b []*msg.Notification) error { return core.ForwardEach(b, f.dev.Receive) }
 
 func main() {
 	if err := run(); err != nil {

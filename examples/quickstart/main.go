@@ -32,7 +32,9 @@ type proxyForwarder struct {
 	dev *device.Device
 }
 
-func (f *proxyForwarder) Forward(n *msg.Notification) error { return f.dev.Receive(n) }
+func (f *proxyForwarder) ForwardBatch(b []*msg.Notification) error {
+	return core.ForwardEach(b, f.dev.Receive)
+}
 
 func run() error {
 	start := time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)

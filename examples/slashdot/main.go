@@ -27,7 +27,9 @@ type proxyForwarder struct {
 	dev *device.Device
 }
 
-func (f *proxyForwarder) Forward(n *msg.Notification) error { return f.dev.Receive(n) }
+func (f *proxyForwarder) ForwardBatch(b []*msg.Notification) error {
+	return core.ForwardEach(b, f.dev.Receive)
+}
 
 func main() {
 	if err := run(); err != nil {

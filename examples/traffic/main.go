@@ -25,7 +25,9 @@ type proxyForwarder struct {
 	dev *device.Device
 }
 
-func (f *proxyForwarder) Forward(n *msg.Notification) error { return f.dev.Receive(n) }
+func (f *proxyForwarder) ForwardBatch(b []*msg.Notification) error {
+	return core.ForwardEach(b, f.dev.Receive)
+}
 
 // proxyManager adapts broker+proxy as the tracker's subscription surface:
 // a rule subscription creates the proxy topic and the broker subscription.

@@ -19,7 +19,9 @@ type deviceForwarder struct {
 	dev *lasthop.Device
 }
 
-func (f *deviceForwarder) Forward(n *lasthop.Notification) error { return f.dev.Receive(n) }
+func (f *deviceForwarder) ForwardBatch(b []*lasthop.Notification) error {
+	return lasthop.ForwardEach(b, f.dev.Receive)
+}
 
 // pipeline owns one fully wired in-process system.
 type pipeline struct {

@@ -21,18 +21,20 @@ type flapLink struct {
 	forwards  int
 }
 
-var _ Forwarder = (*flapLink)(nil)
+var _ BatchForwarder = (*flapLink)(nil)
 
-func (f *flapLink) Forward(n *msg.Notification) error {
-	if f.dropAfter > 0 && f.forwards >= f.dropAfter {
-		f.dropAfter = 0
-		f.lnk.SetUp(false)
-	}
-	if err := f.dev.Receive(n); err != nil {
-		return err
-	}
-	f.forwards++
-	return nil
+func (f *flapLink) ForwardBatch(batch []*msg.Notification) error {
+	return ForwardEach(batch, func(n *msg.Notification) error {
+		if f.dropAfter > 0 && f.forwards >= f.dropAfter {
+			f.dropAfter = 0
+			f.lnk.SetUp(false)
+		}
+		if err := f.dev.Receive(n); err != nil {
+			return err
+		}
+		f.forwards++
+		return nil
+	})
 }
 
 // TestLinkFlapMidRead drops the link in the middle of a READ response:

@@ -1,125 +1,126 @@
 package core
 
-// Regression tests for the batch/quiet-window policy-parity fixes: the
-// batch forwarding path must agree with the per-event Figure 7 semantics,
-// failed picks must return to the queue they came from, and the §2.2
-// daily on-line cap must be charged when an event is actually pushed, not
-// when it is deferred by a quiet window.
+// Regression tests for the batch/quiet-window policy-parity fixes: a burst
+// must leave the proxy exactly as the per-event Figure 7 loop it replaced
+// did, undelivered picks must return to the queue they came from, and the
+// §2.2 daily on-line cap must be charged when an event is actually pushed,
+// not when it is deferred by a quiet window.
 
 import (
-	"errors"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
 	"lasthop/internal/msg"
 )
 
-// fakeBatchDevice is a BatchForwarder with all-or-nothing batches; like
-// fakeDevice it records deliveries and can be told to fail.
-type fakeBatchDevice struct {
-	fakeDevice
-}
-
-var _ BatchForwarder = (*fakeBatchDevice)(nil)
-
-func (d *fakeBatchDevice) ForwardBatch(batch []*msg.Notification) error {
-	if d.fail {
-		return errors.New("link failure injected")
-	}
-	d.received = append(d.received, batch...)
-	return nil
-}
-
-// parityDriver runs one proxy (per-event or batch) through a scripted
-// scenario.
+// parityDriver runs one proxy through a scenario and keeps a transcript of
+// it: the topic snapshot after every op, then the forwarded-ID sequence
+// and the forward counters. The digests the tests compare transcripts
+// against were recorded from the per-event path, which forwarded one
+// notification per call and stopped at the first failure.
 type parityDriver struct {
-	sched   testClock
-	proxy   *Proxy
-	setFail func(bool)
-	ids     func() []msg.ID
+	sched      testClock
+	proxy      *Proxy
+	dev        *fakeDevice
+	transcript strings.Builder
 }
 
-func newParityDriver(t *testing.T, cfg TopicConfig, batch bool) *parityDriver {
+func newParityDriver(t *testing.T, cfg TopicConfig) *parityDriver {
 	t.Helper()
 	sched := newTestClock(t0)
-	var fwd Forwarder
-	var setFail func(bool)
-	var ids func() []msg.ID
-	if batch {
-		dev := &fakeBatchDevice{}
-		fwd, setFail, ids = dev, func(f bool) { dev.fail = f }, dev.ids
-	} else {
-		dev := &fakeDevice{}
-		fwd, setFail, ids = dev, func(f bool) { dev.fail = f }, dev.ids
-	}
-	p := New(sched, fwd)
+	dev := &fakeDevice{}
+	p := New(sched, dev)
 	if err := p.AddTopic(cfg); err != nil {
 		t.Fatalf("AddTopic: %v", err)
 	}
-	return &parityDriver{sched: sched, proxy: p, setFail: setFail, ids: ids}
+	return &parityDriver{sched: sched, proxy: p, dev: dev}
 }
 
 func (d *parityDriver) note(id msg.ID, rank float64) *msg.Notification {
 	return &msg.Notification{ID: id, Topic: "t", Rank: rank, Published: d.sched.Now()}
 }
 
-// TestBatchForwarderEquivalence drives a per-event and a batch proxy
-// through the same scenario with injected link failures and asserts they
-// forward the same IDs in the same order. Before the origin-queue fix the
-// batch path re-queued failed prefetch picks into outgoing, so after
-// recovery it delivered stale picks instead of the better-ranked arrivals
-// the per-event path chooses.
+func (d *parityDriver) snapshot() TopicSnapshot {
+	s, _ := d.proxy.Snapshot("t")
+	return s
+}
+
+// record appends the state after an op to the transcript.
+func (d *parityDriver) record(op string) {
+	fmt.Fprintf(&d.transcript, "%s: %+v\n", op, d.snapshot())
+}
+
+// digest closes the transcript and hashes it.
+func (d *parityDriver) digest() string {
+	st := d.proxy.Stats()
+	fmt.Fprintf(&d.transcript, "forwarded %v\nforwards %d signals %d\n", d.dev.ids(), st.Forwards, st.RankDropSignals)
+	sum := sha256.Sum256([]byte(d.transcript.String()))
+	return hex.EncodeToString(sum[:8])
+}
+
+// TestBatchForwarderEquivalence drives the proxy through outages, a
+// rejected transmission and a link that dies part-way through a burst,
+// and checks every step against the per-event path's digest. Before the
+// origin-queue fix the batch path re-queued failed prefetch picks into
+// outgoing, so after recovery it delivered stale picks instead of the
+// better-ranked arrivals the per-event path chooses.
 func TestBatchForwarderEquivalence(t *testing.T) {
-	script := func(d *parityDriver) {
-		// Plain deliveries up to the prefetch limit, then a read that
-		// frees the client queue.
-		d.proxy.Notify(d.note("p1", 5))
-		d.proxy.Notify(d.note("p2", 3))
-		if err := d.proxy.Read(msg.ReadRequest{Topic: "t", N: 2, QueueSize: 2}); err != nil {
-			panic(err)
+	const want = "12c8fe1f875d6122"
+	d := newParityDriver(t, BufferConfig("t", 2, 2))
+	notify := func(id msg.ID, rank float64) {
+		d.proxy.Notify(d.note(id, rank))
+		d.record("notify " + string(id))
+	}
+	read := func(n, queued int) {
+		if err := d.proxy.Read(msg.ReadRequest{Topic: "t", N: n, QueueSize: queued}); err != nil {
+			t.Fatal(err)
 		}
-		// An outage queues two events in the prefetch stage.
-		d.proxy.SetNetwork(false)
-		d.proxy.Notify(d.note("b9", 9))
-		d.proxy.Notify(d.note("a1", 1))
-		// The link comes back but the device rejects the first
-		// transmission: the picks must return to their origin queues.
-		d.setFail(true)
-		d.proxy.SetNetwork(true)
-		// A better event arrives while the proxy considers the network
-		// down, then the device recovers.
-		d.proxy.Notify(d.note("h8", 8))
-		d.setFail(false)
-		d.proxy.SetNetwork(true)
-		// A final read drains what the prefetch limit held back.
-		if err := d.proxy.Read(msg.ReadRequest{Topic: "t", N: 4, QueueSize: 2}); err != nil {
-			panic(err)
-		}
+		d.record(fmt.Sprintf("read %d, %d queued", n, queued))
+	}
+	network := func(up bool, op string) {
+		d.proxy.SetNetwork(up)
+		d.record(op)
 	}
 
-	perEvent := newParityDriver(t, BufferConfig("t", 2, 2), false)
-	batch := newParityDriver(t, BufferConfig("t", 2, 2), true)
-	script(perEvent)
-	script(batch)
+	// Plain deliveries up to the prefetch limit, then a read that frees
+	// the client queue.
+	notify("p1", 5)
+	notify("p2", 3)
+	read(2, 2)
+	// An outage queues two events in the prefetch stage.
+	network(false, "outage")
+	notify("b9", 9)
+	notify("a1", 1)
+	// The link comes back but the device rejects the first transmission:
+	// the picks must return to their origin queues.
+	d.dev.fail = true
+	network(true, "rejected recovery")
+	// A better event arrives while the proxy considers the network down,
+	// then the device recovers.
+	notify("h8", 8)
+	d.dev.fail = false
+	network(true, "recovery")
+	// A read drains what the prefetch limit held back.
+	read(4, 2)
+	// A read during the next outage promotes two events; on recovery the
+	// device takes one and the link dies before the other.
+	network(false, "outage")
+	notify("c7", 7)
+	notify("c6", 6)
+	notify("c5", 5)
+	read(2, 2)
+	d.dev.failAfter = 1
+	network(true, "recovery dies after one delivery")
+	d.dev.fail = false
+	network(true, "recovery")
 
-	got, want := batch.ids(), perEvent.ids()
-	if len(got) != len(want) {
-		t.Fatalf("batch forwarded %v, per-event forwarded %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("forwarded-ID sequences diverge at %d: batch %v, per-event %v", i, got, want)
-		}
-	}
-	sb, _ := batch.proxy.Snapshot("t")
-	se, _ := perEvent.proxy.Snapshot("t")
-	if sb.QueueSizeView != se.QueueSizeView || sb.Outgoing != se.Outgoing || sb.Prefetch != se.Prefetch {
-		t.Errorf("final state diverges: batch %+v, per-event %+v", sb, se)
-	}
-	if bs, es := batch.proxy.Stats(), perEvent.proxy.Stats(); bs.Forwards != es.Forwards {
-		t.Errorf("Forwards diverge: batch %d, per-event %d", bs.Forwards, es.Forwards)
+	if got := d.digest(); got != want {
+		t.Errorf("digest %s, want the per-event path's %s; transcript:\n%s", got, want, d.transcript.String())
 	}
 }
 
@@ -127,13 +128,13 @@ func TestBatchForwarderEquivalence(t *testing.T) {
 // a failed batch, outgoing picks are back in outgoing and prefetch picks
 // back in prefetch.
 func TestBatchFailureReturnsPicksToOriginQueues(t *testing.T) {
-	d := newParityDriver(t, BufferConfig("t", 2, 2), true)
+	d := newParityDriver(t, BufferConfig("t", 2, 2))
 	d.proxy.SetNetwork(false)
 	d.proxy.Notify(d.note("x", 4))
 	d.proxy.Notify(d.note("y", 6))
-	d.setFail(true)
+	d.dev.fail = true
 	d.proxy.SetNetwork(true)
-	s, _ := d.proxy.Snapshot("t")
+	s := d.snapshot()
 	if s.Outgoing != 0 || s.Prefetch != 2 {
 		t.Fatalf("failed prefetch picks promoted: outgoing=%d prefetch=%d, want 0/2", s.Outgoing, s.Prefetch)
 	}
@@ -145,21 +146,21 @@ func TestBatchFailureReturnsPicksToOriginQueues(t *testing.T) {
 // client-queue view past the retuned limit.
 func TestBatchFailureRetunedLimitRegression(t *testing.T) {
 	cfg := TopicConfig{Name: "t", Policy: Buffer, ReadSize: 1, PrefetchLimit: 4, AutoPrefetchLimit: true}
-	d := newParityDriver(t, cfg, true)
+	d := newParityDriver(t, cfg)
 	d.proxy.SetNetwork(false)
 	for i, rank := range []float64{4, 3, 2, 1} {
 		d.proxy.Notify(d.note(msg.ID(fmt.Sprintf("e%d", i)), rank))
 	}
 	// The device rejects the recovery batch of four prefetch picks.
-	d.setFail(true)
+	d.dev.fail = true
 	d.proxy.SetNetwork(true)
 	// A read retunes the limit down to 2*mean(read sizes) = 2.
 	if err := d.proxy.Read(msg.ReadRequest{Topic: "t", N: 1, QueueSize: 0}); err != nil {
 		t.Fatal(err)
 	}
-	d.setFail(false)
+	d.dev.fail = false
 	d.proxy.SetNetwork(true)
-	s, _ := d.proxy.Snapshot("t")
+	s := d.snapshot()
 	if s.PrefetchLimit != 2 {
 		t.Fatalf("retuned prefetch limit = %d, want 2", s.PrefetchLimit)
 	}
@@ -169,76 +170,74 @@ func TestBatchFailureRetunedLimitRegression(t *testing.T) {
 }
 
 // TestBufferBatchPrefetchLimitProperty: under random arrivals, reads,
-// outages, and injected failures, the batch path must track the per-event
-// Figure 7 semantics step for step, and its opportunistic refill must
-// never grow the client-queue view past the prefetch limit. The view may
-// legitimately exceed the limit only by draining user-promoted outgoing
-// events (which the per-event path drains identically), so the absolute
-// bound is asserted whenever the outgoing queue was empty before the op.
+// outages, rejected transmissions and links that die part-way through a
+// burst, the proxy must track the per-event Figure 7 path step for step —
+// the Buffer and the Rate policy each against a digest recorded from it —
+// and the buffer policy's opportunistic refill must never grow the
+// client-queue view past the prefetch limit. The view may legitimately
+// exceed the limit only by draining user-promoted outgoing events, so the
+// absolute bound is asserted whenever the outgoing queue was empty before
+// the op.
 func TestBufferBatchPrefetchLimitProperty(t *testing.T) {
-	for seed := int64(0); seed < 25; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		cfg := TopicConfig{Name: "t", Policy: Buffer, ReadSize: 2, PrefetchLimit: 8, AutoPrefetchLimit: true}
-		batch := newParityDriver(t, cfg, true)
-		perEvent := newParityDriver(t, cfg, false)
-		drivers := []*parityDriver{batch, perEvent}
-		snap := func(d *parityDriver) TopicSnapshot {
-			s, _ := d.proxy.Snapshot("t")
-			return s
-		}
-		nextID := 0
-		for op := 0; op < 300; op++ {
-			before := snap(batch)
-			isRead := false
-			kind := rng.Intn(10)
-			n := 1 + rng.Intn(3)
-			rank := rng.Float64() * 10
-			hours := time.Duration(6+rng.Intn(24)) * time.Hour
-			for _, d := range drivers {
+	for _, c := range []struct {
+		cfg  TopicConfig
+		want string
+	}{
+		{TopicConfig{Name: "t", Policy: Buffer, ReadSize: 2, PrefetchLimit: 8, AutoPrefetchLimit: true}, "d975cdf851bc6836"},
+		{RateConfig("t", 2), "68c2fb60d981bf33"},
+	} {
+		digests := sha256.New()
+		partials := 0
+		for seed := int64(0); seed < 25; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			d := newParityDriver(t, c.cfg)
+			for op := 0; op < 300; op++ {
+				before := d.snapshot()
+				kind := rng.Intn(11)
+				n := 1 + rng.Intn(3)
+				rank := rng.Float64() * 10
+				hours := time.Duration(6+rng.Intn(24)) * time.Hour
 				switch kind {
 				case 0, 1, 2, 3: // arrival
-					d.proxy.Notify(d.note(msg.ID(fmt.Sprintf("n%d", nextID)), rank))
+					d.proxy.Notify(d.note(msg.ID(fmt.Sprintf("n%d", op)), rank))
 				case 4: // outage
 					d.proxy.SetNetwork(false)
 				case 5: // recovery
-					d.setFail(false)
 					d.proxy.SetNetwork(true)
-				case 6: // device rejects the next transmission attempt
-					d.setFail(true)
+				case 6: // the device rejects the next transmission attempt
+					d.dev.fail = true
 					d.proxy.SetNetwork(true)
-					d.setFail(false)
-				case 7, 8: // user read
-					isRead = true
-					qs := snap(d).QueueSizeView
-					if err := d.proxy.Read(msg.ReadRequest{Topic: "t", N: n, QueueSize: qs}); err != nil {
+					d.dev.fail = false
+				case 7: // the device takes n, then the link dies mid-burst
+					received := len(d.dev.received)
+					d.dev.failAfter = n
+					d.proxy.SetNetwork(true)
+					if len(d.dev.received) > received && !d.proxy.NetworkUp() {
+						partials++
+					}
+					d.dev.fail, d.dev.failAfter = false, 0
+				case 8, 9: // user read
+					if err := d.proxy.Read(msg.ReadRequest{Topic: "t", N: n, QueueSize: before.QueueSizeView}); err != nil {
 						t.Fatal(err)
 					}
-				case 9: // time passes
+				case 10: // time passes
 					d.sched.Advance(hours)
 				}
+				d.record(fmt.Sprintf("seed %d op %d kind %d", seed, op, kind))
+				s := d.snapshot()
+				if c.cfg.Policy == Buffer && kind != 8 && kind != 9 && before.Outgoing == 0 &&
+					s.QueueSizeView > s.PrefetchLimit && s.QueueSizeView > before.QueueSizeView {
+					t.Fatalf("seed %d op %d: refill grew client-queue view to %d past prefetch limit %d",
+						seed, op, s.QueueSizeView, s.PrefetchLimit)
+				}
 			}
-			if kind < 4 {
-				nextID++
-			}
-			sb, se := snap(batch), snap(perEvent)
-			if sb.QueueSizeView != se.QueueSizeView || sb.Outgoing != se.Outgoing ||
-				sb.Prefetch != se.Prefetch || sb.PrefetchLimit != se.PrefetchLimit {
-				t.Fatalf("seed %d op %d (kind %d): batch state %+v diverges from per-event %+v",
-					seed, op, kind, sb, se)
-			}
-			if !isRead && before.Outgoing == 0 && sb.QueueSizeView > sb.PrefetchLimit && sb.QueueSizeView > before.QueueSizeView {
-				t.Fatalf("seed %d op %d: batch refill grew client-queue view to %d past prefetch limit %d",
-					seed, op, sb.QueueSizeView, sb.PrefetchLimit)
-			}
+			digests.Write([]byte(d.digest()))
 		}
-		bids, eids := batch.ids(), perEvent.ids()
-		if len(bids) != len(eids) {
-			t.Fatalf("seed %d: batch forwarded %d, per-event %d", seed, len(bids), len(eids))
+		if partials == 0 {
+			t.Errorf("%v: no burst failed part-way, so the scenario never exercised a partial forward", c.cfg.Policy)
 		}
-		for i := range eids {
-			if bids[i] != eids[i] {
-				t.Fatalf("seed %d: forwarded sequences diverge at %d: %v vs %v", seed, i, bids[i], eids[i])
-			}
+		if got := hex.EncodeToString(digests.Sum(nil)[:8]); got != c.want {
+			t.Errorf("%v: digest %s, want the per-event path's %s", c.cfg.Policy, got, c.want)
 		}
 	}
 }

@@ -9,7 +9,7 @@
 // device, and network status changes on the last hop.
 //
 // The proxy is deployment-agnostic: it depends only on simtime.Scheduler
-// for time and on a Forwarder for pushing messages to the device, so the
+// for time and on a BatchForwarder for pushing messages to the device, so the
 // identical algorithm runs inside the discrete-event simulator and behind
 // the TCP wire server.
 package core

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -14,26 +15,40 @@ import (
 	"lasthop/internal/trace"
 )
 
-// Forwarder is the proxy's downstream: it pushes one notification across
-// the last hop to the device. A notification may be forwarded again for
-// the same ID when its rank was revised; devices deduplicate by ID and
-// adopt the new rank (dropping the message if it fell below their
-// threshold).
-type Forwarder interface {
-	Forward(n *msg.Notification) error
+// BatchForwarder is the proxy's downstream: each forwarding pass hands
+// everything the policy releases — a drained outgoing queue, a prefetch
+// refill, a read response — across the last hop in one call. A
+// notification may be forwarded again when its rank was revised; devices
+// deduplicate by ID and adopt the new rank. A batch is all-or-nothing: a
+// plain error means none of it was delivered and the proxy re-queues all
+// of it (a partially transmitted batch costs only redundant bytes, not
+// duplicates), unless the error is a *PartialForward naming the delivered
+// prefix.
+type BatchForwarder interface {
+	ForwardBatch(batch []*msg.Notification) error
 }
 
-// BatchForwarder is an optional Forwarder extension for transports that
-// can push several notifications in one write. When the forwarder
-// implements it, tryForwarding collects everything the policy releases in
-// one pass — a drained outgoing queue, a prefetch refill, a read response
-// — and hands the burst over in a single call. An error means none of the
-// batch should be considered delivered; the proxy re-queues all of it
-// (devices deduplicate by ID, so a partially transmitted batch costs only
-// redundant bytes, not duplicates).
-type BatchForwarder interface {
-	Forwarder
-	ForwardBatch(batch []*msg.Notification) error
+// PartialForward is the error of a batch whose first Delivered
+// notifications crossed the last hop before Err stopped the rest.
+type PartialForward struct {
+	Delivered int
+	Err       error
+}
+
+func (e *PartialForward) Error() string {
+	return fmt.Sprintf("%d delivered, then: %v", e.Delivered, e.Err)
+}
+
+// ForwardEach delivers a batch one notification at a time through fn, for
+// downstreams that account per transfer (the simulated device). The first
+// failure stops the batch and is reported as a *PartialForward.
+func ForwardEach(batch []*msg.Notification, fn func(*msg.Notification) error) error {
+	for i, n := range batch {
+		if err := fn(n); err != nil {
+			return &PartialForward{Delivered: i, Err: err}
+		}
+	}
+	return nil
 }
 
 // Stats is the proxy's cumulative accounting.
@@ -79,7 +94,7 @@ type Stats struct {
 // construction).
 type Proxy struct {
 	sched     simtime.Scheduler
-	fwd       Forwarder
+	fwd       BatchForwarder
 	networkUp bool
 	topics    map[string]*topicState
 	stats     Stats
@@ -97,9 +112,9 @@ type Proxy struct {
 	// default — keeps ordinary garbage-collected lifetimes.
 	release func(*msg.Notification)
 
-	// fwdScratch backs tryForwardingBatch's assembly slice. The scheduler
-	// serialises every proxy entry point, and batch forwarders encode the
-	// slice before returning, so one buffer serves every batch.
+	// fwdScratch backs tryForwarding's assembly slice. The scheduler
+	// serialises every proxy entry point, and forwarders are done with the
+	// slice when they return, so one buffer serves every batch.
 	fwdScratch []*msg.Notification
 }
 
@@ -166,7 +181,7 @@ func dayIndex(t time.Time) int {
 
 // New returns a proxy bound to a scheduler and a forwarder. The network is
 // initially considered up.
-func New(sched simtime.Scheduler, fwd Forwarder) *Proxy {
+func New(sched simtime.Scheduler, fwd BatchForwarder) *Proxy {
 	return &Proxy{
 		sched:     sched,
 		fwd:       fwd,
@@ -334,19 +349,6 @@ func joinCause(a, b string) string {
 		return a
 	}
 	return a + "; " + b
-}
-
-// queueLabel names the queue a forward was picked from.
-func queueLabel(ts *topicState, q *rankedq.Queue) string {
-	switch q {
-	case ts.outgoing:
-		return "outgoing"
-	case ts.prefetch:
-		return "prefetch"
-	case ts.holding:
-		return "holding"
-	}
-	return ""
 }
 
 // Notify is Figure 7's NOTIFICATION handler: a new event (or a rank
@@ -987,66 +989,17 @@ func (ts *topicState) bestAcross(n int) []*msg.Notification {
 }
 
 // tryForwarding is Figure 7's try_forwarding: drain the outgoing queue,
-// then prefetch according to the policy while there is room. With a
-// batch-capable forwarder the whole burst is collected first and pushed
-// in one call.
+// then prefetch according to the policy while there is room. The whole
+// burst is collected first and pushed in one call; the buffer policy's
+// room check uses the queue growth the burst will cause.
 func (p *Proxy) tryForwarding(ts *topicState) {
 	if !p.networkUp {
 		return
 	}
-	if bf, ok := p.fwd.(BatchForwarder); ok {
-		p.tryForwardingBatch(ts, bf)
-		return
-	}
-	for {
-		ev, ok := ts.outgoing.PopBest()
-		if !ok {
-			break
-		}
-		if !p.doForward(ts, ev, ts.outgoing) {
-			return
-		}
-	}
-	switch ts.cfg.Policy {
-	case Buffer:
-		for ts.queueSize < ts.prefetchLimit {
-			ev, ok := ts.prefetch.PopBest()
-			if !ok {
-				break
-			}
-			if !p.doForward(ts, ev, ts.prefetch) {
-				return
-			}
-		}
-	case Rate:
-		for ts.rateTokens >= 1 {
-			ev, ok := ts.prefetch.PopBest()
-			if !ok {
-				break
-			}
-			if !p.doForward(ts, ev, ts.prefetch) {
-				return
-			}
-			ts.rateTokens--
-		}
-	case Online, OnDemand:
-		// Online routes everything through outgoing; OnDemand never
-		// prefetches.
-	}
-}
-
-// tryForwardingBatch collects everything the per-event path would forward
-// right now — the drained outgoing queue plus the policy's prefetch
-// allowance — and pushes it as one batch. Accounting mirrors doForward:
-// the buffer policy's room check uses the queue growth the batch will
-// cause, and rate tokens spent on a failed batch are refunded.
-func (p *Proxy) tryForwardingBatch(ts *topicState, bf BatchForwarder) {
 	batch := p.fwdScratch[:0]
 	defer func() { p.fwdScratch = batch[:0] }()
-	// newCount predicts the client-queue growth of the batch so far. Each
-	// ranked queue holds an ID at most once, so popping both queues cannot
-	// double-count except when an ID sits in outgoing and prefetch at
-	// once; the estimate is then merely conservative.
+	// newCount predicts the client-queue growth of the batch so far. An ID
+	// sits in at most one queue, so no pick is counted twice.
 	newCount := 0
 	for {
 		ev, ok := ts.outgoing.PopBest()
@@ -1059,7 +1012,7 @@ func (p *Proxy) tryForwardingBatch(ts *topicState, bf BatchForwarder) {
 		}
 	}
 	// Everything past this index was picked opportunistically from the
-	// prefetch queue; on failure it must go back there, not be promoted.
+	// prefetch queue; undelivered, it must go back there, not be promoted.
 	fromOutgoing := len(batch)
 	rateSpent := 0
 	switch ts.cfg.Policy {
@@ -1085,30 +1038,23 @@ func (p *Proxy) tryForwardingBatch(ts *topicState, bf BatchForwarder) {
 			rateSpent++
 		}
 	case Online, OnDemand:
+		// Online routes everything through outgoing; OnDemand never
+		// prefetches.
 	}
 	if len(batch) == 0 {
 		return
 	}
-	if err := bf.ForwardBatch(batch); err != nil {
-		// Failure parity with the per-event path: every pick returns to
-		// the queue it came from. Re-queueing prefetch picks into
-		// outgoing would promote opportunistic prefetches into
-		// must-send-ASAP messages that bypass the prefetch-limit room
-		// check after reconnect.
-		for i, ev := range batch {
-			origin := ts.outgoing
-			if i >= fromOutgoing {
-				origin = ts.prefetch
-			}
-			if !origin.Contains(ev.ID) {
-				p.mustPush(origin, ev)
-			}
+	err := p.fwd.ForwardBatch(batch)
+	delivered := len(batch)
+	if err != nil {
+		// Declared on the error path only: errors.As moves it to the heap.
+		var partial *PartialForward
+		delivered = 0
+		if errors.As(err, &partial) {
+			delivered = partial.Delivered
 		}
-		ts.rateTokens += float64(rateSpent)
-		p.networkUp = false
-		return
 	}
-	for i, ev := range batch {
+	for i, ev := range batch[:delivered] {
 		p.stats.Forwards++
 		signal := ts.forwarded.Contains(ev.ID)
 		if p.tracer != nil {
@@ -1127,48 +1073,31 @@ func (p *Proxy) tryForwardingBatch(ts *topicState, bf BatchForwarder) {
 			p.traceEvent(e)
 		}
 		if signal {
+			// A re-forward only revises the client's copy; it does not
+			// grow the client queue.
 			p.stats.RankDropSignals++
 			continue
 		}
 		ts.forwarded.Add(ev.ID)
 		ts.queueSize++
 	}
-}
-
-// doForward pushes one event to the device, updating the proxy's view of
-// the client queue. On failure the event returns to the queue it was
-// picked from and the network is considered down until the next status
-// change.
-func (p *Proxy) doForward(ts *topicState, ev *msg.Notification, origin *rankedq.Queue) bool {
-	if err := p.fwd.Forward(ev); err != nil {
-		if !origin.Contains(ev.ID) {
-			p.mustPush(origin, ev)
+	if err == nil {
+		return
+	}
+	// Every undelivered pick returns to the queue it came from.
+	// Re-queueing prefetch picks into outgoing would promote opportunistic
+	// prefetches into must-send-ASAP messages that bypass the
+	// prefetch-limit room check after reconnect.
+	for i := delivered; i < len(batch); i++ {
+		origin := ts.outgoing
+		if i >= fromOutgoing {
+			origin = ts.prefetch
 		}
-		p.networkUp = false
-		return false
+		p.mustPush(origin, batch[i])
 	}
-	p.stats.Forwards++
-	signal := ts.forwarded.Contains(ev.ID)
-	if p.tracer != nil {
-		e := noteEvent(trace.KindForward, ev)
-		e.Queue = queueLabel(ts, origin)
-		e.Count = 1
-		e.Limit = ts.prefetchLimit
-		e.ThresholdS = ts.effectiveExpThreshold().Seconds()
-		if signal {
-			e.Cause = "rank-revision signal"
-		}
-		p.traceEvent(e)
-	}
-	if signal {
-		// A re-forward only revises the client's copy; it does not grow
-		// the client queue.
-		p.stats.RankDropSignals++
-		return true
-	}
-	ts.forwarded.Add(ev.ID)
-	ts.queueSize++
-	return true
+	// Rate picks are the batch's tail: refund the undelivered ones.
+	ts.rateTokens += float64(min(rateSpent, len(batch)-delivered))
+	p.networkUp = false
 }
 
 // rateRatio estimates reads-per-arrival for the Rate policy: the ratio of

@@ -14,21 +14,29 @@ import (
 
 var t0 = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
-// fakeDevice is a Forwarder that records deliveries and can be told to
-// fail.
+// fakeDevice is a BatchForwarder that takes a burst one notification at a
+// time and records deliveries. It can be told to fail at once (fail), or
+// after that many more deliveries (failAfter).
 type fakeDevice struct {
-	received []*msg.Notification
-	fail     bool
+	received  []*msg.Notification
+	fail      bool
+	failAfter int
 }
 
-var _ Forwarder = (*fakeDevice)(nil)
+var _ BatchForwarder = (*fakeDevice)(nil)
 
-func (d *fakeDevice) Forward(n *msg.Notification) error {
-	if d.fail {
-		return errors.New("link failure injected")
-	}
-	d.received = append(d.received, n)
-	return nil
+func (d *fakeDevice) ForwardBatch(batch []*msg.Notification) error {
+	return ForwardEach(batch, func(n *msg.Notification) error {
+		if d.fail {
+			return errors.New("link failure injected")
+		}
+		d.received = append(d.received, n)
+		if d.failAfter > 0 {
+			d.failAfter--
+			d.fail = d.failAfter == 0
+		}
+		return nil
+	})
 }
 
 func (d *fakeDevice) ids() []msg.ID {

@@ -121,7 +121,7 @@ func TestReleaseAfterFigure7Expiry(t *testing.T) {
 // the terminal drop.
 func TestReleaseAfterFailedBatchRequeue(t *testing.T) {
 	sched := newTestClock(t0)
-	dev := &fakeBatchDevice{}
+	dev := &fakeDevice{}
 	p := New(sched, dev)
 	if err := p.AddTopic(OnlineConfig("t")); err != nil {
 		t.Fatal(err)

@@ -143,9 +143,9 @@ func (d *Device) QueueLen(topic string) int { return d.store.QueueLen(topic) }
 // ReadSet returns a copy of the IDs the user has consumed on a topic.
 func (d *Device) ReadSet(topic string) msg.IDSet { return d.store.ReadSet(topic) }
 
-// Receive implements core.Forwarder: the proxy pushes one notification (or
-// a rank revision under a known ID) across the link. Unacceptable content
-// still costs the transfer; it simply never becomes readable (pure waste).
+// Receive takes one notification (or a rank revision under a known ID)
+// across the link, once per transfer (core.ForwardEach). Unacceptable
+// content still costs the transfer; it simply never becomes readable.
 func (d *Device) Receive(n *msg.Notification) error {
 	if err := d.drain(d.cfg.ReceiveCost); err != nil {
 		return err

@@ -140,19 +140,21 @@ type lossyLink struct {
 	reportedFresh msg.IDSet
 }
 
-func (l *lossyLink) Forward(n *msg.Notification) error {
+func (l *lossyLink) ForwardBatch(batch []*msg.Notification) error {
 	if l.down {
 		return errors.New("link down")
 	}
 	if l.dying {
 		return nil
 	}
-	switch l.store.Accept(n.Clone(), l.now()) {
-	case Fresh, Unreadable:
-		if l.consumed.Contains(n.ID) {
-			l.t.Fatalf("consumed %s reported fresh again", n.ID)
+	for _, n := range batch {
+		switch l.store.Accept(n.Clone(), l.now()) {
+		case Fresh, Unreadable:
+			if l.consumed.Contains(n.ID) {
+				l.t.Fatalf("consumed %s reported fresh again", n.ID)
+			}
+			l.reportedFresh.Add(n.ID)
 		}
-		l.reportedFresh.Add(n.ID)
 	}
 	return nil
 }

@@ -169,6 +169,6 @@ type groupForwarder struct {
 	dev *device.Device
 }
 
-var _ core.Forwarder = (*groupForwarder)(nil)
-
-func (f *groupForwarder) Forward(n *msg.Notification) error { return f.dev.Receive(n) }
+func (f *groupForwarder) ForwardBatch(b []*msg.Notification) error {
+	return core.ForwardEach(b, f.dev.Receive)
+}

@@ -53,11 +53,6 @@ type Session struct {
 	resumes  int
 }
 
-var (
-	_ core.Forwarder      = (*Session)(nil)
-	_ core.BatchForwarder = (*Session)(nil)
-)
-
 // newSession builds a session around an empty proxy. It stays off the
 // wheel — Host.attach calls it under h.mu, and the commit tick takes h.mu
 // inside a wheel callback — which is safe because nothing can reach the
@@ -149,17 +144,6 @@ func (s *Session) closeConn() {
 	if conn != nil {
 		_ = conn.Close()
 	}
-}
-
-// Forward implements core.Forwarder by pushing to the attached device.
-func (s *Session) Forward(n *msg.Notification) error {
-	s.mu.Lock()
-	conn, withTrace := s.conn, s.traceOK
-	s.mu.Unlock()
-	if conn == nil {
-		return errors.New("no device connected")
-	}
-	return wire.PushNotification(conn, n, withTrace)
 }
 
 // ForwardBatch implements core.BatchForwarder with chunked batch frames.

@@ -255,8 +255,8 @@ type sink struct {
 	got []*msg.Notification
 }
 
-func (s *sink) Forward(n *msg.Notification) error {
-	s.got = append(s.got, n)
+func (s *sink) ForwardBatch(batch []*msg.Notification) error {
+	s.got = append(s.got, batch...)
 	return nil
 }
 

@@ -109,17 +109,15 @@ func (r *Recorder) SetNetwork(up bool) error {
 // mutedForwarder suppresses forwarding during replay while preserving the
 // proxy's decision sequence.
 type mutedForwarder struct {
-	out   core.Forwarder
+	out   core.BatchForwarder
 	muted bool
 }
 
-var _ core.Forwarder = (*mutedForwarder)(nil)
-
-func (m *mutedForwarder) Forward(n *msg.Notification) error {
+func (m *mutedForwarder) ForwardBatch(batch []*msg.Notification) error {
 	if m.muted {
 		return nil
 	}
-	return m.out.Forward(n)
+	return m.out.ForwardBatch(batch)
 }
 
 // Recover rebuilds a proxy from the journal at path, replaying each entry
@@ -129,7 +127,7 @@ func (m *mutedForwarder) Forward(n *msg.Notification) error {
 // entries' timestamps via the advance callback) and must call GoLive-style
 // switching itself after Recover returns. A torn final entry (crash
 // mid-append) is skipped; warnf (nil to discard) receives the diagnostic.
-func Recover(sched simtime.Scheduler, advance func(time.Time), out core.Forwarder, path string, warnf func(string, ...any)) (*Recorder, error) {
+func Recover(sched simtime.Scheduler, advance func(time.Time), out core.BatchForwarder, path string, warnf func(string, ...any)) (*Recorder, error) {
 	muted := &mutedForwarder{out: out, muted: true}
 	proxy := core.New(sched, muted)
 	proxy.SetNetwork(false)

@@ -28,7 +28,7 @@ import (
 // Replicated coordinates a set of proxy replicas. Like the proxy itself it
 // is single-threaded under the owning scheduler.
 type Replicated struct {
-	out      core.Forwarder
+	out      core.BatchForwarder
 	replicas []*core.Proxy
 	alive    []bool
 	active   int
@@ -41,13 +41,11 @@ type gate struct {
 	idx int
 }
 
-var _ core.Forwarder = (*gate)(nil)
-
-func (g *gate) Forward(n *msg.Notification) error {
+func (g *gate) ForwardBatch(batch []*msg.Notification) error {
 	if g.r.active != g.idx {
 		return nil // standby: track state silently
 	}
-	if err := g.r.out.Forward(n); err != nil {
+	if err := g.r.out.ForwardBatch(batch); err != nil {
 		// The active replica reacts internally (requeue + network
 		// down); standbys learn through the replicated network signal.
 		g.r.signalStandbysDown()
@@ -57,7 +55,7 @@ func (g *gate) Forward(n *msg.Notification) error {
 }
 
 // New builds n replicas forwarding (when active) to out.
-func New(sched simtime.Scheduler, out core.Forwarder, n int) (*Replicated, error) {
+func New(sched simtime.Scheduler, out core.BatchForwarder, n int) (*Replicated, error) {
 	if n < 1 {
 		return nil, errors.New("need at least one replica")
 	}

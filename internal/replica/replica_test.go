@@ -14,15 +14,17 @@ import (
 var t0 = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
 type recorder struct {
-	got  []*msg.Notification
-	fail bool
+	got     []*msg.Notification
+	batches int
+	fail    bool
 }
 
-func (r *recorder) Forward(n *msg.Notification) error {
+func (r *recorder) ForwardBatch(batch []*msg.Notification) error {
 	if r.fail {
 		return errors.New("injected link failure")
 	}
-	r.got = append(r.got, n)
+	r.batches++
+	r.got = append(r.got, batch...)
 	return nil
 }
 
@@ -199,6 +201,31 @@ func TestForwardFailureKeepsReplicasAligned(t *testing.T) {
 	r.SetNetwork(true)
 	if len(dev.got) != 1 || dev.got[0].ID != "a" {
 		t.Errorf("after recovery: %v", dev.ids())
+	}
+}
+
+// TestReconnectDrainIsOneBatch: the active replica's backlog reaches the
+// device in one call when the link returns. The gate used to offer only a
+// per-notification forward, which hid the device's batching and made every
+// replicated proxy push one notification per call.
+func TestReconnectDrainIsOneBatch(t *testing.T) {
+	clock := simtime.NewVirtual(t0)
+	dev := &recorder{}
+	r, err := New(clock, dev, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AddTopic(core.OnlineConfig("t")); err != nil {
+		t.Fatal(err)
+	}
+	r.SetNetwork(false)
+	for i := 0; i < 3; i++ {
+		r.Notify(note(msg.ID(fmt.Sprintf("n%d", i)), float64(i), clock.Now()))
+	}
+	r.SetNetwork(true)
+	if dev.batches != 1 || len(dev.got) != 3 {
+		t.Errorf("drain reached the device in %d calls carrying %d notifications, want 1 call of 3",
+			dev.batches, len(dev.got))
 	}
 }
 

@@ -59,7 +59,7 @@ type Comparison struct {
 	LossPct float64
 }
 
-// forwardToDevice adapts the device as the proxy's Forwarder; the pointer
+// forwardToDevice adapts the device as the proxy's forwarder; the pointer
 // is set after both parties exist (they reference each other).
 type forwardToDevice struct {
 	dev   *device.Device
@@ -67,9 +67,13 @@ type forwardToDevice struct {
 	tr    trace.Tracer
 }
 
-var _ core.Forwarder = (*forwardToDevice)(nil)
+// ForwardBatch transfers a burst one notification at a time, as the device
+// accounts it.
+func (f *forwardToDevice) ForwardBatch(batch []*msg.Notification) error {
+	return core.ForwardEach(batch, f.receive)
+}
 
-func (f *forwardToDevice) Forward(n *msg.Notification) error {
+func (f *forwardToDevice) receive(n *msg.Notification) error {
 	err := f.dev.Receive(n)
 	if err == nil && f.tr != nil {
 		trace.Record(f.tr, trace.Event{

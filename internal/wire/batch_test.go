@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"lasthop/internal/msg"
+	"lasthop/internal/pubsub"
 )
 
 // rawDevice speaks the device protocol over a bare Conn so tests control
@@ -102,6 +103,52 @@ func TestReadBurstArrivesBatched(t *testing.T) {
 	}
 	if singles != 0 {
 		t.Errorf("burst used %d single pushes alongside %d batches", singles, batches)
+	}
+}
+
+// TestRecoveredProxyReadArrivesBatched: a device reconnecting to a proxy
+// recovered from its journal gets its backlog in one push-batch frame. The
+// journal's replay muter used to offer only a per-notification forward, so
+// a recovered proxy sent one push frame per notification.
+func TestRecoveredProxyReadArrivesBatched(t *testing.T) {
+	bl, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs := NewBrokerServer(pubsub.NewBroker("broker"), t.Logf)
+	go func() { _ = bs.Serve(bl) }()
+	defer bs.Close()
+	journalPath := t.TempDir() + "/proxy.journal"
+	pub, err := DialBroker(bl.Addr().String(), "publisher")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pub.Close()
+	if err := pub.Advertise("news", ""); err != nil {
+		t.Fatal(err)
+	}
+
+	// First life: an on-demand backlog of three, then a crash.
+	ps1, addr1 := startDurableProxy(t, bl.Addr().String(), journalPath)
+	dialRawDevice(t, addr1, LocalCaps()).subscribe(t, "news", TopicPolicy{Policy: "on-demand", Max: 64})
+	for i := 0; i < 3; i++ {
+		if err := pub.Publish(wireNote(msg.ID(fmt.Sprintf("r%d", i)), "news", float64(i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "backlog", func() bool {
+		snap, ok := ps1.Snapshot("news")
+		return ok && snap.Prefetch == 3
+	})
+	ps1.Close()
+
+	// Second life: the device reconnects and reads the recovered backlog.
+	ps2, addr2 := startDurableProxy(t, bl.Addr().String(), journalPath)
+	defer ps2.Close()
+	singles, batches, total := dialRawDevice(t, addr2, LocalCaps()).read(t, "news", 0)
+	if total != 3 || batches != 1 || singles != 0 {
+		t.Errorf("recovered backlog arrived as %d notifications in %d push-batch and %d push frames, want 3 in one push-batch",
+			total, batches, singles)
 	}
 }
 

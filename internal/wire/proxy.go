@@ -204,11 +204,6 @@ type ProxyServer struct {
 	ingress ingressQueue
 }
 
-var (
-	_ core.Forwarder      = (*ProxyServer)(nil)
-	_ core.BatchForwarder = (*ProxyServer)(nil)
-)
-
 // NewProxyServer dials the upstream broker and assembles a non-durable
 // proxy. Close releases both sides.
 func NewProxyServer(brokerAddr, name string, logf func(string, ...any)) (*ProxyServer, error) {
@@ -335,18 +330,6 @@ func (nt nodeTracer) Record(e trace.Event) {
 	nt.t.Record(e)
 }
 
-// Forward implements core.Forwarder by pushing to the connected device.
-func (ps *ProxyServer) Forward(n *msg.Notification) error {
-	ps.mu.Lock()
-	dev := ps.device
-	withTrace := ps.deviceTrace
-	ps.mu.Unlock()
-	if dev == nil {
-		return errors.New("no device connected")
-	}
-	return sendPush(dev, n, withTrace)
-}
-
 // ForwardBatch implements core.BatchForwarder: a burst of forwards — a
 // drained outgoing queue, a prefetch refill, a read response — leaves in
 // as few push-batch frames as the 1 MiB frame bound allows. Devices that
@@ -363,17 +346,10 @@ func (ps *ProxyServer) ForwardBatch(batch []*msg.Notification) error {
 	return PushBatch(dev, batch, batching, withTrace)
 }
 
-// PushNotification sends one notification as a push frame on conn. The
-// trace context is lifted into the frame only when withTrace says the peer
-// advertised CapTrace. It is the building block multi-tenant hosts use to
-// implement core.Forwarder per device session.
-func PushNotification(conn *Conn, n *msg.Notification, withTrace bool) error {
-	return sendPush(conn, n, withTrace)
-}
-
 // PushBatch sends a burst of notifications, chunked so every frame stays
 // safely below the 1 MiB frame bound. Peers that did not advertise
-// CapPushBatch (batching false) get the frames one by one.
+// CapPushBatch (batching false) get the frames one by one; withTrace lifts
+// trace contexts into them for peers that advertised CapTrace.
 func PushBatch(conn *Conn, batch []*msg.Notification, batching, withTrace bool) error {
 	if !batching {
 		for _, n := range batch {

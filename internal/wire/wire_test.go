@@ -293,22 +293,7 @@ func TestDurableProxySurvivesRestart(t *testing.T) {
 	journalPath := t.TempDir() + "/proxy.journal"
 
 	startProxy := func() (*ProxyServer, string) {
-		t.Helper()
-		ps, err := NewProxyServerOpts(ProxyOptions{
-			BrokerAddr:  bl.Addr().String(),
-			Name:        "durable-proxy",
-			JournalPath: journalPath,
-			Logf:        t.Logf,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pl, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func() { _ = ps.Serve(pl) }()
-		return ps, pl.Addr().String()
+		return startDurableProxy(t, bl.Addr().String(), journalPath)
 	}
 
 	pub, err := DialBroker(bl.Addr().String(), "publisher")
@@ -369,6 +354,27 @@ func TestDurableProxySurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "fresh push after restart", func() bool { return dev2.QueueLen("news") == 3 })
+}
+
+// startDurableProxy serves a proxy journaling to journalPath, recovering
+// whatever the journal already holds.
+func startDurableProxy(t *testing.T, brokerAddr, journalPath string) (*ProxyServer, string) {
+	t.Helper()
+	ps, err := NewProxyServerOpts(ProxyOptions{
+		BrokerAddr:  brokerAddr,
+		Name:        "durable-proxy",
+		JournalPath: journalPath,
+		Logf:        t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = ps.Serve(pl) }()
+	return ps, pl.Addr().String()
 }
 
 func TestDeviceRedialKeepsCacheAndSubscriptions(t *testing.T) {

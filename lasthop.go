@@ -13,7 +13,7 @@
 //
 //   - the message model (Notification, Subscription, ReadRequest),
 //   - the pub/sub routing substrate (Broker),
-//   - the core last-hop proxy and its forwarding policies (Proxy),
+//   - the core last-hop proxy (Proxy), its policies and its Forwarder,
 //   - the device model (Device) and last-hop link model (Link),
 //   - virtual/wall-clock scheduling (VirtualClock, WallClock),
 //   - the discrete-event simulator (SimConfig, Scenario, Compare),
@@ -91,8 +91,8 @@ type (
 	TopicConfig = core.TopicConfig
 	// PolicyKind selects a forwarding policy.
 	PolicyKind = core.PolicyKind
-	// Forwarder pushes notifications across the last hop.
-	Forwarder = core.Forwarder
+	// Forwarder pushes each burst across the last hop in one ForwardBatch.
+	Forwarder = core.BatchForwarder
 	// TopicSnapshot is a read-only view of a topic's proxy state.
 	TopicSnapshot = core.TopicSnapshot
 )
@@ -111,6 +111,10 @@ const (
 
 // NewProxy returns a proxy bound to a scheduler and a forwarder.
 func NewProxy(sched Scheduler, fwd Forwarder) *Proxy { return core.New(sched, fwd) }
+
+// ForwardEach is a ForwardBatch over a per-notification receiver such as
+// Device.Receive; it stops at the first failure.
+var ForwardEach = core.ForwardEach
 
 // Policy preset constructors.
 var (
