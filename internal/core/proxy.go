@@ -126,8 +126,20 @@ type topicState struct {
 	prefetch *rankedq.Queue // passed expiration checks and the delay stage
 	holding  *rankedq.Queue // expires too soon to prefetch; read-only access
 
-	delayed     map[msg.ID]delayedTimer // delay stage (§3.4) and quiet windows
-	expiryTimer map[msg.ID]simtime.Timer
+	delayed map[msg.ID]delayedTimer // delay stage (§3.4) and quiet windows
+
+	// Figure 7's expiration_timeout, once per topic rather than once per
+	// notification: expiry indexes every armed deadline, and expiryTimer
+	// (nil when disarmed) is the one scheduler entry, armed at expiryAt,
+	// no later than the index's earliest deadline. expiryFire is its
+	// callback, bound once so re-arming allocates no closure. expiryStale
+	// counts cancelled timers whose callback is still due to run (a Wall
+	// timer that fired before Cancel); each such fire is a no-op.
+	expiry      *rankedq.ExpiryIndex
+	expiryTimer simtime.Timer
+	expiryAt    time.Time
+	expiryFire  func()
+	expiryStale int
 
 	history   *rankedq.History             // topic.history with GC
 	known     map[msg.ID]*msg.Notification // latest content for IDs in history
@@ -206,7 +218,7 @@ func (p *Proxy) AddTopic(cfg TopicConfig) error {
 		prefetch:     rankedq.NewQueue(),
 		holding:      rankedq.NewQueue(),
 		delayed:      make(map[msg.ID]delayedTimer),
-		expiryTimer:  make(map[msg.ID]simtime.Timer),
+		expiry:       rankedq.NewExpiryIndex(),
 		history:      rankedq.NewHistory(cfg.HistoryLimit),
 		known:        make(map[msg.ID]*msg.Notification),
 		forwarded:    make(msg.IDSet),
@@ -219,6 +231,7 @@ func (p *Proxy) AddTopic(cfg TopicConfig) error {
 		arrivalTimes: stats.NewIntervalAverage(cfg.StatsWindow),
 	}
 	ts.prefetchLimit = ts.initialPrefetchLimit()
+	ts.expiryFire = func() { p.expiryTimeout(ts) }
 	p.topics[cfg.Name] = ts
 	return nil
 }
@@ -242,19 +255,13 @@ func (p *Proxy) RemoveTopic(name string) error {
 	if !ok {
 		return fmt.Errorf("remove topic: %q not registered", name)
 	}
-	// Cancel AND clear both timer maps: under a wall-clock scheduler a
+	// Cancel AND clear the timer state: under a wall-clock scheduler a
 	// timer can have fired (but not yet run) before Cancel, in which case
-	// its callback still executes later. The callbacks guard on map
-	// membership, so clearing the maps turns those late fires into no-ops
-	// instead of mutating queues of an unregistered topic.
-	for id, t := range ts.delayed {
-		t.timer.Cancel()
-		delete(ts.delayed, id)
-	}
-	for id, t := range ts.expiryTimer {
-		t.Cancel()
-		delete(ts.expiryTimer, id)
-	}
+	// its callback still executes later. The callbacks guard on the delay
+	// map, the disarmed expiry timer and ts.known, so clearing them turns
+	// those late fires into no-ops instead of mutating queues of an
+	// unregistered topic.
+	ts.clearTimers()
 	for id, n := range ts.known {
 		delete(ts.known, id)
 		p.releaseNote(n)
@@ -575,10 +582,9 @@ func (p *Proxy) forget(ts *topicState, id msg.ID) {
 		t.timer.Cancel()
 		delete(ts.delayed, id)
 	}
-	if t, ok := ts.expiryTimer[id]; ok {
-		t.Cancel()
-		delete(ts.expiryTimer, id)
-	}
+	// The topic's expiry timer stays armed: if it fires with nothing due,
+	// it re-arms at the next deadline.
+	ts.expiry.Remove(id)
 	if n, ok := ts.known[id]; ok {
 		delete(ts.known, id)
 		p.releaseNote(n)
@@ -586,19 +592,83 @@ func (p *Proxy) forget(ts *topicState, id msg.ID) {
 	ts.forwarded.Remove(id)
 }
 
-// scheduleExpiry arms Figure 7's expiration_timeout for the event.
+// scheduleExpiry arms Figure 7's expiration_timeout for the event: it
+// joins the topic's expiry index, and the topic's timer moves only if this
+// deadline is earlier than the one it is armed at.
 func (p *Proxy) scheduleExpiry(ts *topicState, n *msg.Notification) {
-	id := n.ID
-	d := n.Expires.Sub(p.sched.Now())
-	ts.expiryTimer[id] = p.sched.Schedule(d, func() { p.expirationTimeout(ts, id) })
+	_ = ts.expiry.Add(n)
+	p.armExpiry(ts)
+}
+
+// armExpiry points the topic's expiry timer at the index's earliest
+// deadline, unless it is already armed at or before it.
+func (p *Proxy) armExpiry(ts *topicState) {
+	next, ok := ts.expiry.NextExpiry()
+	if !ok {
+		return
+	}
+	if ts.expiryTimer != nil {
+		if !next.Before(ts.expiryAt) {
+			return
+		}
+		ts.disarmExpiry()
+	}
+	ts.expiryAt = next
+	ts.expiryTimer = p.sched.Schedule(next.Sub(p.sched.Now()), ts.expiryFire)
+}
+
+// disarmExpiry cancels the topic's expiry timer. A cancel that loses to a
+// fire already under way leaves one stale callback to absorb.
+func (ts *topicState) disarmExpiry() {
+	if ts.expiryTimer == nil {
+		return
+	}
+	if !ts.expiryTimer.Cancel() {
+		ts.expiryStale++
+	}
+	ts.expiryTimer = nil
+}
+
+// expiryTimeout is the topic's expiry timer firing: every due notification
+// expires, in (Expires, ID) order, then the timer re-arms at the next
+// deadline.
+func (p *Proxy) expiryTimeout(ts *topicState) {
+	if ts.expiryStale > 0 {
+		ts.expiryStale--
+		return
+	}
+	if ts.expiryTimer == nil {
+		return // disarmed: the topic was removed or the proxy shut down
+	}
+	ts.expiryTimer = nil
+	now := p.sched.Now()
+	for {
+		id, ok := ts.expiry.PopDue(now)
+		if !ok {
+			break
+		}
+		p.expirationTimeout(ts, id)
+	}
+	p.armExpiry(ts)
+}
+
+// clearTimers cancels every armed timer of the topic and forgets the
+// deadlines behind them.
+func (ts *topicState) clearTimers() {
+	for id, t := range ts.delayed {
+		t.timer.Cancel()
+		delete(ts.delayed, id)
+	}
+	ts.disarmExpiry()
+	ts.expiry.Clear()
 }
 
 // expirationTimeout removes an expired event from all queues (Figure 7).
 func (p *Proxy) expirationTimeout(ts *topicState, id msg.ID) {
-	if _, ok := ts.expiryTimer[id]; !ok {
-		return // cancelled (topic removed or event forgotten) after firing
+	n, ok := ts.known[id]
+	if !ok {
+		return // forgotten, or the topic was removed
 	}
-	delete(ts.expiryTimer, id)
 	// queue remembers where the event died; outgoing wins when an ID sits
 	// in two queues at once, because dying there means a missed delivery.
 	queue := ""
@@ -623,13 +693,8 @@ func (p *Proxy) expirationTimeout(ts *topicState, id msg.ID) {
 	}
 	p.stats.Expirations++
 	if p.tracer != nil {
-		e := trace.Event{Kind: trace.KindExpire, Topic: ts.cfg.Name, ID: id, Queue: queue}
-		if n, ok := ts.known[id]; ok {
-			e.Rank = n.Rank
-			if n.Trace != nil {
-				e.TraceID = n.Trace.TraceID
-			}
-		}
+		e := noteEvent(trace.KindExpire, n)
+		e.Queue = queue
 		if queue == "outgoing" && !p.networkUp {
 			e.Cause = "expired while the last hop was down"
 		}
@@ -696,8 +761,8 @@ func (p *Proxy) applyRank(ts *topicState, id msg.ID, rank float64) {
 		if ts.forwarded.Contains(id) && !n.Expired(p.sched.Now()) {
 			// Tell the client of the rank drop so it can discard its
 			// copy. (An expired message needs no signal: the device
-			// purges expired content on its own, and its expiry timer
-			// here is already gone.)
+			// purges expired content on its own, and its expiry here
+			// has already fired.)
 			if p.tracer != nil {
 				e := noteEvent(trace.KindEnqueue, n)
 				e.Queue = "outgoing"
@@ -745,7 +810,7 @@ func (p *Proxy) applyRank(ts *topicState, id msg.ID, rank float64) {
 			// Previously unacceptable, now boosted above the
 			// threshold: (re-)enter the normal staging path.
 			if !n.NeverExpires() {
-				if _, armed := ts.expiryTimer[id]; !armed {
+				if !ts.expiry.Contains(id) {
 					ts.expTimes.Add(n.RemainingLife(p.sched.Now()).Seconds())
 					p.scheduleExpiry(ts, n)
 				}

@@ -72,9 +72,7 @@ func (p *Proxy) Export() *ProxySnapshot {
 			}
 		}
 		st.Forwarded = sortedIDs(ts.forwarded)
-		for id := range ts.expiryTimer {
-			st.ExpiryArmed = append(st.ExpiryArmed, id)
-		}
+		st.ExpiryArmed = ts.expiry.IDs()
 		sort.Slice(st.ExpiryArmed, func(i, j int) bool { return st.ExpiryArmed[i] < st.ExpiryArmed[j] })
 		snap.Topics = append(snap.Topics, TopicDurable{Config: ts.cfg, State: st})
 	}
@@ -180,9 +178,9 @@ func (p *Proxy) Import(snap *ProxySnapshot) error {
 			if !ok {
 				return fmt.Errorf("import: topic %q expiry ID %s not in history", st.Topic, id)
 			}
-			id := id
-			ts.expiryTimer[id] = p.sched.Schedule(n.Expires.Sub(now), func() { p.expirationTimeout(ts, id) })
+			_ = ts.expiry.Add(n)
 		}
+		p.armExpiry(ts)
 
 		ts.queueSize = st.QueueSize
 		ts.prefetchLimit = st.PrefetchLimit
@@ -223,14 +221,7 @@ func restoreInterval(is msg.IntervalSnapshot, fallbackSize int) *stats.IntervalA
 // (or after the scheduler has fully quiesced).
 func (p *Proxy) Shutdown() {
 	for _, ts := range p.topics {
-		for id, t := range ts.delayed {
-			t.timer.Cancel()
-			delete(ts.delayed, id)
-		}
-		for id, t := range ts.expiryTimer {
-			t.Cancel()
-			delete(ts.expiryTimer, id)
-		}
+		ts.clearTimers()
 		for id, n := range ts.known {
 			delete(ts.known, id)
 			p.releaseNote(n)

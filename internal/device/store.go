@@ -157,7 +157,11 @@ func (s *Store) Expire(topic string, now time.Time, dropped func(*msg.Notificati
 	if !ok {
 		return
 	}
-	for _, id := range t.exp.PopExpired(now) {
+	for {
+		id, ok := t.exp.PopDue(now)
+		if !ok {
+			return
+		}
 		if n, removed := t.q.Remove(id); removed {
 			s.Stats.ExpiredUnread++
 			if dropped != nil {

@@ -57,12 +57,12 @@ type Verdict struct {
 	// Failures lists every budget violation; empty when Pass.
 	Failures []string `json:"failures,omitempty"`
 
-	Sampled    uint64             `json:"sampled"`
-	Outcomes   map[string]uint64  `json:"outcomes"`
-	Lost       uint64             `json:"lost"`
-	WastePct   float64            `json:"wastePct"`
-	Duplicates int                `json:"duplicates"`
-	Delivered  int                `json:"delivered"`
+	Sampled    uint64            `json:"sampled"`
+	Outcomes   map[string]uint64 `json:"outcomes"`
+	Lost       uint64            `json:"lost"`
+	WastePct   float64           `json:"wastePct"`
+	Duplicates int               `json:"duplicates"`
+	Delivered  int               `json:"delivered"`
 	// DeliverPerSec is the measured end-to-end delivery rate, recorded
 	// whenever the report carries one so throughput trends survive in the
 	// archived verdicts even without a MinDeliverPerSec floor.

@@ -567,14 +567,32 @@ func (x *ExpiryIndex) NextExpiry() (time.Time, bool) {
 	return x.h.entries[0].expires, true
 }
 
-// PopExpired removes and returns the IDs of all notifications whose
-// expiration instant is strictly before or at now, in expiry order.
-func (x *ExpiryIndex) PopExpired(now time.Time) []msg.ID {
-	var out []msg.ID
-	for x.h.Len() > 0 && !x.h.entries[0].expires.After(now) {
-		out = append(out, x.h.removeAt(0).id)
+// PopDue removes and returns the earliest-expiring notification's ID if its
+// expiration instant is at or before now. Repeated calls drain every due
+// entry in (expiry, ID) order without allocating.
+func (x *ExpiryIndex) PopDue(now time.Time) (msg.ID, bool) {
+	if x.h.Len() == 0 || x.h.entries[0].expires.After(now) {
+		return msg.NoID, false
 	}
-	return out
+	return x.h.removeAt(0).id, true
+}
+
+// Contains reports whether the ID is indexed.
+func (x *ExpiryIndex) Contains(id msg.ID) bool {
+	_, ok := x.h.index[id]
+	return ok
+}
+
+// IDs returns the indexed IDs in unspecified order.
+func (x *ExpiryIndex) IDs() []msg.ID {
+	if x.h.Len() == 0 {
+		return nil
+	}
+	ids := make([]msg.ID, len(x.h.entries))
+	for i, e := range x.h.entries {
+		ids[i] = e.id
+	}
+	return ids
 }
 
 // History is the bounded, insertion-ordered record of events a topic has

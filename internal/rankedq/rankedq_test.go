@@ -251,6 +251,18 @@ func TestQueueHeapProperty(t *testing.T) {
 	}
 }
 
+// popAllDue drains every entry PopDue reports due at now, in pop order.
+func popAllDue(x *ExpiryIndex, now time.Time) []msg.ID {
+	var out []msg.ID
+	for {
+		id, ok := x.PopDue(now)
+		if !ok {
+			return out
+		}
+		out = append(out, id)
+	}
+}
+
 func TestExpiryIndexOrder(t *testing.T) {
 	x := NewExpiryIndex()
 	if err := x.Add(expiring("a", 1, 3*time.Hour)); err != nil {
@@ -273,12 +285,12 @@ func TestExpiryIndexOrder(t *testing.T) {
 		t.Errorf("NextExpiry = %v, %v", next, ok)
 	}
 
-	got := x.PopExpired(t0.Add(2 * time.Hour))
+	got := popAllDue(x, t0.Add(2*time.Hour))
 	if len(got) != 2 || got[0] != "b" || got[1] != "c" {
-		t.Errorf("PopExpired = %v, want [b c]", got)
+		t.Errorf("PopDue drained %v, want [b c]", got)
 	}
-	if got := x.PopExpired(t0.Add(2 * time.Hour)); got != nil {
-		t.Errorf("second PopExpired = %v, want nil", got)
+	if id, ok := x.PopDue(t0.Add(2 * time.Hour)); ok {
+		t.Errorf("PopDue after draining = %v, want nothing due", id)
 	}
 	if x.Len() != 1 {
 		t.Errorf("Len = %d, want 1", x.Len())
@@ -294,19 +306,25 @@ func TestExpiryIndexRemoveDuplicate(t *testing.T) {
 	if err := x.Add(n); err == nil {
 		t.Error("duplicate Add accepted")
 	}
+	if !x.Contains("a") || fmt.Sprint(x.IDs()) != "[a]" {
+		t.Errorf("indexed a, but Contains = %v and IDs = %v", x.Contains("a"), x.IDs())
+	}
 	if !x.Remove("a") {
 		t.Error("Remove of indexed ID failed")
 	}
 	if x.Remove("a") {
 		t.Error("second Remove succeeded")
 	}
+	if x.Contains("a") || x.IDs() != nil {
+		t.Errorf("removed a, but Contains = %v and IDs = %v", x.Contains("a"), x.IDs())
+	}
 	if _, ok := x.NextExpiry(); ok {
 		t.Error("NextExpiry on empty index returned ok")
 	}
 }
 
-// TestExpiryIndexProperty checks PopExpired returns exactly the entries at
-// or before the probe time, in non-decreasing expiry order.
+// TestExpiryIndexProperty checks PopDue drains exactly the entries at or
+// before the probe time.
 func TestExpiryIndexProperty(t *testing.T) {
 	f := func(lives []uint16, probe uint16) bool {
 		x := NewExpiryIndex()
@@ -321,7 +339,7 @@ func TestExpiryIndexProperty(t *testing.T) {
 				want[id] = true
 			}
 		}
-		got := x.PopExpired(t0.Add(time.Duration(probe) * time.Second))
+		got := popAllDue(x, t0.Add(time.Duration(probe)*time.Second))
 		if len(got) != len(want) {
 			return false
 		}
@@ -339,7 +357,7 @@ func TestExpiryIndexProperty(t *testing.T) {
 
 // TestExpiryIndexInterleaved checks the hand-maintained heap against a
 // sorted model under interleaved adds, removals from anywhere, and pops:
-// PopExpired must return exactly the due entries in (expiry, ID) order.
+// PopDue must drain exactly the due entries in (expiry, ID) order.
 func TestExpiryIndexInterleaved(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -379,9 +397,9 @@ func TestExpiryIndexInterleaved(t *testing.T) {
 					}
 					return want[i] < want[j]
 				})
-				got := x.PopExpired(t0.Add(now))
+				got := popAllDue(x, t0.Add(now))
 				if fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Fatalf("seed %d step %d: PopExpired = %v, want %v", seed, step, got, want)
+					t.Fatalf("seed %d step %d: PopDue drained %v, want %v", seed, step, got, want)
 				}
 				for _, id := range want {
 					delete(model, id)

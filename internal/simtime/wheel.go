@@ -49,7 +49,7 @@ const (
 // batch (it wins, as under Virtual). Cancelling a handle whose callback
 // has already run returns false until the node is re-armed for a new
 // timer; callers that drop handles once their callback runs (as the
-// proxy's timer maps do) never observe a re-armed node.
+// proxy's timers do) never observe a re-armed node.
 type Wheel struct {
 	// cbMu serializes callbacks and Run closures (the role Wall.mu plays).
 	// Lock order: cbMu before mu; Schedule/Cancel take only mu so timer
@@ -57,8 +57,9 @@ type Wheel struct {
 	cbMu sync.Mutex
 	// mu guards the bucket structure, the free list, and timer state. It
 	// is a spinlock: critical sections are a handful of pointer writes,
-	// and the host arms/cancels one timer per notification on its hot
-	// path, where sync.Mutex overhead is measurable.
+	// and the host arms/cancels timers on its hot path (delay stages,
+	// quiet windows, each topic's expiry), where sync.Mutex overhead is
+	// measurable.
 	mu wheelLock
 
 	start   time.Time
