@@ -290,7 +290,7 @@ func attachDiscarding(t *testing.T, s *Session) {
 	}
 	conn := wire.NewConn(c)
 	t.Cleanup(func() { _ = conn.Close(); _ = far.Close() })
-	s.attach(conn, &wire.Frame{Type: wire.TypeHello, Caps: wire.LocalCaps()})
+	s.attach(conn, &wire.Frame{Type: wire.TypeHello})
 }
 
 // TestDispatchPushAllocs pins what one upstream push costs the host in

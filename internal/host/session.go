@@ -31,11 +31,9 @@ type Session struct {
 	// in the spool chain below). Written only from wheel callbacks.
 	proxy *core.Proxy
 
-	mu      sync.Mutex
-	conn    *wire.Conn
-	batch   bool
-	traceOK bool
-	topics  map[string]struct{}
+	mu     sync.Mutex
+	conn   *wire.Conn
+	topics map[string]struct{}
 
 	// Lifecycle (guarded by mu; transitions run on the wheel). snap and
 	// deltas are the session's spool chain: the latest snapshot plus every
@@ -99,12 +97,9 @@ func (st sessionTracer) Record(e trace.Event) {
 // so every hello is answered.
 func (s *Session) attach(conn *wire.Conn, hello *wire.Frame) {
 	ok := wire.OK(hello)
-	ok.Caps = wire.LocalCaps()
 	s.mu.Lock()
 	old := s.conn
 	s.conn = conn
-	s.batch = wire.HasCap(hello.Caps, wire.CapPushBatch)
-	s.traceOK = wire.HasCap(hello.Caps, wire.CapTrace)
 	s.connects++
 	s.host.respond(conn, ok)
 	s.mu.Unlock()
@@ -149,12 +144,12 @@ func (s *Session) closeConn() {
 // ForwardBatch implements core.BatchForwarder with chunked batch frames.
 func (s *Session) ForwardBatch(batch []*msg.Notification) error {
 	s.mu.Lock()
-	conn, batching, withTrace := s.conn, s.batch, s.traceOK
+	conn := s.conn
 	s.mu.Unlock()
 	if conn == nil {
 		return errors.New("no device connected")
 	}
-	return wire.PushBatch(conn, batch, batching, withTrace)
+	return wire.PushBatch(conn, batch, true, true)
 }
 
 // errNotResident rejects proxy-driving frames from a connection whose

@@ -90,11 +90,11 @@ type Notification struct {
 	Payload []byte `json:"payload,omitempty"`
 	// Trace is the optional distributed-tracing context attached to
 	// sampled notifications. It is deliberately excluded from the
-	// notification's own JSON form (journals and legacy peers never see
-	// it); the wire layer moves it between nodes as an explicit,
-	// capability-gated frame field. The pointer may be shared between
-	// fan-out clones — treat the pointed-to context as immutable and use
-	// TraceContext.WithHop to extend it.
+	// notification's own JSON form (journals never see it); the wire
+	// layer moves it between nodes as an explicit frame field on every
+	// push of a notification that carries one. The pointer may be shared
+	// between fan-out clones — treat the pointed-to context as immutable
+	// and use TraceContext.WithHop to extend it.
 	Trace *TraceContext `json:"-"`
 
 	// poolMark records the notification's free-pool provenance (see

@@ -117,7 +117,7 @@ func (s *cloneSub) DeliverRankUpdate(msg.RankUpdate) {}
 
 // sharedSub is a benchmark subscriber on the encode-once path: it takes
 // one reference to the fan-out's shared frame (encoding it if it is the
-// first of its class) and releases it, like a connection enqueue would.
+// first subscriber) and releases it, like a connection enqueue would.
 type sharedSub struct {
 	n       atomic.Int64
 	payload []byte
@@ -130,7 +130,7 @@ func (s *sharedSub) Deliver(n *msg.Notification) {
 func (s *sharedSub) DeliverRankUpdate(msg.RankUpdate) {}
 func (s *sharedSub) DeliverShared(n *msg.Notification, enc *SharedEncoding) {
 	s.n.Add(1)
-	b, err := enc.Buf(EncodePlain, func(dst []byte) ([]byte, error) {
+	b, err := enc.Buf(func(dst []byte) ([]byte, error) {
 		return benchEncodeFrame(dst, n, s.payload), nil
 	})
 	if err != nil {
@@ -142,7 +142,7 @@ func (s *sharedSub) DeliverShared(n *msg.Notification, enc *SharedEncoding) {
 // BenchmarkBrokerFanoutWidth measures one-to-many routing cost as a
 // function of fan-out width: all subscribers share one topic, so every
 // publish is one fan-out of the given width. "shared" is the encode-once
-// path (SharedDeliverer: one frame per class, per-holder refs);
+// path (SharedDeliverer: one frame per fan-out, per-holder refs);
 // "pertarget" is the legacy path — one pooled clone per subscriber, each
 // encoding its own frame into its own buffer, which is what every
 // downstream connection did before frames were shared. The ns/delivery

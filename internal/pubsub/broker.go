@@ -287,7 +287,7 @@ func (b *Broker) fanOut(n *msg.Notification, subs []*subscription) {
 	}
 	// Shared-capable subscribers (wire connections) receive the
 	// caller-owned original plus a fan-out-scoped SharedEncoding: the
-	// push frame is encoded once per capability class and the same
+	// push frame is encoded once per notification and the same
 	// ref-counted buffer rides every egress ring. Everything else gets
 	// the classic isolated pooled clone (payload bytes copied into the
 	// clone's retained buffer, zero steady-state allocations), ownership

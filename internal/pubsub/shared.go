@@ -7,24 +7,11 @@ import (
 	"lasthop/internal/msg"
 )
 
-// Encoding classes of one broadcast fan-out. Subscribers on the same wire
-// protocol differ only in the capabilities they negotiated, so the whole
-// fan-out needs at most one encoded frame per class — not one per target.
-const (
-	// EncodePlain is the push frame without a trace context (legacy peers,
-	// or an unsampled notification).
-	EncodePlain = iota
-	// EncodeTrace is the push frame with the trace context attached
-	// (CapTrace peers receiving a sampled notification).
-	EncodeTrace
-	encodeClasses
-)
-
 // SharedDeliverer is the optional Subscriber extension behind encode-once
 // fan-out. A subscriber that implements it receives the broker's own
 // notification — no pooled clone, no ownership transfer, valid only for
 // the duration of the call — together with the fan-out's SharedEncoding,
-// from which it takes a reference to the frame encoding its class shares.
+// from which it takes a reference to the frame every target shares.
 type SharedDeliverer interface {
 	Subscriber
 	// DeliverShared delivers n without transferring ownership. The
@@ -34,15 +21,15 @@ type SharedDeliverer interface {
 	DeliverShared(n *msg.Notification, enc *SharedEncoding)
 }
 
-// SharedEncoding memoizes the encoded frames of one fan-out, one pooled
-// buffer per encoding class. The first subscriber of a class encodes; the
-// rest reuse the bytes. Every Buf call hands the caller one reference to
-// release (wire.Conn.SendShared consumes it); the memo holds its own
-// reference, dropped when the fan-out releases the encoding, so the
-// buffer recycles exactly when the last egress ring flushes it.
+// SharedEncoding memoizes the encoded frame of one fan-out in one pooled
+// buffer. The first subscriber encodes; the rest reuse the bytes. Every
+// Buf call hands the caller one reference to release
+// (wire.Conn.SendShared consumes it); the memo holds its own reference,
+// dropped when the fan-out releases the encoding, so the buffer recycles
+// exactly when the last egress ring flushes it.
 type SharedEncoding struct {
-	bufs [encodeClasses]*burst.Buf
-	errs [encodeClasses]error
+	buf *burst.Buf
+	err error
 }
 
 // sharedEncodings recycles SharedEncoding values across fan-outs so wide
@@ -53,42 +40,37 @@ func getSharedEncoding() *SharedEncoding {
 	return sharedEncodings.Get().(*SharedEncoding)
 }
 
-// putSharedEncoding drops the memo references and recycles the encoding.
+// putSharedEncoding drops the memo reference and recycles the encoding.
 func putSharedEncoding(e *SharedEncoding) {
-	for i, b := range e.bufs {
-		if b != nil {
-			burst.Bufs.Put(b)
-			e.bufs[i] = nil
-		}
-		e.errs[i] = nil
+	if e.buf != nil {
+		burst.Bufs.Put(e.buf)
 	}
+	*e = SharedEncoding{}
 	sharedEncodings.Put(e)
 }
 
-// Buf returns the shared buffer holding class's encoded frame, encoding
-// it on the first call: encode receives an empty slice (with whatever
-// capacity the pooled buffer retained) and returns the full frame bytes.
-// The returned buffer carries one new reference owned by the caller, who
-// must release it exactly once — directly with burst.Bufs.Put, or by
-// handing it to a consuming sink like wire.Conn.SendShared. An encode
-// failure is memoized too, so one oversized frame fails each target of
-// the class identically (callers then fall back to their per-target
-// path).
-func (e *SharedEncoding) Buf(class int, encode func(dst []byte) ([]byte, error)) (*burst.Buf, error) {
-	if e.errs[class] != nil {
-		return nil, e.errs[class]
+// Buf returns the shared buffer holding the encoded frame, encoding it on
+// the first call: encode receives an empty slice (with whatever capacity
+// the pooled buffer retained) and returns the full frame bytes. The
+// returned buffer carries one new reference owned by the caller, who must
+// release it exactly once — directly with burst.Bufs.Put, or by handing it
+// to a consuming sink like wire.Conn.SendShared. An encode failure is
+// memoized too, so one oversized frame fails every target identically and
+// is encoded once.
+func (e *SharedEncoding) Buf(encode func(dst []byte) ([]byte, error)) (*burst.Buf, error) {
+	if e.err != nil {
+		return nil, e.err
 	}
-	b := e.bufs[class]
-	if b == nil {
-		b = burst.Bufs.Get()
+	if e.buf == nil {
+		b := burst.Bufs.Get()
 		out, err := encode(b.B[:0])
 		if err != nil {
 			burst.Bufs.Put(b)
-			e.errs[class] = err
+			e.err = err
 			return nil, err
 		}
 		b.B = out
-		e.bufs[class] = b
+		e.buf = b
 	}
-	return b.Ref(), nil
+	return e.buf.Ref(), nil
 }

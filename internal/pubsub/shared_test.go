@@ -13,15 +13,14 @@ import (
 )
 
 // TestSharedEncodingEncodesOnce drives one fan-out's encoding memo: N
-// subscribers of the same class cost exactly one encode, every returned
-// reference is independently releasable, and dropping the memo recycles
-// the buffer.
+// subscribers cost exactly one encode, every returned reference is
+// independently releasable, and dropping the memo recycles the buffer.
 func TestSharedEncodingEncodesOnce(t *testing.T) {
 	bufsBase := burst.Bufs.Outstanding()
 	enc := getSharedEncoding()
 	encodes := 0
 	for i := 0; i < 5; i++ {
-		b, err := enc.Buf(EncodePlain, func(dst []byte) ([]byte, error) {
+		b, err := enc.Buf(func(dst []byte) ([]byte, error) {
 			encodes++
 			return append(dst, "frame-bytes"...), nil
 		})
@@ -34,7 +33,7 @@ func TestSharedEncodingEncodesOnce(t *testing.T) {
 		burst.Bufs.Put(b) // each caller releases its own reference
 	}
 	if encodes != 1 {
-		t.Fatalf("encode ran %d times for one class, want 1", encodes)
+		t.Fatalf("encode ran %d times for one fan-out, want 1", encodes)
 	}
 	putSharedEncoding(enc)
 	if got := burst.Bufs.Outstanding(); got != bufsBase {
@@ -42,40 +41,16 @@ func TestSharedEncodingEncodesOnce(t *testing.T) {
 	}
 }
 
-// TestSharedEncodingClassesIndependent checks the per-class memo slots
-// don't bleed into each other.
-func TestSharedEncodingClassesIndependent(t *testing.T) {
-	enc := getSharedEncoding()
-	defer putSharedEncoding(enc)
-	plain, err := enc.Buf(EncodePlain, func(dst []byte) ([]byte, error) {
-		return append(dst, "plain"...), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	traced, err := enc.Buf(EncodeTrace, func(dst []byte) ([]byte, error) {
-		return append(dst, "traced"...), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(plain.B) != "plain" || string(traced.B) != "traced" {
-		t.Fatalf("class bleed: plain=%q traced=%q", plain.B, traced.B)
-	}
-	burst.Bufs.Put(plain)
-	burst.Bufs.Put(traced)
-}
-
 // TestSharedEncodingMemoizesError checks an encode failure is charged once
-// and every later caller of the class gets the same error (and no buffer),
-// with nothing leaked.
+// and every later caller gets the same error (and no buffer), with
+// nothing leaked.
 func TestSharedEncodingMemoizesError(t *testing.T) {
 	bufsBase := burst.Bufs.Outstanding()
 	enc := getSharedEncoding()
 	boom := errors.New("frame too large")
 	encodes := 0
 	for i := 0; i < 3; i++ {
-		b, err := enc.Buf(EncodePlain, func(dst []byte) ([]byte, error) {
+		b, err := enc.Buf(func(dst []byte) ([]byte, error) {
 			encodes++
 			return nil, boom
 		})
@@ -105,7 +80,7 @@ var _ SharedDeliverer = (*sharedRecorder)(nil)
 
 func (s *sharedRecorder) DeliverShared(n *msg.Notification, enc *SharedEncoding) {
 	s.sharedCalls.Add(1)
-	b, err := enc.Buf(EncodePlain, func(dst []byte) ([]byte, error) {
+	b, err := enc.Buf(func(dst []byte) ([]byte, error) {
 		s.encodes.Add(1)
 		return append(dst, n.ID...), nil
 	})

@@ -9,13 +9,13 @@ import (
 	"lasthop/internal/pubsub"
 )
 
-// rawDevice speaks the device protocol over a bare Conn so tests control
-// exactly which capabilities the hello advertises.
+// rawDevice speaks the device protocol over a bare Conn so tests see
+// exactly how the proxy frames what it pushes.
 type rawDevice struct {
 	conn *Conn
 }
 
-func dialRawDevice(t *testing.T, addr string, caps []string) *rawDevice {
+func dialRawDevice(t *testing.T, addr string) *rawDevice {
 	t.Helper()
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -23,7 +23,7 @@ func dialRawDevice(t *testing.T, addr string, caps []string) *rawDevice {
 	}
 	conn := NewConn(nc)
 	t.Cleanup(func() { _ = conn.Close() })
-	if err := syncExchange(conn, &Frame{Type: TypeHello, Name: "raw-device", Caps: caps}, nil); err != nil {
+	if err := syncExchange(conn, &Frame{Type: TypeHello, Name: "raw-device"}, nil); err != nil {
 		t.Fatalf("hello: %v", err)
 	}
 	return &rawDevice{conn: conn}
@@ -86,11 +86,11 @@ func publishBurst(t *testing.T, h *harness, topic string, count int) {
 	})
 }
 
-// TestReadBurstArrivesBatched: a device that negotiated push-batch gets an
-// on-demand READ burst coalesced into batch frames, not n single pushes.
+// TestReadBurstArrivesBatched: a device gets an on-demand READ burst
+// coalesced into batch frames, not n single pushes.
 func TestReadBurstArrivesBatched(t *testing.T) {
 	h := newHarness(t)
-	dev := dialRawDevice(t, h.proxyAddr, LocalCaps())
+	dev := dialRawDevice(t, h.proxyAddr)
 	dev.subscribe(t, "news", TopicPolicy{Policy: "on-demand", Max: 64})
 	publishBurst(t, h, "news", 10)
 
@@ -130,7 +130,7 @@ func TestRecoveredProxyReadArrivesBatched(t *testing.T) {
 
 	// First life: an on-demand backlog of three, then a crash.
 	ps1, addr1 := startDurableProxy(t, bl.Addr().String(), journalPath)
-	dialRawDevice(t, addr1, LocalCaps()).subscribe(t, "news", TopicPolicy{Policy: "on-demand", Max: 64})
+	dialRawDevice(t, addr1).subscribe(t, "news", TopicPolicy{Policy: "on-demand", Max: 64})
 	for i := 0; i < 3; i++ {
 		if err := pub.Publish(wireNote(msg.ID(fmt.Sprintf("r%d", i)), "news", float64(i+1))); err != nil {
 			t.Fatal(err)
@@ -145,30 +145,9 @@ func TestRecoveredProxyReadArrivesBatched(t *testing.T) {
 	// Second life: the device reconnects and reads the recovered backlog.
 	ps2, addr2 := startDurableProxy(t, bl.Addr().String(), journalPath)
 	defer ps2.Close()
-	singles, batches, total := dialRawDevice(t, addr2, LocalCaps()).read(t, "news", 0)
+	singles, batches, total := dialRawDevice(t, addr2).read(t, "news", 0)
 	if total != 3 || batches != 1 || singles != 0 {
 		t.Errorf("recovered backlog arrived as %d notifications in %d push-batch and %d push frames, want 3 in one push-batch",
 			total, batches, singles)
-	}
-}
-
-// TestLegacyDeviceGetsSinglePushes: a hello without the push-batch
-// capability must make the proxy fall back to one push frame per
-// notification, so old devices keep working.
-func TestLegacyDeviceGetsSinglePushes(t *testing.T) {
-	h := newHarness(t)
-	dev := dialRawDevice(t, h.proxyAddr, nil)
-	dev.subscribe(t, "news", TopicPolicy{Policy: "on-demand", Max: 64})
-	publishBurst(t, h, "news", 10)
-
-	singles, batches, total := dev.read(t, "news", 0)
-	if total != 10 {
-		t.Fatalf("read transferred %d notifications, want 10", total)
-	}
-	if batches != 0 {
-		t.Errorf("legacy device received %d push-batch frames", batches)
-	}
-	if singles != 10 {
-		t.Errorf("legacy device received %d single pushes, want 10", singles)
 	}
 }

@@ -126,12 +126,10 @@ func (s *BrokerServer) Close() {
 	s.wg.Wait()
 }
 
-// connSubscriber adapts a wire connection to pubsub.Subscriber. trace
-// records whether the subscriber's hello advertised CapTrace; contexts on
-// sampled notifications are only lifted into the frame for such peers.
+// connSubscriber adapts a wire connection to pubsub.Subscriber. A
+// sampled notification's trace context rides in its push frame.
 type connSubscriber struct {
-	conn  *Conn
-	trace bool
+	conn *Conn
 }
 
 var (
@@ -143,9 +141,7 @@ func (cs connSubscriber) Deliver(n *msg.Notification) {
 	f := getPushFrame()
 	f.Type = TypePush
 	f.Notification = n
-	if cs.trace {
-		f.Trace = n.Trace
-	}
+	f.Trace = n.Trace
 	_ = cs.conn.Send(f)
 	putPushFrame(f)
 	// Send encoded the notification into the egress ring synchronously;
@@ -154,30 +150,22 @@ func (cs connSubscriber) Deliver(n *msg.Notification) {
 }
 
 // DeliverShared is the encode-once fan-out path: the push frame is
-// encoded at most once per capability class for the whole fan-out, and
-// this connection's egress ring enqueues the shared ref-counted buffer.
-// The notification stays owned by the broker — no clone, no Put.
+// encoded once for the whole fan-out, and this connection's egress ring
+// enqueues the shared ref-counted buffer. The notification stays owned by
+// the broker — no clone, no Put. An encode fails only on the frame bound,
+// and then fails for every target alike, so the notification is skipped
+// here as Send would skip it (without latching the connection).
 func (cs connSubscriber) DeliverShared(n *msg.Notification, enc *pubsub.SharedEncoding) {
-	class := pubsub.EncodePlain
-	if cs.trace && n.Trace != nil {
-		class = pubsub.EncodeTrace
-	}
-	buf, err := enc.Buf(class, func(dst []byte) ([]byte, error) {
+	buf, err := enc.Buf(func(dst []byte) ([]byte, error) {
 		f := getPushFrame()
 		f.Type = TypePush
 		f.Notification = n
-		if class == pubsub.EncodeTrace {
-			f.Trace = n.Trace
-		}
+		f.Trace = n.Trace
 		b, err := appendFrame(dst, f)
 		putPushFrame(f)
 		return b, err
 	})
 	if err != nil {
-		// Per-target fallback: an unencodable notification (or one whose
-		// frame overflows the bound) takes the classic clone-and-Send
-		// path, which reports the same failure per connection.
-		cs.Deliver(burst.Notes.CloneInto(n))
 		return
 	}
 	_ = cs.conn.SendShared(buf)
@@ -195,7 +183,6 @@ func (s *BrokerServer) handle(conn *Conn) {
 		_ = conn.Close()
 	}()
 	clientName := conn.RemoteAddr()
-	var clientCaps []string
 	var subscribed []string
 	defer func() {
 		for _, topic := range subscribed {
@@ -214,10 +201,7 @@ func (s *BrokerServer) handle(conn *Conn) {
 			if f.Name != "" {
 				clientName = f.Name
 			}
-			clientCaps = f.Caps
-			ok := OK(f)
-			ok.Caps = LocalCaps()
-			s.respond(conn, ok)
+			s.respond(conn, OK(f))
 		case TypePing:
 			s.respond(conn, &Frame{Type: TypePong, Re: f.Seq})
 		case TypeAdvertise:
@@ -257,7 +241,7 @@ func (s *BrokerServer) handle(conn *Conn) {
 			}
 			// Re-subscribing with the same subscriber name rebinds delivery
 			// to this connection — exactly what a resuming client needs.
-			err := s.broker.Subscribe(sub, connSubscriber{conn: conn, trace: HasCap(clientCaps, CapTrace)})
+			err := s.broker.Subscribe(sub, connSubscriber{conn: conn})
 			if err == nil {
 				subscribed = append(subscribed, sub.Topic)
 			}
@@ -373,7 +357,7 @@ func (c *BrokerClient) handshake(conn *Conn) error {
 	conn.setRawDeadline(time.Now().Add(c.opts.DialTimeout))
 	defer conn.setRawDeadline(time.Time{})
 	onFrame := func(f *Frame) { c.dispatchPush(f) }
-	if err := syncExchange(conn, &Frame{Type: TypeHello, Name: c.name, Caps: LocalCaps()}, onFrame); err != nil {
+	if err := syncExchange(conn, &Frame{Type: TypeHello, Name: c.name}, onFrame); err != nil {
 		return fmt.Errorf("hello: %w", err)
 	}
 	type claim struct{ topic, publisher string }

@@ -9,6 +9,7 @@ import (
 
 	"lasthop/internal/burst"
 	"lasthop/internal/msg"
+	"lasthop/internal/pubsub"
 )
 
 // connPair returns two wire Conns over a real TCP loopback socket.
@@ -226,5 +227,86 @@ func TestPublishBatchPooledLifecycle(t *testing.T) {
 	pub.Close()
 	h.proxy.Close()
 	h.broker.Close()
+	settlePools(t, notesBase, bufsBase, 2*time.Second)
+}
+
+// dialSubscriber opens a raw broker connection that says hello as name
+// and subscribes on-line to topic.
+func dialSubscriber(t *testing.T, addr, name, topic string) *Conn {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := NewConn(nc)
+	t.Cleanup(func() { _ = conn.Close() })
+	conn.SetTimeouts(5*time.Second, 0)
+	if err := syncExchange(conn, &Frame{Type: TypeHello, Name: name}, nil); err != nil {
+		t.Fatalf("%s hello: %v", name, err)
+	}
+	sub := &msg.Subscription{Topic: topic, Subscriber: name,
+		Options: msg.SubscriptionOptions{Mode: msg.OnLine}}
+	if err := syncExchange(conn, &Frame{Type: TypeSubscribe, Subscription: sub}, nil); err != nil {
+		t.Fatalf("%s subscribe: %v", name, err)
+	}
+	return conn
+}
+
+// recvPush reads frames until the next push and returns it.
+func recvPush(t *testing.T, conn *Conn, who string) *Frame {
+	t.Helper()
+	for {
+		f, err := conn.Recv()
+		if err != nil {
+			t.Fatalf("%s recv: %v", who, err)
+		}
+		if f.Type == TypePush {
+			return f
+		}
+	}
+}
+
+// TestOverboundFanOutSkipsEveryTarget fans a notification whose push frame
+// exceeds the frame bound out to two subscribers. The encode fails on size
+// for every target alike: neither receives it, neither connection latches
+// an error (the next notification reaches both), and the pools settle.
+func TestOverboundFanOutSkipsEveryTarget(t *testing.T) {
+	notesBase, bufsBase := burst.Notes.Outstanding(), burst.Bufs.Outstanding()
+
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	broker := pubsub.NewBroker("broker")
+	bs := NewBrokerServer(broker, t.Logf)
+	go func() { _ = bs.Serve(lis) }()
+	defer bs.Close()
+	if err := broker.Advertise("news", "pub"); err != nil {
+		t.Fatal(err)
+	}
+	subs := []*Conn{
+		dialSubscriber(t, lis.Addr().String(), "sub-a", "news"),
+		dialSubscriber(t, lis.Addr().String(), "sub-b", "news"),
+	}
+
+	big := wireNote("big", "news", 5)
+	big.Payload = make([]byte, maxFrameBytes)
+	if err := broker.Publish(big); err != nil {
+		t.Fatal(err)
+	}
+	if err := broker.Publish(wireNote("small", "news", 5)); err != nil {
+		t.Fatal(err)
+	}
+	for i, conn := range subs {
+		f := recvPush(t, conn, "subscriber")
+		if f.Notification.ID != "small" {
+			t.Errorf("subscriber %d: first push is %q, want small (the over-bound one skipped)", i, f.Notification.ID)
+		}
+	}
+
+	for _, conn := range subs {
+		_ = conn.Close()
+	}
+	bs.Close()
 	settlePools(t, notesBase, bufsBase, 2*time.Second)
 }

@@ -57,7 +57,7 @@ const (
 	hasRead
 	hasMessage
 	hasCode
-	hasTrace // trace contexts come last: optional, and only toward CapTrace peers
+	hasTrace // trace contexts come last: only sampled notifications carry one
 	hasTraces
 
 	hasScalars = hasSeq | hasRe | hasCount | hasMessage | hasCode
@@ -117,7 +117,7 @@ func (f *Frame) compactShape() (kind byte, mask uint64) {
 	}
 	if kind == kindControl || f.Name != "" || f.Topic != "" || f.Publisher != "" ||
 		f.RankUpdate != nil || f.Subscription != nil || f.TopicPolicy != nil ||
-		len(f.HaveIDs) != 0 || len(f.ReadIDs) != 0 || len(f.Caps) != 0 {
+		len(f.HaveIDs) != 0 || len(f.ReadIDs) != 0 {
 		return kindControl, 0
 	}
 	for _, field := range [...]struct {

@@ -167,8 +167,7 @@ func TestAppendFrameMatchesEncodingJSON(t *testing.T) {
 		{Type: TypePing, Seq: 1},
 		{Type: TypePong, Re: 1},
 		// Kind 0: everything the compact bodies do not model.
-		{Type: TypeHello, Name: "dev", Caps: []string{CapPushBatch, CapTrace}},
-		{Type: TypeOK, Re: 1, Caps: LocalCaps()},
+		{Type: TypeHello, Name: "dev"},
 		{Type: TypeSubscribe, Seq: 2, Topic: "t", TopicPolicy: &TopicPolicy{Policy: "buffer", Max: 8, QuietWindows: []QuietWindowSpec{{StartMinutes: 60, EndMinutes: 120}}}},
 		{Type: TypeSubscribe, Seq: 2, Subscription: &msg.Subscription{Topic: "t", Subscriber: "s", Options: msg.SubscriptionOptions{Max: 3, Threshold: 2.5, Mode: msg.OnLine}}},
 		{Type: TypeResume, Seq: 3, Topic: "t", HaveIDs: []msg.ID{"a"}, ReadIDs: []msg.ID{"b", "c"}},
@@ -188,6 +187,13 @@ func TestAppendFrameMatchesEncodingJSON(t *testing.T) {
 		if err != nil || !bytes.Equal(enc, again) {
 			t.Errorf("frame %d (%s) re-encodes differently (%v)\nfirst:  %x\nsecond: %x", i, f.Type, err, enc, again)
 		}
+	}
+	// A hello that still lists capabilities decodes as the plain hello:
+	// encoding/json skips the key no Frame field names.
+	var hello Frame
+	err := decodeFrame(controlFrame(`{"type":"hello","name":"dev","caps":["push-batch","trace-ctx"]}`), &hello)
+	if err != nil || !sameFrame(&Frame{Type: TypeHello, Name: "dev"}, &hello) {
+		t.Errorf("hello with caps decoded to %+v, %v", hello, err)
 	}
 
 	// A decoded time is plain UTC wall-clock: nothing of the sender's
@@ -259,7 +265,7 @@ func TestDecodeFrameFastPath(t *testing.T) {
 func TestDecodeFrameBailsOnColdShapes(t *testing.T) {
 	n := &msg.Notification{ID: "a", Topic: "t", Rank: 1}
 	for _, f := range []*Frame{
-		{Type: TypeHello, Name: "x", Caps: []string{CapPushBatch}},
+		{Type: TypeHello, Name: "x"},
 		{Type: TypeSubscribe, Subscription: &msg.Subscription{Topic: "t", Subscriber: "s"}},
 		{Type: TypeResume, Topic: "t", HaveIDs: []msg.ID{"a"}, ReadIDs: []msg.ID{"b"}},
 		{Type: TypeRankUpdate, RankUpdate: &msg.RankUpdate{Topic: "t", ID: "a", NewRank: 2}},
@@ -411,7 +417,7 @@ func TestBytesOutEqualsBytesIn(t *testing.T) {
 		send(client.Send(&Frame{Type: TypePush, Notification: wireNote(msg.ID(id), "t", 1)}))
 		send(client.SendShared(encodedPush(t, id)))
 		send(PushBatch(client, []*msg.Notification{wireNote("b1", "t", 1), wireNote("b2", "t", 2), wireNote("b3", "t", 3)}, true, false))
-		send(client.Send(&Frame{Type: TypeHello, Name: id, Caps: LocalCaps()}))
+		send(client.Send(&Frame{Type: TypeHello, Name: id}))
 		send(client.SendNow(&Frame{Type: TypePing, Seq: uint64(i + 1)}))
 		// A body of 200 bytes takes a two-byte prefix.
 		send(client.Send(&Frame{Type: TypePush, Notification: &msg.Notification{ID: "wide", Topic: "t", Payload: make([]byte, 200)}}))

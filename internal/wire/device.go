@@ -103,7 +103,7 @@ func (d *DeviceClient) connect() (*Conn, error) {
 func (d *DeviceClient) handshake(conn *Conn) error {
 	conn.setRawDeadline(time.Now().Add(d.opts.DialTimeout))
 	defer conn.setRawDeadline(time.Time{})
-	if err := syncExchange(conn, &Frame{Type: TypeHello, Name: d.name, Caps: LocalCaps()}, d.applyPushes); err != nil {
+	if err := syncExchange(conn, &Frame{Type: TypeHello, Name: d.name}, d.applyPushes); err != nil {
 		return fmt.Errorf("hello: %w", err)
 	}
 	d.smu.Lock()

@@ -54,8 +54,7 @@ const (
 	TypePush = "push"
 	// TypePushBatch delivers several notifications in one frame, so a
 	// burst of forwards (a read response, a reconnect drain) costs one
-	// write instead of one per notification. Only sent to peers that
-	// advertised CapPushBatch in their hello.
+	// write instead of one per notification.
 	TypePushBatch = "push-batch"
 	// TypePushRank delivers a rank revision for an already-pushed
 	// notification.
@@ -63,33 +62,6 @@ const (
 	// TypePong answers a TypePing.
 	TypePong = "pong"
 )
-
-// Capability tokens exchanged in the hello handshake (Frame.Caps). A peer
-// that omits a capability — including every peer speaking the pre-batch
-// protocol, whose hellos carry no caps at all — is served with the
-// original single-frame encodings.
-const (
-	// CapPushBatch marks a peer that understands TypePushBatch frames.
-	CapPushBatch = "push-batch"
-	// CapTrace marks a peer that understands the optional trace-context
-	// frame fields (Frame.Trace and Frame.Traces). Contexts are only
-	// attached toward peers that advertised it; legacy peers receive the
-	// same frames minus the context.
-	CapTrace = "trace-ctx"
-)
-
-// LocalCaps is what this build advertises and understands.
-func LocalCaps() []string { return []string{CapPushBatch, CapTrace} }
-
-// HasCap reports whether a hello's capability list names c.
-func HasCap(caps []string, c string) bool {
-	for _, v := range caps {
-		if v == c {
-			return true
-		}
-	}
-	return false
-}
 
 // Error codes carried by TypeErr frames so clients can react to specific
 // failures without parsing message text.
@@ -124,14 +96,9 @@ type Frame struct {
 
 	// Trace carries the distributed-tracing context of Notification on
 	// publish/push frames; Traces aligns 1:1 with Batch on push-batch
-	// frames (null entries mark unsampled notifications). Both are only
-	// sent to peers that advertised CapTrace in their hello.
+	// frames (null entries mark unsampled notifications).
 	Trace  *msg.TraceContext   `json:"trace,omitempty"`
 	Traces []*msg.TraceContext `json:"traces,omitempty"`
-
-	// Caps lists protocol capabilities on hello frames and their OK
-	// responses; see the Cap* constants.
-	Caps []string `json:"caps,omitempty"`
 
 	// Subscribe payload (broker) and topic policy (proxy).
 	Subscription *msg.Subscription `json:"subscription,omitempty"`

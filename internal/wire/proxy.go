@@ -187,18 +187,10 @@ type ProxyServer struct {
 	mu         sync.Mutex
 	device     *Conn
 	deviceName string
-	// deviceBatch records whether the connected device advertised
-	// CapPushBatch in its hello; devices speaking the pre-batch protocol
-	// get single-frame pushes.
-	deviceBatch bool
-	// deviceTrace records whether the connected device advertised
-	// CapTrace; trace contexts are only lifted into push frames for such
-	// devices.
-	deviceTrace bool
-	sessions    map[string]*DeviceSession
-	lis         net.Listener
-	closed      bool
-	wg          sync.WaitGroup
+	sessions   map[string]*DeviceSession
+	lis        net.Listener
+	closed     bool
+	wg         sync.WaitGroup
 
 	// ingress batches upstream pushes into scheduler wakeups.
 	ingress ingressQueue
@@ -332,24 +324,22 @@ func (nt nodeTracer) Record(e trace.Event) {
 
 // ForwardBatch implements core.BatchForwarder: a burst of forwards — a
 // drained outgoing queue, a prefetch refill, a read response — leaves in
-// as few push-batch frames as the 1 MiB frame bound allows. Devices that
-// did not advertise CapPushBatch get the frames one by one.
+// as few push-batch frames as the 1 MiB frame bound allows, each sampled
+// notification with its trace context.
 func (ps *ProxyServer) ForwardBatch(batch []*msg.Notification) error {
 	ps.mu.Lock()
 	dev := ps.device
-	batching := ps.deviceBatch
-	withTrace := ps.deviceTrace
 	ps.mu.Unlock()
 	if dev == nil {
 		return errors.New("no device connected")
 	}
-	return PushBatch(dev, batch, batching, withTrace)
+	return PushBatch(dev, batch, true, true)
 }
 
 // PushBatch sends a burst of notifications, chunked so every frame stays
-// safely below the 1 MiB frame bound. Peers that did not advertise
-// CapPushBatch (batching false) get the frames one by one; withTrace lifts
-// trace contexts into them for peers that advertised CapTrace.
+// safely below the 1 MiB frame bound. With batching false every
+// notification gets its own push frame; withTrace lifts trace contexts
+// into the frames. Both proxy servers pass true for both.
 func PushBatch(conn *Conn, batch []*msg.Notification, batching, withTrace bool) error {
 	if !batching {
 		for _, n := range batch {
@@ -454,8 +444,6 @@ func (ps *ProxyServer) Serve(lis net.Listener) error {
 		}
 		ps.device = conn
 		ps.deviceName = ""
-		ps.deviceBatch = false
-		ps.deviceTrace = false
 		ps.wg.Add(1)
 		ps.mu.Unlock()
 		ps.sched.Run(func() {
@@ -513,8 +501,6 @@ func (ps *ProxyServer) handleDevice(conn *Conn) {
 				s.Connected = false
 			}
 			ps.deviceName = ""
-			ps.deviceBatch = false
-			ps.deviceTrace = false
 			ps.mu.Unlock()
 			ps.sched.Run(func() {
 				if err := ps.api.SetNetwork(false); err != nil {
@@ -534,9 +520,7 @@ func (ps *ProxyServer) handleDevice(conn *Conn) {
 		switch f.Type {
 		case TypeHello:
 			ps.attachSession(conn, f)
-			ok := OK(f)
-			ok.Caps = LocalCaps()
-			ps.respond(conn, ok)
+			ps.respond(conn, OK(f))
 		case TypePing:
 			ps.respond(conn, &Frame{Type: TypePong, Re: f.Seq})
 		case TypeSubscribe:
@@ -562,8 +546,8 @@ func (ps *ProxyServer) handleDevice(conn *Conn) {
 	}
 }
 
-// attachSession records the device's identity and capabilities for the
-// connection and creates or revives its session.
+// attachSession records the device's identity for the connection and
+// creates or revives its session.
 func (ps *ProxyServer) attachSession(conn *Conn, hello *Frame) {
 	name := hello.Name
 	if name == "" {
@@ -575,8 +559,6 @@ func (ps *ProxyServer) attachSession(conn *Conn, hello *Frame) {
 		return // superseded before the hello was processed
 	}
 	ps.deviceName = name
-	ps.deviceBatch = HasCap(hello.Caps, CapPushBatch)
-	ps.deviceTrace = HasCap(hello.Caps, CapTrace)
 	s := ps.sessions[name]
 	if s == nil {
 		s = &DeviceSession{Name: name}

@@ -230,7 +230,13 @@ func TestRepeatedReplyIsDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lis.Close()
+	// The fake broker's last reply may still sit on its egress ring when
+	// the client reads it; the test returns only once the fake has closed
+	// its connection, which releases that pooled buffer, so no later
+	// test's pool baseline counts it.
+	fakeDone := make(chan struct{})
 	go func() {
+		defer close(fakeDone)
 		c, err := lis.Accept()
 		if err != nil {
 			return
@@ -244,7 +250,7 @@ func TestRepeatedReplyIsDropped(t *testing.T) {
 			if err != nil {
 				return
 			}
-			resp := &Frame{Type: TypeOK, Re: f.Seq, Caps: LocalCaps()}
+			resp := &Frame{Type: TypeOK, Re: f.Seq}
 			if f.Notification != nil {
 				switch id := string(f.Notification.ID); {
 				case id == "twice":
@@ -264,7 +270,10 @@ func TestRepeatedReplyIsDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pub.Close()
+	defer func() {
+		_ = pub.Close()
+		<-fakeDone
+	}()
 	notes := func(ids ...string) []*msg.Notification {
 		out := make([]*msg.Notification, len(ids))
 		for i, id := range ids {

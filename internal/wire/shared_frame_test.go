@@ -25,6 +25,15 @@ func encodedPush(t *testing.T, id string) *burst.Buf {
 	return b
 }
 
+// closePair closes both ends of a conn pair. Close drains the egress ring
+// under the writer lock, so once it returns no flush of this pair still
+// holds a pooled buffer: a test that closes its pairs before it settles
+// leaves nothing for the next test's pool baseline to count.
+func closePair(client, server *Conn) {
+	_ = client.Close()
+	_ = server.Close()
+}
+
 // TestSendSharedDelivers sends one pre-encoded shared buffer and checks the
 // peer decodes the frame and the buffer returns to the pool after the
 // flush.
@@ -38,6 +47,7 @@ func TestSendSharedDelivers(t *testing.T) {
 	if err != nil || f.Type != TypePush || f.Notification == nil || f.Notification.ID != "s1" {
 		t.Fatalf("Recv = %+v, %v", f, err)
 	}
+	closePair(client, server)
 	settlePools(t, burst.Notes.Outstanding(), bufsBase, 2*time.Second)
 }
 
@@ -71,6 +81,9 @@ func TestSendSharedOneBufferManyConns(t *testing.T) {
 		if err != nil || f.Type != TypePush || f.Notification.ID != "wide" {
 			t.Fatalf("conn %d Recv = %+v, %v", i, f, err)
 		}
+	}
+	for i := range clients {
+		closePair(clients[i], servers[i])
 	}
 	settlePools(t, burst.Notes.Outstanding(), bufsBase, 2*time.Second)
 	if got := burst.Bufs.SharedPuts() - sharedBase; got != width-1 {

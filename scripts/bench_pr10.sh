@@ -290,7 +290,7 @@ fi
   printf '    "os": "%s",\n' "$(uname -s)"
   printf '    "physical_cpus": %s,\n' "$(nproc)"
   printf '    "bench_cpu_flag": %s,\n' "$CPU"
-  printf '    "note": "Fan-out benchmarks report ns/delivery (op cost divided by fan-out width). shared encodes each push frame once per capability class and enqueues the same ref-counted buffer on every egress ring; pertarget is the prior clone-and-encode-per-subscriber path kept as the in-tree baseline. The >=100k deliveries/sec floor applies to real runs on the reference container, not BENCH_SMOKE."\n'
+  printf '    "note": "Fan-out benchmarks report ns/delivery (op cost divided by fan-out width). shared encodes each push frame once per fan-out and enqueues the same ref-counted buffer on every egress ring; pertarget is the prior clone-and-encode-per-subscriber path kept as the in-tree baseline. The >=100k deliveries/sec floor applies to real runs on the reference container, not BENCH_SMOKE."\n'
   printf '  },\n'
   printf '  "baseline": {\n'
   printf '    "description": "PR 7 tree (pooled frames and vectored flushes, but one encode + one buffer per target), from the committed %s",\n' "$BASELINE"
