@@ -8,8 +8,9 @@ import (
 
 // BenchmarkCompareYear is one comparison of the sim-year benchmark: the
 // unified policy against the on-line baseline over one virtual year at 50 %
-// outage. Nearly all of it is the virtual scheduler's event heap and the
-// proxy's and device's ranked queues.
+// outage. The scenario replays without a scheduled event per input, so
+// nearly all of it is the proxy's and device's ranked queues and the timers
+// the proxy arms.
 func BenchmarkCompareYear(b *testing.B) {
 	cfg := goldenConfig(1, false)
 	cfg.Horizon = Year
@@ -24,5 +25,26 @@ func BenchmarkCompareYear(b *testing.B) {
 		if _, err := Compare(sc, policy); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestCompareAllocs holds one 60-day unified comparison to an allocation
+// budget: a count, not a timing, so it means the same on any machine. The
+// replay itself allocates a fixed handful per run; a per-input closure or
+// event would add thousands.
+func TestCompareAllocs(t *testing.T) {
+	const budget = 10600
+	cfg := goldenConfig(1, false)
+	sc := mustScenario(t, cfg)
+	policy := core.UnifiedConfig(TopicName, cfg.Max)
+	var err error
+	allocs := testing.AllocsPerRun(3, func() {
+		_, err = Compare(sc, policy)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs > budget {
+		t.Errorf("%.0f allocations per 60-day comparison, budget %d", allocs, budget)
 	}
 }

@@ -76,8 +76,9 @@ func LoadScenarioFile(path string) (Scenario, error) {
 }
 
 // validateShape rejects scenarios whose event streams are malformed (out
-// of order or outside the horizon), which would otherwise surface as
-// confusing simulator behavior.
+// of order, outside the horizon, or retracting a notification no later
+// than its arrival): the replay trusts the sort order, and each error
+// names the offending index.
 func (s Scenario) validateShape() error {
 	if err := s.Cfg.Validate(); err != nil {
 		return err
@@ -88,10 +89,13 @@ func (s Scenario) validateShape() error {
 			return fmt.Errorf("arrival %d at %v outside horizon %v", i, a.At, horizon)
 		}
 		if i > 0 && a.At < s.Arrivals[i-1].At {
-			return fmt.Errorf("arrivals out of order at %d", i)
+			return fmt.Errorf("arrival %d at %v before arrival %d", i, a.At, i-1)
 		}
 		if a.Lifetime < 0 {
 			return fmt.Errorf("arrival %d has negative lifetime", i)
+		}
+		if a.RetractAt < 0 || a.RetractAt > 0 && a.RetractAt <= a.At {
+			return fmt.Errorf("arrival %d retracted at %v, not after its arrival at %v", i, a.RetractAt, a.At)
 		}
 	}
 	for i, r := range s.Reads {
@@ -99,7 +103,7 @@ func (s Scenario) validateShape() error {
 			return fmt.Errorf("read %d at %v outside horizon %v", i, r, horizon)
 		}
 		if i > 0 && r < s.Reads[i-1] {
-			return fmt.Errorf("reads out of order at %d", i)
+			return fmt.Errorf("read %d at %v before read %d", i, r, i-1)
 		}
 	}
 	for i, o := range s.Outages {
@@ -107,7 +111,7 @@ func (s Scenario) validateShape() error {
 			return fmt.Errorf("outage %d [%v, %v) invalid", i, o.Start, o.End)
 		}
 		if i > 0 && o.Start < s.Outages[i-1].End {
-			return fmt.Errorf("outages overlap at %d", i)
+			return fmt.Errorf("outage %d starts before outage %d ends", i, i-1)
 		}
 	}
 	return nil

@@ -86,3 +86,40 @@ func TestLoadScenarioRejectsGarbage(t *testing.T) {
 		t.Error("out-of-order reads accepted")
 	}
 }
+
+// TestRunRejectsMalformedScenario: every run validates its scenario, since
+// the replay trusts the streams' order, and the error names the index. A
+// retraction no later than its own arrival would otherwise fail mid-run
+// as a rank update for an unknown notification.
+func TestRunRejectsMalformedScenario(t *testing.T) {
+	valid := func() Scenario {
+		return Scenario{
+			Cfg:      Config{Horizon: dist.Day, EventsPerDay: 1, ReadsPerDay: 1, Max: 2},
+			Arrivals: []Arrival{{At: time.Hour, Rank: 3}, {At: 2 * time.Hour, Rank: 2, RetractAt: 3 * time.Hour}},
+			Reads:    []time.Duration{time.Hour, 5 * time.Hour},
+			Outages:  []dist.Interval{{Start: time.Hour, End: 2 * time.Hour}, {Start: 4 * time.Hour, End: 6 * time.Hour}},
+		}
+	}
+	cases := []struct {
+		name, want string
+		mutate     func(*Scenario)
+	}{
+		{"arrival out of order", "arrival 1", func(s *Scenario) { s.Arrivals[1].At = 30 * time.Minute }},
+		{"read out of order", "read 1", func(s *Scenario) { s.Reads[1] = 30 * time.Minute }},
+		{"outage out of order", "outage 1", func(s *Scenario) { s.Outages[1] = dist.Interval{Start: 0, End: 30 * time.Minute} }},
+		{"negative retraction", "arrival 0", func(s *Scenario) { s.Arrivals[0].RetractAt = -time.Minute }},
+		{"retraction at its arrival", "arrival 1", func(s *Scenario) { s.Arrivals[1].RetractAt = 2 * time.Hour }},
+		{"retraction before its arrival", "arrival 1", func(s *Scenario) { s.Arrivals[1].RetractAt = time.Minute }},
+	}
+	if _, err := Run(valid(), core.OnlineConfig(TopicName)); err != nil {
+		t.Fatalf("valid scenario: %v", err)
+	}
+	for _, c := range cases {
+		sc := valid()
+		c.mutate(&sc)
+		_, err := Run(sc, core.OnlineConfig(TopicName))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error naming %q", c.name, err, c.want)
+		}
+	}
+}

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
@@ -63,7 +65,7 @@ type Comparison struct {
 // is set after both parties exist (they reference each other).
 type forwardToDevice struct {
 	dev   *device.Device
-	sched simtime.Scheduler
+	sched *simtime.Virtual
 	tr    trace.Tracer
 }
 
@@ -93,8 +95,12 @@ func Run(sc Scenario, policy core.TopicConfig) (Result, error) {
 
 // RunTraced is Run with an event tracer recording the run's timeline
 // (arrivals, transfers, reads, retractions, link transitions). A nil
-// tracer records nothing.
+// tracer records nothing. A scenario whose streams are out of order or
+// outside its horizon is rejected before anything runs.
 func RunTraced(sc Scenario, policy core.TopicConfig, tr trace.Tracer) (Result, error) {
+	if err := sc.validateShape(); err != nil {
+		return Result{}, fmt.Errorf("run: %w", err)
+	}
 	cfg := sc.Cfg
 	sched := simtime.NewVirtual(Start)
 	lnk := link.New(sched, !dist.DownAt(sc.Outages, 0))
@@ -142,67 +148,79 @@ func RunTraced(sc Scenario, policy core.TopicConfig, tr trace.Tracer) (Result, e
 		return Result{}, fmt.Errorf("run: %w", err)
 	}
 
-	// Schedule the workload. Publish errors other than rejection of
-	// expired content indicate a harness bug and are collected.
-	var harnessErr error
-	fail := func(err error) {
-		if harnessErr == nil && err != nil {
-			harnessErr = err
+	// Replay the scenario in one pass over its sorted streams; no input
+	// is a scheduled event. At each input instant RunBefore first runs
+	// the timers due strictly before it, then the inputs fire in a fixed
+	// order: retractions (each strictly after its own arrival, so of an
+	// earlier arrival than any arriving now), arrivals, reads, and outage
+	// edges interval by interval. Timers due at the instant run after
+	// them. The run stops one nanosecond before the horizon so an outage
+	// ending exactly at the boundary (the 100% downtime case) cannot
+	// flush the queues in a final instant the paper's year never contains.
+	ids := arrivalIDs(len(sc.Arrivals))
+	retracts := retractionOrder(sc.Arrivals)
+	note := msg.Notification{Topic: TopicName, Publisher: publisherName}
+	var ai, ri, rdi, ei int
+	for {
+		at := cfg.Horizon
+		if ai < len(sc.Arrivals) {
+			at = min(at, sc.Arrivals[ai].At)
 		}
-	}
-	for i, a := range sc.Arrivals {
-		a := a
-		id := msg.ID("e" + strconv.Itoa(i))
-		published := Start.Add(a.At)
-		n := &msg.Notification{
-			ID:        id,
-			Topic:     TopicName,
-			Publisher: publisherName,
-			Rank:      a.Rank,
-			Published: published,
+		if ri < len(retracts) {
+			at = min(at, sc.Arrivals[retracts[ri]].RetractAt)
 		}
-		if a.Lifetime > 0 {
-			n.Expires = published.Add(a.Lifetime)
+		if rdi < len(sc.Reads) {
+			at = min(at, sc.Reads[rdi])
 		}
-		sched.Schedule(a.At, func() {
+		if ei < 2*len(sc.Outages) {
+			at = min(at, edgeAt(sc.Outages, ei))
+		}
+		if at >= cfg.Horizon {
+			break
+		}
+		sched.RunBefore(Start.Add(at))
+		now := sched.Now()
+		for ; ri < len(retracts) && sc.Arrivals[retracts[ri]].RetractAt == at; ri++ {
+			j := retracts[ri]
+			update := msg.RankUpdate{Topic: TopicName, ID: ids[j], NewRank: sc.Arrivals[j].RetractTo}
 			trace.Record(tr, trace.Event{
-				At: sched.Now(), Kind: trace.KindArrival,
-				Topic: TopicName, ID: id, Rank: n.Rank,
+				At: now, Kind: trace.KindRetract,
+				Topic: TopicName, ID: update.ID, Rank: update.NewRank,
 			})
-			fail(broker.Publish(n))
-		})
-		if a.RetractAt > 0 {
-			update := msg.RankUpdate{Topic: TopicName, ID: id, NewRank: a.RetractTo}
-			sched.Schedule(a.RetractAt, func() {
-				trace.Record(tr, trace.Event{
-					At: sched.Now(), Kind: trace.KindRetract,
-					Topic: TopicName, ID: id, Rank: update.NewRank,
-				})
-				fail(broker.PublishRankUpdate(update))
-			})
+			if err := broker.PublishRankUpdate(update); err != nil {
+				return Result{}, fmt.Errorf("run: %w", err)
+			}
 		}
-	}
-	for _, at := range sc.Reads {
-		sched.Schedule(at, func() {
-			batch, err := dev.Read(TopicName, cfg.Max)
-			if err != nil && !errors.Is(err, device.ErrBatteryDead) {
-				fail(err)
+		for ; ai < len(sc.Arrivals) && sc.Arrivals[ai].At == at; ai++ {
+			a := &sc.Arrivals[ai]
+			// The broker hands the proxy a clone: one note serves all.
+			note.ID, note.Rank, note.Published, note.Expires = ids[ai], a.Rank, now, time.Time{}
+			if a.Lifetime > 0 {
+				note.Expires = now.Add(a.Lifetime)
 			}
 			trace.Record(tr, trace.Event{
-				At: sched.Now(), Kind: trace.KindRead,
+				At: now, Kind: trace.KindArrival,
+				Topic: TopicName, ID: note.ID, Rank: note.Rank,
+			})
+			if err := broker.Publish(&note); err != nil {
+				return Result{}, fmt.Errorf("run: %w", err)
+			}
+		}
+		for ; rdi < len(sc.Reads) && sc.Reads[rdi] == at; rdi++ {
+			batch, err := dev.Read(TopicName, cfg.Max)
+			if err != nil && !errors.Is(err, device.ErrBatteryDead) {
+				return Result{}, fmt.Errorf("run: %w", err)
+			}
+			trace.Record(tr, trace.Event{
+				At: now, Kind: trace.KindRead,
 				Topic: TopicName, Count: len(batch),
 			})
-		})
+		}
+		for ; ei < 2*len(sc.Outages) && edgeAt(sc.Outages, ei) == at; ei++ {
+			lnk.SetUp(ei%2 == 1)
+		}
 	}
-	link.Drive(sched, lnk, sc.Outages)
-
-	// Stop one nanosecond before the horizon so an outage ending exactly
-	// at the boundary (the 100% downtime case) cannot flush the queues in
-	// a final instant the paper's year never contains.
 	sched.RunUntil(Start.Add(cfg.Horizon - time.Nanosecond))
-	if harnessErr != nil {
-		return Result{}, fmt.Errorf("run: %w", harnessErr)
-	}
 
 	ds := dev.Stats()
 	res := Result{
@@ -230,6 +248,47 @@ func RunTraced(sc Scenario, policy core.TopicConfig, tr trace.Tracer) (Result, e
 		return res, fmt.Errorf("run: accounting violation: %w", err)
 	}
 	return res, nil
+}
+
+// arrivalIDs names arrival i "e<i>"; every name is a substring of one
+// string.
+func arrivalIDs(n int) []msg.ID {
+	var buf []byte
+	for i := range n {
+		buf = strconv.AppendInt(append(buf, 'e'), int64(i), 10)
+	}
+	rest := string(buf)
+	ids := make([]msg.ID, n)
+	var digits [20]byte
+	for i := range ids {
+		w := 1 + len(strconv.AppendInt(digits[:0], int64(i), 10))
+		ids[i], rest = msg.ID(rest[:w]), rest[w:]
+	}
+	return ids
+}
+
+// retractionOrder lists the indexes of the retracted arrivals by
+// retraction instant, ties by arrival index.
+func retractionOrder(arrivals []Arrival) []int {
+	var order []int
+	for i, a := range arrivals {
+		if a.RetractAt > 0 {
+			order = append(order, i)
+		}
+	}
+	slices.SortStableFunc(order, func(i, j int) int {
+		return cmp.Compare(arrivals[i].RetractAt, arrivals[j].RetractAt)
+	})
+	return order
+}
+
+// edgeAt is the instant of outage edge k: interval k/2's start for even
+// k, its end for odd k.
+func edgeAt(outages []dist.Interval, k int) time.Duration {
+	if k%2 == 0 {
+		return outages[k/2].Start
+	}
+	return outages[k/2].End
 }
 
 // Compare runs the on-line baseline and the given policy over the same

@@ -212,6 +212,19 @@ func (v *Virtual) RunUntil(t time.Time) {
 	v.now = t
 }
 
+// RunBefore runs every callback scheduled strictly before the given
+// instant, then advances the clock to it without running the callbacks
+// due at it: a driver can feed its own inputs at t ahead of them.
+func (v *Virtual) RunBefore(t time.Time) {
+	if t.Before(v.now) {
+		return
+	}
+	for len(v.events) > 0 && v.events[0].at.Before(t) {
+		v.Step()
+	}
+	v.now = t
+}
+
 // Advance is RunUntil(Now()+d).
 func (v *Virtual) Advance(d time.Duration) {
 	if d < 0 {

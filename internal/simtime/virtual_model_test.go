@@ -15,6 +15,7 @@ type clock interface {
 	ScheduleAt(at time.Time, fn func()) Timer
 	Pending() int
 	Step() bool
+	RunBefore(t time.Time)
 }
 
 // refClock is the reference scheduler: a flat list searched for the least
@@ -58,10 +59,8 @@ func (e *refEvent) Cancel() bool {
 	return true
 }
 
-func (c *refClock) Step() bool {
-	if len(c.pending) == 0 {
-		return false
-	}
+// least is the index of the pending event with the least (at, seq).
+func (c *refClock) least() int {
 	best := 0
 	for i, e := range c.pending {
 		b := c.pending[best]
@@ -69,6 +68,14 @@ func (c *refClock) Step() bool {
 			best = i
 		}
 	}
+	return best
+}
+
+func (c *refClock) Step() bool {
+	if len(c.pending) == 0 {
+		return false
+	}
+	best := c.least()
 	e := c.pending[best]
 	c.pending = slices.Delete(c.pending, best, best+1)
 	c.now = e.at
@@ -76,15 +83,29 @@ func (c *refClock) Step() bool {
 	return true
 }
 
+func (c *refClock) RunBefore(t time.Time) {
+	if t.Before(c.now) {
+		return
+	}
+	for len(c.pending) > 0 && c.pending[c.least()].at.Before(t) {
+		c.Step()
+	}
+	c.now = t
+}
+
 // runProgram drives one seeded random program of Schedule, ScheduleAt and
-// Cancel calls, some issued from inside callbacks, and logs every firing
-// with its clock, every Cancel result and Pending() before every step. The
+// Cancel calls, some issued from inside callbacks, interleaved with
+// RunBefore calls, and logs every firing with its clock, every Cancel
+// result, Pending() before every step and Now() after every RunBefore.
+// RunBefore targets an instant some timer was scheduled for (often still
+// pending, so a tie) or one half a millisecond past it (between). The
 // program's choices depend only on the seed and on the order callbacks
 // fire in, so two schedulers with the same order produce the same log.
 func runProgram(c clock, seed int64) (log []string, timers []Timer) {
 	rng := rand.New(rand.NewSource(seed))
 	far := t0.AddDate(300, 0, 0) // past the int64-nanosecond range from t0
 	instants := []time.Time{far, far.Add(time.Nanosecond), t0.AddDate(1000, 0, 0), t0.AddDate(-1, 0, 0)}
+	var ats []time.Time // every instant a timer was scheduled for
 	cancel := func(where string) {
 		if len(timers) > 0 {
 			k := rng.Intn(len(timers))
@@ -104,19 +125,26 @@ func runProgram(c clock, seed int64) (log []string, timers []Timer) {
 			}
 		}
 		var t Timer
+		at := c.Now()
 		switch rng.Intn(8) {
 		case 0:
 			t = c.Schedule(0, fn)
 		case 1:
 			t = c.Schedule(-time.Second, fn)
 		case 2:
-			t = c.ScheduleAt(instants[rng.Intn(len(instants))], fn)
+			at = instants[rng.Intn(len(instants))]
+			t = c.ScheduleAt(at, fn)
 		case 3, 4:
-			t = c.Schedule(time.Duration(rng.Intn(3))*time.Second, fn)
+			d := time.Duration(rng.Intn(3)) * time.Second
+			at = at.Add(d)
+			t = c.Schedule(d, fn)
 		default:
-			t = c.Schedule(time.Duration(rng.Intn(5000))*time.Millisecond, fn)
+			d := time.Duration(rng.Intn(5000)) * time.Millisecond
+			at = at.Add(d)
+			t = c.Schedule(d, fn)
 		}
 		timers = append(timers, t)
+		ats = append(ats, at)
 	}
 	for i := 0; i < 300; i++ {
 		schedule()
@@ -124,6 +152,14 @@ func runProgram(c clock, seed int64) (log []string, timers []Timer) {
 	for {
 		if rng.Intn(6) == 0 {
 			cancel("outside")
+		}
+		if rng.Intn(5) == 0 {
+			at := ats[rng.Intn(len(ats))]
+			if rng.Intn(2) == 0 {
+				at = at.Add(500 * time.Microsecond)
+			}
+			c.RunBefore(at)
+			log = append(log, fmt.Sprintf("run before %s: now %s", at.Format(time.RFC3339Nano), c.Now().Format(time.RFC3339Nano)))
 		}
 		log = append(log, fmt.Sprintf("pending %d", c.Pending()))
 		if !c.Step() {
@@ -135,7 +171,9 @@ func runProgram(c clock, seed int64) (log []string, timers []Timer) {
 // TestVirtualMatchesReference: Virtual's typed heap fires exactly the
 // reference's (at, seq) order, including same-instant runs, cancels from
 // inside callbacks, and instants too far from the origin for an int64
-// nanosecond key, and every Timer refuses a Cancel once fired or cancelled.
+// nanosecond key; RunBefore stops short of the callbacks due at its
+// instant and leaves the clock there, as the reference does; and every
+// Timer refuses a Cancel once fired or cancelled.
 func TestVirtualMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		got, timers := runProgram(NewVirtual(t0), seed)
