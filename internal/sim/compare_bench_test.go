@@ -8,7 +8,8 @@ import (
 
 // BenchmarkCompareYear is one comparison of the sim-year benchmark: the
 // unified policy against the on-line baseline over one virtual year at 50 %
-// outage. The scenario replays without a scheduled event per input, so
+// outage. The scenario replays without a scheduled event per input and
+// hands each arrival straight to the proxy from one note slab per run, so
 // nearly all of it is the proxy's and device's ranked queues and the timers
 // the proxy arms.
 func BenchmarkCompareYear(b *testing.B) {
@@ -30,10 +31,10 @@ func BenchmarkCompareYear(b *testing.B) {
 
 // TestCompareAllocs holds one 60-day unified comparison to an allocation
 // budget: a count, not a timing, so it means the same on any machine. The
-// replay itself allocates a fixed handful per run; a per-input closure or
-// event would add thousands.
+// replay itself allocates a fixed handful per run; a per-input closure,
+// event or note copy would add thousands.
 func TestCompareAllocs(t *testing.T) {
-	const budget = 10600
+	const budget = 2110
 	cfg := goldenConfig(1, false)
 	sc := mustScenario(t, cfg)
 	policy := core.UnifiedConfig(TopicName, cfg.Max)

@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+
+	"lasthop/internal/msg"
 )
 
 // scenarioFile is the on-disk shape, versioned for forward compatibility.
@@ -76,15 +78,22 @@ func LoadScenarioFile(path string) (Scenario, error) {
 }
 
 // validateShape rejects scenarios whose event streams are malformed (out
-// of order, outside the horizon, or retracting a notification no later
-// than its arrival): the replay trusts the sort order, and each error
-// names the offending index.
+// of order, outside the horizon, ranked outside [msg.MinRank,
+// msg.MaxRank], or retracting a notification no later than its arrival):
+// the replay trusts the sort order and hands arrivals to the proxy with no
+// admission check of its own, and each error names the offending index.
 func (s Scenario) validateShape() error {
 	if err := s.Cfg.Validate(); err != nil {
 		return err
 	}
 	horizon := s.Cfg.Horizon
+	// A broker's other admission checks hold by construction: every
+	// arrival gets a distinct ID (arrivalIDs) on the one topic the run
+	// sets up.
 	for i, a := range s.Arrivals {
+		if !validRank(a.Rank) {
+			return fmt.Errorf("arrival %d rank %v outside [%v, %v]", i, a.Rank, float64(msg.MinRank), float64(msg.MaxRank))
+		}
 		if a.At < 0 || a.At >= horizon {
 			return fmt.Errorf("arrival %d at %v outside horizon %v", i, a.At, horizon)
 		}
@@ -96,6 +105,9 @@ func (s Scenario) validateShape() error {
 		}
 		if a.RetractAt < 0 || a.RetractAt > 0 && a.RetractAt <= a.At {
 			return fmt.Errorf("arrival %d retracted at %v, not after its arrival at %v", i, a.RetractAt, a.At)
+		}
+		if a.RetractAt > 0 && !validRank(a.RetractTo) {
+			return fmt.Errorf("arrival %d retracted to rank %v outside [%v, %v]", i, a.RetractTo, float64(msg.MinRank), float64(msg.MaxRank))
 		}
 	}
 	for i, r := range s.Reads {
@@ -116,3 +128,7 @@ func (s Scenario) validateShape() error {
 	}
 	return nil
 }
+
+// validRank reports whether r lies in [msg.MinRank, msg.MaxRank]; NaN
+// does not.
+func validRank(r float64) bool { return r >= msg.MinRank && r <= msg.MaxRank }

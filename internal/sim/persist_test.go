@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -85,12 +86,19 @@ func TestLoadScenarioRejectsGarbage(t *testing.T) {
 	if _, err := LoadScenario(strings.NewReader(bad2)); err == nil {
 		t.Error("out-of-order reads accepted")
 	}
+	// A rank outside [msg.MinRank, msg.MaxRank].
+	bad3 := `{"version":1,"scenario":{"Cfg":{"Horizon":100000,"EventsPerDay":1,"ReadsPerDay":1},` +
+		`"Arrivals":[{"At":5,"Rank":1001}],"Reads":null,"Outages":null}}`
+	if _, err := LoadScenario(strings.NewReader(bad3)); err == nil {
+		t.Error("out-of-range rank accepted")
+	}
 }
 
 // TestRunRejectsMalformedScenario: every run validates its scenario, since
-// the replay trusts the streams' order, and the error names the index. A
-// retraction no later than its own arrival would otherwise fail mid-run
-// as a rank update for an unknown notification.
+// the replay trusts the streams' order and hands arrivals straight to the
+// proxy, and the error names the index. A retraction no later than its own
+// arrival would otherwise be dropped as a rank update for an unknown
+// notification, and an out-of-range rank would reach Figure 7 unchecked.
 func TestRunRejectsMalformedScenario(t *testing.T) {
 	valid := func() Scenario {
 		return Scenario{
@@ -110,6 +118,9 @@ func TestRunRejectsMalformedScenario(t *testing.T) {
 		{"negative retraction", "arrival 0", func(s *Scenario) { s.Arrivals[0].RetractAt = -time.Minute }},
 		{"retraction at its arrival", "arrival 1", func(s *Scenario) { s.Arrivals[1].RetractAt = 2 * time.Hour }},
 		{"retraction before its arrival", "arrival 1", func(s *Scenario) { s.Arrivals[1].RetractAt = time.Minute }},
+		{"rank above the maximum", "arrival 0", func(s *Scenario) { s.Arrivals[0].Rank = 1001 }},
+		{"NaN rank", "arrival 1", func(s *Scenario) { s.Arrivals[1].Rank = math.NaN() }},
+		{"negative retracted rank", "arrival 1", func(s *Scenario) { s.Arrivals[1].RetractTo = -1 }},
 	}
 	if _, err := Run(valid(), core.OnlineConfig(TopicName)); err != nil {
 		t.Fatalf("valid scenario: %v", err)

@@ -14,7 +14,6 @@ import (
 	"lasthop/internal/link"
 	"lasthop/internal/metrics"
 	"lasthop/internal/msg"
-	"lasthop/internal/pubsub"
 	"lasthop/internal/simtime"
 	"lasthop/internal/stats"
 	"lasthop/internal/trace"
@@ -95,8 +94,9 @@ func Run(sc Scenario, policy core.TopicConfig) (Result, error) {
 
 // RunTraced is Run with an event tracer recording the run's timeline
 // (arrivals, transfers, reads, retractions, link transitions). A nil
-// tracer records nothing. A scenario whose streams are out of order or
-// outside its horizon is rejected before anything runs.
+// tracer records nothing. A scenario whose streams are out of order,
+// outside its horizon or ranked outside [msg.MinRank, msg.MaxRank] is
+// rejected before anything runs.
 func RunTraced(sc Scenario, policy core.TopicConfig, tr trace.Tracer) (Result, error) {
 	if err := sc.validateShape(); err != nil {
 		return Result{}, fmt.Errorf("run: %w", err)
@@ -131,23 +131,6 @@ func RunTraced(sc Scenario, policy core.TopicConfig, tr trace.Tracer) (Result, e
 		return Result{}, fmt.Errorf("run: %w", err)
 	}
 
-	broker := pubsub.NewBroker("sim/broker")
-	if err := broker.Advertise(TopicName, publisherName); err != nil {
-		return Result{}, fmt.Errorf("run: %w", err)
-	}
-	subscription := msg.Subscription{
-		Topic:      TopicName,
-		Subscriber: "sim/proxy",
-		Options: msg.SubscriptionOptions{
-			Max:       cfg.Max,
-			Threshold: cfg.RankThreshold,
-			Mode:      policy.Mode,
-		},
-	}
-	if err := broker.Subscribe(subscription, proxy.Subscriber()); err != nil {
-		return Result{}, fmt.Errorf("run: %w", err)
-	}
-
 	// Replay the scenario in one pass over its sorted streams; no input
 	// is a scheduled event. At each input instant RunBefore first runs
 	// the timers due strictly before it, then the inputs fire in a fixed
@@ -157,9 +140,11 @@ func RunTraced(sc Scenario, policy core.TopicConfig, tr trace.Tracer) (Result, e
 	// them. The run stops one nanosecond before the horizon so an outage
 	// ending exactly at the boundary (the 100% downtime case) cannot
 	// flush the queues in a final instant the paper's year never contains.
+	// The proxy keeps each note it is handed and revises its rank in
+	// place, so every arrival gets its own element of one slab per run.
 	ids := arrivalIDs(len(sc.Arrivals))
 	retracts := retractionOrder(sc.Arrivals)
-	note := msg.Notification{Topic: TopicName, Publisher: publisherName}
+	notes := make([]msg.Notification, len(sc.Arrivals))
 	var ai, ri, rdi, ei int
 	for {
 		at := cfg.Horizon
@@ -187,24 +172,19 @@ func RunTraced(sc Scenario, policy core.TopicConfig, tr trace.Tracer) (Result, e
 				At: now, Kind: trace.KindRetract,
 				Topic: TopicName, ID: update.ID, Rank: update.NewRank,
 			})
-			if err := broker.PublishRankUpdate(update); err != nil {
-				return Result{}, fmt.Errorf("run: %w", err)
-			}
+			proxy.ApplyRankUpdate(update)
 		}
 		for ; ai < len(sc.Arrivals) && sc.Arrivals[ai].At == at; ai++ {
-			a := &sc.Arrivals[ai]
-			// The broker hands the proxy a clone: one note serves all.
-			note.ID, note.Rank, note.Published, note.Expires = ids[ai], a.Rank, now, time.Time{}
+			a, n := &sc.Arrivals[ai], &notes[ai]
+			*n = msg.Notification{ID: ids[ai], Topic: TopicName, Publisher: publisherName, Rank: a.Rank, Published: now}
 			if a.Lifetime > 0 {
-				note.Expires = now.Add(a.Lifetime)
+				n.Expires = now.Add(a.Lifetime)
 			}
 			trace.Record(tr, trace.Event{
 				At: now, Kind: trace.KindArrival,
-				Topic: TopicName, ID: note.ID, Rank: note.Rank,
+				Topic: TopicName, ID: n.ID, Rank: n.Rank,
 			})
-			if err := broker.Publish(&note); err != nil {
-				return Result{}, fmt.Errorf("run: %w", err)
-			}
+			proxy.Notify(n)
 		}
 		for ; rdi < len(sc.Reads) && sc.Reads[rdi] == at; rdi++ {
 			batch, err := dev.Read(TopicName, cfg.Max)
