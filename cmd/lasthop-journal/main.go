@@ -18,7 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"time"
 
@@ -85,23 +84,6 @@ func warnf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "lasthop-journal: "+format+"\n", args...)
 }
 
-// workerDirs resolves the directories to scan: dir itself when it holds
-// segments directly, otherwise its worker-* subdirectories.
-func workerDirs(dir string) ([]string, error) {
-	if segs, err := spool.ListSegments(dir); err == nil && len(segs) > 0 {
-		return []string{dir}, nil
-	}
-	subs, err := filepath.Glob(filepath.Join(dir, "worker-*"))
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(subs)
-	if len(subs) == 0 {
-		return nil, fmt.Errorf("no spool segments or worker-* directories under %s", dir)
-	}
-	return subs, nil
-}
-
 // sessionChain accumulates one session's spool chain during a scan: the
 // latest snapshot wins (compaction may leave older duplicates), deltas
 // after it count toward the replay backlog, and a newer tombstone ends
@@ -117,7 +99,7 @@ type sessionChain struct {
 // listSpool prints every spooled session with its topics and Figure 7
 // queue depths, decoded from the latest snapshot.
 func listSpool(dir string) error {
-	dirs, err := workerDirs(dir)
+	dirs, err := spool.SegmentDirs(dir)
 	if err != nil {
 		return err
 	}
@@ -186,49 +168,21 @@ func listSpool(dir string) error {
 	return nil
 }
 
-// verifySpool re-reads every record of every segment, which re-checks
-// each record's CRC, and reports the per-segment tallies. Torn or
-// corrupt regions are warned about by the scan itself; the command fails
-// if any segment held no readable records despite being non-empty.
+// verifySpool checksum-verifies every record and prints the
+// per-segment tallies; any corrupt record fails the command, a torn
+// tail does not.
 func verifySpool(dir string) error {
-	dirs, err := workerDirs(dir)
+	tallies, err := spool.Verify(dir)
+	records := 0
+	for _, t := range tallies {
+		fmt.Printf("%s  %d records (%d snapshots, %d deltas, %d tombstones)  %d payload bytes\n",
+			t.Path, t.Records, t.Kinds[spool.KindSnapshot], t.Kinds[spool.KindDelta], t.Kinds[spool.KindTombstone], t.Bytes)
+		records += t.Records
+	}
 	if err != nil {
 		return err
 	}
-	totalRecords, totalSegments := 0, 0
-	failed := false
-	for _, d := range dirs {
-		segs, err := spool.ListSegments(d)
-		if err != nil {
-			return err
-		}
-		for _, seg := range segs {
-			records, bytes := 0, int64(0)
-			kinds := make(map[spool.Kind]int)
-			err := spool.ScanSegment(seg, 0, warnf, func(_ spool.Loc, r spool.Record) error {
-				records++
-				bytes += int64(len(r.Payload) + len(r.Meta))
-				kinds[r.Kind]++
-				return nil
-			})
-			if err != nil {
-				return err
-			}
-			fi, statErr := os.Stat(seg)
-			if statErr == nil && fi.Size() > 0 && records == 0 {
-				failed = true
-				warnf("%s: %d bytes but no readable records", seg, fi.Size())
-			}
-			fmt.Printf("%s  %d records (%d snapshots, %d deltas, %d tombstones)  %d payload bytes\n",
-				seg, records, kinds[spool.KindSnapshot], kinds[spool.KindDelta], kinds[spool.KindTombstone], bytes)
-			totalRecords += records
-			totalSegments++
-		}
-	}
-	fmt.Printf("%d records across %d segments verified\n", totalRecords, totalSegments)
-	if failed {
-		return fmt.Errorf("verification found unreadable segments")
-	}
+	fmt.Printf("%d records across %d segments verified\n", records, len(tallies))
 	return nil
 }
 

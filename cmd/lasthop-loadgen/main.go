@@ -10,14 +10,6 @@
 //	lasthop-loadgen -publishers 8 -devices 16 -n 20000
 //	lasthop-loadgen -devices 4 -on-demand -payload 512 -out run.json
 //	lasthop-loadgen -multi-tenant -devices 1000 -topics 100 -n 50000
-//	lasthop-loadgen -recovery -devices 10000 -topics 500 -n 100000 -spool-dir /tmp/spool
-//
-// With -recovery the run becomes the kill/restart chaos drill: every
-// session subscribes and disconnects (at most -concurrent connected at
-// once), half the load is published into hibernated sessions, the host
-// is killed abruptly and restarted on the same spool, the rest is
-// published, and the devices reconnect in waves to read everything back.
-// The report's "recovered" and "lost" fields gate zero-loss recovery.
 //
 // With -scenario the run executes one entry of the regression scenario
 // atlas (or all of them) instead of a throughput sweep: a phase-scripted
@@ -27,6 +19,7 @@
 //
 //	lasthop-loadgen -list-scenarios
 //	lasthop-loadgen -scenario flash-crowd
+//	lasthop-loadgen -scenario kill-restart -scenario-scale 50
 //	lasthop-loadgen -scenario all -scenario-scale 4 -out verdicts.json
 package main
 
@@ -61,12 +54,10 @@ func run() error {
 		onDemand   = flag.Bool("on-demand", false, "consume with READ requests instead of on-line pushes")
 		multi      = flag.Bool("multi-tenant", false, "run every device against one shared host instead of one proxy per device")
 		hostWk     = flag.Int("host-workers", 0, "host worker count in multi-tenant mode (0 = GOMAXPROCS)")
-		recovery   = flag.Bool("recovery", false, "run the kill/restart chaos drill instead of a plain throughput run (implies -multi-tenant -on-demand)")
-		spoolDir   = flag.String("spool-dir", "", "hibernation spool directory for the multi-tenant host (empty = hibernation off; -recovery uses a temp dir)")
+		spoolDir   = flag.String("spool-dir", "", "hibernation spool directory for the multi-tenant host (empty = hibernation off)")
 		hibAfter   = flag.Duration("hibernate-after", 0, "spool disconnected sessions after this long (0 = default)")
 		commitEv   = flag.Duration("spool-commit-every", 0, "spool group-commit interval (0 = default)")
 		spoolFsync = flag.String("spool-fsync", "", "spool fsync policy: always, commit, or never (empty = commit)")
-		concurrent = flag.Int("concurrent", 0, "max simultaneously connected devices in the -recovery drill (0 = 5% of -devices)")
 		timeout    = flag.Duration("timeout", time.Minute, "abort the run after this long")
 		out        = flag.String("out", "", "write the JSON report here (default stdout)")
 		quiet      = flag.Bool("q", false, "suppress progress logging")
@@ -111,23 +102,13 @@ func run() error {
 		HibernateAfter:   *hibAfter,
 		SpoolCommitEvery: *commitEv,
 		SpoolFsync:       *spoolFsync,
-		Concurrent:       *concurrent,
 		ObsAddr:          *obsAddr,
 		Linger:           *linger,
 		Timeout:          *timeout,
 		Logf:             logf,
 		TraceSample:      *traceSample,
-		BundleDir:        os.Getenv("LASTHOP_BUNDLE_DIR"),
 	}
-	var (
-		rep *loadgen.Report
-		err error
-	)
-	if *recovery {
-		rep, err = loadgen.RunRecovery(cfg)
-	} else {
-		rep, err = loadgen.Run(cfg)
-	}
+	rep, err := loadgen.Run(cfg)
 	if err != nil {
 		return err
 	}

@@ -8,7 +8,7 @@ import (
 	"lasthop/internal/wire"
 )
 
-// Atlas returns the five CI-able regression scenarios, each targeting one
+// Atlas returns the CI-able regression scenarios, each targeting one
 // failure mode of the last-hop pipeline at its downscaled CI size (Scale 1
 // finishes in seconds; full-size runs multiply via ScenarioOptions.Scale).
 // The definitions are functions of nothing so every caller gets a fresh,
@@ -20,13 +20,15 @@ func Atlas() []Scenario {
 		rankStorm(),
 		remapChurn(),
 		quietFlood(),
+		killRestart(),
 	}
 }
 
 // FindScenario returns the named atlas entry.
 func FindScenario(name string) (Scenario, error) {
-	names := make([]string, 0, 5)
-	for _, sc := range Atlas() {
+	atlas := Atlas()
+	names := make([]string, 0, len(atlas))
+	for _, sc := range atlas {
 		if sc.Name == name {
 			return sc, nil
 		}
@@ -189,6 +191,43 @@ func quietFlood() Scenario {
 			MaxDuplicates: 0,
 			MaxWastePct:   100, // staged overflow beyond the cap retires unread by design
 			CapPerDevice:  3,
+		},
+	}
+}
+
+// killRestart: the crash the spool exists for. The whole population
+// hibernates, half the load lands on disk as deltas, the host is killed
+// outright and restarted on the same spool, the rest lands in the
+// recovered sessions, and every device reconnects and reads back
+// everything it was owed. Topics are pure on-demand, so nothing
+// transfers before a READ and the spool chain is the only copy across
+// the kill. At scale 1 it is the 200-device, 20-topic, ~4,000-publish
+// drill that once exposed a first-contact deadlock.
+func killRestart() Scenario {
+	return Scenario{
+		Name:        "kill-restart",
+		Description: "Hibernate every session, spool half the load, kill the host and restart it on the same spool, spool the rest, then reconnect and drain.",
+		FailureMode: "Spool recovery losing sessions or deltas across a crash: a session missing after the restart, an owed notification never read, or replay redelivering what was already consumed.",
+		Seed:        1006,
+		Devices:     200,
+		Topics:      20,
+		OnDemand:    true,
+		Spool:       true,
+		Policy:      wire.TopicPolicy{Mode: "on-demand", Policy: "on-demand"},
+		Phases: []Phase{
+			{Name: "hibernate", DisconnectPct: 1.0, AwaitHibernate: true},
+			{Name: "first-half", PublishMean: 100, AwaitSpooled: true},
+			{Name: "crash", KillRestart: true, PublishMean: 100, AwaitSpooled: true},
+			{Name: "drain", ReconnectAll: true, DrainReads: true},
+		},
+		Budget: Budget{
+			MaxLost: 0,
+			// The runner holds every KillRestart scenario to one duplicate
+			// per ten deliveries; this ceiling is that bound for the
+			// ~40,000 deliveries owed at scale 1.
+			MaxDuplicates: 4000,
+			MaxWastePct:   1,
+			MinReadPct:    95,
 		},
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"lasthop/internal/msg"
 	"lasthop/internal/obs"
 	"lasthop/internal/pubsub"
+	"lasthop/internal/spool"
 	"lasthop/internal/trace"
 	"lasthop/internal/wire"
 )
@@ -80,23 +81,17 @@ type Config struct {
 	// SpoolDir enables session hibernation on the multi-tenant host:
 	// disconnected sessions serialize into a write-ahead spool under this
 	// directory after HibernateAfter and are rebuilt on reconnect or
-	// restart. RunRecovery requires a spool; it creates a temporary one
-	// when this is empty.
+	// restart.
 	SpoolDir string `json:"spoolDir,omitempty"`
 	// HibernateAfter is how long a disconnected session lingers in memory
-	// before spooling. Zero means the host default (1 minute) in Run and
-	// a fast drill default (100ms) in RunRecovery.
+	// before spooling. Zero means the host default (1 minute).
 	HibernateAfter time.Duration `json:"-"`
 	// SpoolCommitEvery is the spool group-commit interval. Zero means the
-	// host default (100ms) in Run and 20ms in RunRecovery.
+	// host default (100ms).
 	SpoolCommitEvery time.Duration `json:"-"`
 	// SpoolFsync selects spool durability: "always", "commit", or
 	// "never". Empty means commit.
 	SpoolFsync string `json:"spoolFsync,omitempty"`
-	// Concurrent bounds how many device connections the phased recovery
-	// drill keeps open at once — the paper's "small connected fraction"
-	// regime. Zero means 5% of Devices, clamped to [1, 256].
-	Concurrent int `json:"concurrent,omitempty"`
 	// ObsAddr, when set, serves /metrics, /healthz, /debug/pprof, and
 	// /debug/traces for the whole topology on this address for the
 	// duration of the run.
@@ -119,10 +114,6 @@ type Config struct {
 	Timeout time.Duration `json:"-"`
 	// Logf receives progress diagnostics; nil silences them.
 	Logf func(string, ...any) `json:"-"`
-	// BundleDir, when set, receives a post-mortem flight bundle if the
-	// run fails or a stall watchdog trips (the CLI wires it from
-	// LASTHOP_BUNDLE_DIR). Empty disables bundle dumps.
-	BundleDir string `json:"-"`
 	// Registry receives every layer's metric families; nil creates a
 	// private one. Tests pass their own to assert on the scrape.
 	Registry *obs.Registry `json:"-"`
@@ -159,6 +150,27 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// hostOptions translates the loadgen spool knobs into host.Options,
+// validating the fsync policy string.
+func (c Config) hostOptions(brokerAddr string, wm *wire.Metrics, collector *trace.Collector) (host.Options, error) {
+	fsync, err := spool.ParseFsyncPolicy(c.SpoolFsync)
+	if err != nil {
+		return host.Options{}, err
+	}
+	return host.Options{
+		BrokerAddr:       brokerAddr,
+		Name:             "lg-host",
+		Workers:          c.HostWorkers,
+		Metrics:          wm,
+		Trace:            collector,
+		Logf:             c.Logf,
+		SpoolDir:         c.SpoolDir,
+		HibernateAfter:   c.HibernateAfter,
+		SpoolCommitEvery: c.SpoolCommitEvery,
+		SpoolFsync:       fsync,
+	}, nil
+}
+
 // Report is the outcome of one run.
 type Report struct {
 	Config Config `json:"config"`
@@ -174,13 +186,6 @@ type Report struct {
 	// value is a duplicate delivery — the multi-tenant fan-out must keep
 	// this at zero.
 	Duplicates int `json:"duplicates"`
-
-	// Recovered and Lost are set by RunRecovery: sessions rebuilt from
-	// the spool after the mid-run kill, and notifications a device was
-	// owed but never received before the deadline. A correct spool keeps
-	// Lost at zero; duplicates are permitted but bounded.
-	Recovered int `json:"recovered,omitempty"`
-	Lost      int `json:"lost,omitempty"`
 
 	// PublishSeconds is the wall-clock time until the last publish was
 	// acknowledged; DeliverSeconds until the last device delivery.
@@ -237,7 +242,7 @@ type Report struct {
 	TraceConservation string  `json:"traceConservation,omitempty"`
 
 	// Verdict is the budget comparison of a scenario run (RunScenario
-	// only; nil for plain Run / RunRecovery reports).
+	// only; nil for plain Run reports).
 	Verdict *Verdict `json:"verdict,omitempty"`
 
 	// Collector holds the run's completed traces for JSONL export

@@ -1,15 +1,16 @@
 // Scenario atlas: a phase-based workload DSL over the real broker → host →
 // device topology, built to *find bugs* rather than measure throughput.
 // Each Scenario names a sequence of Phases — Poisson publish bursts,
-// subscribe/unsubscribe churn, disconnect/hibernate/reconnect herds, and
-// faultnet-scripted network pathologies — and declares a Budget over the
-// trace collector's terminal outcomes. RunScenario executes the phases,
-// drains every device, and reduces the run to a machine-readable Verdict:
-// the regression oracle behind `lasthop-loadgen -scenario` and
-// scripts/check_scenarios.sh.
+// subscribe/unsubscribe churn, disconnect/hibernate/reconnect herds, host
+// kill/restart, and faultnet-scripted network pathologies — and declares
+// a Budget over the trace collector's terminal outcomes. RunScenario
+// executes the phases, drains every device, and reduces the run to a
+// machine-readable Verdict: the regression oracle behind
+// `lasthop-loadgen -scenario` and scripts/check_scenarios.sh.
 package loadgen
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -26,6 +27,7 @@ import (
 	"lasthop/internal/msg"
 	"lasthop/internal/obs"
 	"lasthop/internal/pubsub"
+	"lasthop/internal/spool"
 	"lasthop/internal/trace"
 	"lasthop/internal/wire"
 )
@@ -50,7 +52,8 @@ type Scenario struct {
 	// OnDemand switches devices to §3.5 READ consumption.
 	OnDemand bool `json:"onDemand"`
 	// Spool enables host-side hibernation (required by scenarios that
-	// disconnect devices and expect sessions to survive on disk).
+	// disconnect devices and expect sessions to survive on disk). After
+	// the run the spool must verify: a corrupt record fails the verdict.
 	Spool bool `json:"spool"`
 	// Policy is the subscription every device asserts; zero Mode derives
 	// from OnDemand. QuietCap, when positive, overrides Policy with an
@@ -65,9 +68,10 @@ type Scenario struct {
 }
 
 // Phase is one named stage of a scenario. Its actions run in a fixed
-// order: network faults, disconnects, hibernation wait, reconnect herd,
-// then traffic (publishing, with remap churn concurrent when both are
-// set), then the waits and the read drain.
+// order: network faults, disconnects, hibernation wait, host
+// kill/restart, reconnect herd, then traffic (publishing, with remap
+// churn concurrent when both are set), then the waits and the read
+// drain.
 type Phase struct {
 	Name string `json:"name"`
 
@@ -84,6 +88,14 @@ type Phase struct {
 	DisconnectPct float64 `json:"disconnectPct,omitempty"`
 	// AwaitHibernate waits until every detached session has spooled.
 	AwaitHibernate bool `json:"awaitHibernate,omitempty"`
+	// KillRestart crashes the host (host.Kill: no shutdown path runs) and
+	// starts a new one on the same spool behind a fresh listener; the
+	// restart must recover every session hibernated at the kill. A
+	// scenario with this phase needs Spool, and its run is also held to
+	// the drill's delivery gates: every device reads every distinct ID
+	// published to its topic, and duplicates stay within a tenth of the
+	// deliveries.
+	KillRestart bool `json:"killRestart,omitempty"`
 	// RefuseConnects scripts faultnet to refuse the next N connection
 	// attempts, so a reconnect herd slams into refusals first.
 	RefuseConnects int `json:"refuseConnects,omitempty"`
@@ -202,15 +214,23 @@ type scenarioRun struct {
 	policy   wire.TopicPolicy
 	quietEnd time.Time
 
-	h        *host.Host
+	hostOpts host.Options
+	h        *host.Host // the live host; a KillRestart replaces it
 	flis     *faultnet.Listener
 	hostAddr string
+	watchdog *flight.Watchdog
 	pubs     []*wire.BrokerClient
 	devices  []*scenarioDevice
 
 	seq          int   // next notification index
 	published    []int // distinct IDs published per topic, cumulative
 	disconnected int
+
+	// probes are the live host's stall probes. The watchdog goroutine
+	// reads them through probeMu, so a KillRestart can swap them without
+	// the watchdog ever checking the killed host.
+	probeMu sync.Mutex
+	probes  []flight.Probe
 
 	failMu   sync.Mutex
 	failures []string // runner-side budget violations
@@ -232,10 +252,34 @@ func (r *scenarioRun) takeFailures() []string {
 	return append([]string(nil), r.failures...)
 }
 
+// ErrKillWithoutSpool rejects a scenario with a KillRestart phase but no
+// spool: nothing would survive the kill for the restart to recover.
+var ErrKillWithoutSpool = errors.New("loadgen: a KillRestart phase needs a spooling scenario")
+
+// killsHost reports whether any phase kills and restarts the host.
+func (sc Scenario) killsHost() bool {
+	for _, ph := range sc.Phases {
+		if ph.KillRestart {
+			return true
+		}
+	}
+	return false
+}
+
+// hostProbeMax bounds a worker heartbeat gap and a pending spool commit
+// before the watchdog trips. Generous, since CI machines stutter: only a
+// genuine stall, not load, can reach it.
+const hostProbeMax = 10 * time.Second
+
 // RunScenario executes one atlas entry and returns its report with the
 // Verdict filled in. The error return covers harness breakage (dial
-// failures, timeouts); budget violations land in the verdict instead.
+// failures, timeouts, a malformed scenario, a restart that recovers
+// fewer sessions than were hibernated); budget violations land in the
+// verdict instead.
 func RunScenario(sc Scenario, opts ScenarioOptions) (*Report, error) {
+	if sc.killsHost() && !sc.Spool {
+		return nil, fmt.Errorf("scenario %s: %w", sc.Name, ErrKillWithoutSpool)
+	}
 	scale := opts.Scale
 	if scale <= 0 {
 		scale = 1
@@ -296,7 +340,6 @@ func RunScenario(sc Scenario, opts ScenarioOptions) (*Report, error) {
 		Logf:             logf,
 		HibernateAfter:   100 * time.Millisecond,
 		SpoolCommitEvery: 15 * time.Millisecond,
-		SpoolFsync:       "never",
 	}
 	if sc.Spool {
 		dir, err := os.MkdirTemp("", "lasthop-scenario-*")
@@ -311,21 +354,6 @@ func RunScenario(sc Scenario, opts ScenarioOptions) (*Report, error) {
 		return nil, err
 	}
 	hostOpts.Name = "sc-host"
-	h, err := host.New(hostOpts)
-	if err != nil {
-		return nil, fmt.Errorf("host: %w", err)
-	}
-	defer h.Close()
-	h.RegisterMetrics(reg, "sc-host")
-
-	// Every device connection runs through the fault injector, so phases
-	// can script partitions, cuts, and refusals against the real wire.
-	hlis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	flis := faultnet.Wrap(hlis, faultnet.Options{Seed: int64(sc.Seed) + 1})
-	go func() { _ = h.Serve(flis) }()
 
 	r := &scenarioRun{
 		sc:        sc,
@@ -337,9 +365,7 @@ func RunScenario(sc Scenario, opts ScenarioOptions) (*Report, error) {
 		wm:        wm,
 		reg:       reg,
 		latency:   latency,
-		h:         h,
-		flis:      flis,
-		hostAddr:  hlis.Addr().String(),
+		hostOpts:  hostOpts,
 		published: make([]int, sc.Topics),
 	}
 	r.topics = make([]string, sc.Topics)
@@ -348,14 +374,21 @@ func RunScenario(sc Scenario, opts ScenarioOptions) (*Report, error) {
 	}
 	r.policy = r.resolvePolicy()
 
+	// Every device connection runs through the fault injector, so phases
+	// can script partitions, cuts, and refusals against the real wire.
+	if err := r.startHost(); err != nil {
+		return nil, err
+	}
+	defer r.teardown()
+	r.h.RegisterMetrics(reg, "sc-host")
+
 	// The stall watchdog mirrors production wiring: a wedged worker
 	// loop, spool group commit, or egress flusher during the run dumps a
 	// post-mortem bundle and fails the verdict with the bundle path
-	// attached. Bounds are generous — CI machines stutter — so only a
-	// genuine stall, not load, can trip. The watchdog closes before the
-	// host tears down so shutdown never masquerades as a stall.
-	watchdog := flight.NewWatchdog(250 * time.Millisecond)
-	watchdog.OnTrip(func(trips []flight.Trip) {
+	// attached. teardown closes it before the host, so shutdown never
+	// masquerades as a stall.
+	r.watchdog = flight.NewWatchdog(250 * time.Millisecond)
+	r.watchdog.OnTrip(func(trips []flight.Trip) {
 		path := ""
 		if opts.BundleDir != "" {
 			o := flight.BundleOptions{
@@ -381,30 +414,17 @@ func RunScenario(sc Scenario, opts ScenarioOptions) (*Report, error) {
 			}
 		}
 	})
-	watchdog.Register(h.Probes(10*time.Second, 10*time.Second)...)
-	watchdog.Register(wire.FlusherStallProbe(10*time.Second, 1))
-	watchdog.Start()
-	defer watchdog.Close()
-
-	defer func() {
-		for _, d := range r.devices {
-			d.close()
-		}
-		for _, p := range r.pubs {
-			_ = p.Close()
-		}
-	}()
+	r.watchdog.Register(r.liveHostProbes()...)
+	r.watchdog.Register(wire.FlusherStallProbe(hostProbeMax, 1))
+	r.watchdog.Start()
 
 	start := time.Now()
 	if err := r.connectDevices(devices); err != nil {
 		return nil, err
 	}
-	pubs, closePubs, err := dialPublishers(Config{Publishers: 2}, blis.Addr().String(), wm, r.topics)
-	if err != nil {
+	if err := r.dialPublishers(blis.Addr().String()); err != nil {
 		return nil, err
 	}
-	r.pubs = pubs
-	defer closePubs()
 
 	for _, ph := range sc.Phases {
 		if err := r.runPhase(ph); err != nil {
@@ -453,7 +473,15 @@ func RunScenario(sc Scenario, opts ScenarioOptions) (*Report, error) {
 		rep.DeliverPerSec = float64(rep.Delivered) / s
 	}
 	finishTraces(rep, collector)
-	watchdog.Close()
+	if sc.killsHost() {
+		r.checkKillRestart(delivered, duplicates)
+	}
+	r.teardown()
+	if sc.Spool {
+		if _, err := spool.Verify(hostOpts.SpoolDir); err != nil {
+			r.failf("spool verification: %v", err)
+		}
+	}
 	v := sc.Budget.Evaluate(sc.Name, rep, r.takeFailures())
 	v.ElapsedSeconds = elapsed.Seconds()
 	rep.Verdict = &v
@@ -472,9 +500,127 @@ func RunScenario(sc Scenario, opts ScenarioOptions) (*Report, error) {
 			logf("scenario %s failed: flight bundle at %s", sc.Name, p)
 		}
 	}
-	logf("scenario %s: %s (%d published, %d delivered, outcomes %v)",
-		sc.Name, passWord(v.Pass), total, delivered, rep.TraceOutcomes)
+	rate := fmt.Sprintf("%.0f/s", rep.DeliverPerSec)
+	if floor := sc.Budget.MinDeliverPerSec; floor > 0 {
+		rate += fmt.Sprintf(", floor %.0f/s", floor)
+	}
+	logf("scenario %s: %s (%d published, %d delivered at %s, outcomes %v)",
+		sc.Name, passWord(v.Pass), total, delivered, rate, rep.TraceOutcomes)
 	return rep, nil
+}
+
+// startHost boots a host on the run's options behind a fresh
+// fault-injecting listener and makes it the live one.
+func (r *scenarioRun) startHost() error {
+	h, err := host.New(r.hostOpts)
+	if err != nil {
+		return fmt.Errorf("host: %w", err)
+	}
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		h.Close()
+		return err
+	}
+	flis := faultnet.Wrap(lis, faultnet.Options{Seed: int64(r.sc.Seed) + 1})
+	go func() { _ = h.Serve(flis) }()
+	r.h, r.flis, r.hostAddr = h, flis, lis.Addr().String()
+	r.probeMu.Lock()
+	r.probes = h.Probes(hostProbeMax, hostProbeMax)
+	r.probeMu.Unlock()
+	return nil
+}
+
+// liveHostProbes returns one watchdog probe per stall probe of the host,
+// each checking its counterpart on whichever host is live. The watchdog
+// cannot drop a registration, and a restarted host has the same workers
+// under the same options, so the probes stay aligned across a restart.
+func (r *scenarioRun) liveHostProbes() []flight.Probe {
+	r.probeMu.Lock()
+	probes := append([]flight.Probe(nil), r.probes...)
+	r.probeMu.Unlock()
+	for i := range probes {
+		probes[i].Check = func() error {
+			r.probeMu.Lock()
+			p := r.probes[i]
+			r.probeMu.Unlock()
+			return p.Check()
+		}
+	}
+	return probes
+}
+
+// teardown closes the watchdog, the device and publisher clients, and
+// the live host, in that order. It is idempotent: RunScenario calls it
+// before verifying the spool and again on every return path.
+func (r *scenarioRun) teardown() {
+	if r.watchdog != nil {
+		r.watchdog.Close()
+	}
+	for _, d := range r.devices {
+		if d != nil {
+			d.close()
+		}
+	}
+	for _, p := range r.pubs {
+		_ = p.Close()
+	}
+	r.h.Close()
+}
+
+// dialPublishers connects the run's two publishers, each advertising
+// every topic under the shared "loadgen" identity.
+func (r *scenarioRun) dialPublishers(brokerAddr string) error {
+	for i := 0; i < 2; i++ {
+		pub, err := wire.DialBrokerOpts(brokerAddr, fmt.Sprintf("lg-pub-%d", i), wire.ClientOptions{Metrics: r.wm})
+		if err != nil {
+			return fmt.Errorf("publisher %d: %w", i, err)
+		}
+		r.pubs = append(r.pubs, pub)
+		for _, t := range r.topics {
+			if err := pub.Advertise(t, "loadgen"); err != nil {
+				return fmt.Errorf("advertise %s: %w", t, err)
+			}
+		}
+	}
+	return nil
+}
+
+// killRestart crashes the live host and restarts it on the same spool.
+// A restart that recovers fewer sessions than were hibernated at the
+// kill ends the run: the rest of the script would only wait out the
+// deadline for deltas the missing sessions can never spool.
+func (r *scenarioRun) killRestart() error {
+	want := r.h.Lifecycle().Hibernated
+	r.h.Kill()
+	if err := r.startHost(); err != nil {
+		return fmt.Errorf("restart after kill: %w", err)
+	}
+	got := r.h.Lifecycle().Hibernated
+	r.logf("scenario %s: killed the host; the restart recovered %d of %d hibernated sessions", r.sc.Name, got, want)
+	if got != want {
+		return fmt.Errorf("restart recovered %d of %d hibernated sessions", got, want)
+	}
+	return nil
+}
+
+// checkKillRestart applies the kill/restart drill's delivery gates: every
+// device read every distinct ID published to its topic, from both sides
+// of the kill, and redelivery stayed within a tenth of the deliveries.
+func (r *scenarioRun) checkKillRestart(delivered, duplicates int) {
+	unread := 0
+	for _, d := range r.devices {
+		d.mu.Lock()
+		if owed := r.published[d.topicIdx%r.sc.Topics]; len(d.seen) < owed {
+			unread += owed - len(d.seen)
+		}
+		d.mu.Unlock()
+	}
+	if unread > 0 {
+		r.failf("%d owed notifications never read across the kill", unread)
+	}
+	if duplicates > delivered/10 {
+		r.failf("%d duplicates for %d deliveries, bound one per ten", duplicates, delivered)
+	}
 }
 
 func passWord(pass bool) string {
@@ -600,6 +746,11 @@ func (r *scenarioRun) runPhase(ph Phase) error {
 			return err
 		}
 	}
+	if ph.KillRestart {
+		if err := r.killRestart(); err != nil {
+			return err
+		}
+	}
 	if ph.RefuseConnects > 0 {
 		r.flis.RefuseNext(ph.RefuseConnects)
 	}
@@ -640,11 +791,6 @@ func (r *scenarioRun) runPhase(ph Phase) error {
 		if err := r.revise(ph, phaseIDs); err != nil {
 			return err
 		}
-	}
-	if ph.Duration == 0 && ph.PublishMean == 0 && ph.Name != "" &&
-		!ph.DrainReads && !ph.AwaitPushes && !ph.AwaitSpooled && !ph.AwaitQuietEnd {
-		// A pure marker phase: nothing else to do.
-		_ = publishedThisPhase
 	}
 	if ph.Duration > 0 && ph.PublishMean == 0 {
 		time.Sleep(ph.Duration) // settle phase
@@ -1052,4 +1198,15 @@ func (r *scenarioRun) drainReads() error {
 	}
 	wg.Wait()
 	return first
+}
+
+// waitUntil polls cond until it holds or the deadline passes.
+func waitUntil(deadline time.Time, what string, cond func() bool) error {
+	for !cond() {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("timeout waiting for %s", what)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	return nil
 }

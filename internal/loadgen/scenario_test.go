@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -196,8 +197,15 @@ func TestBudgetEvaluate(t *testing.T) {
 
 // TestAtlasWellFormed keeps every atlas entry self-consistent without
 // running it: unique names, a documented failure mode, a zero lost
-// budget, and at least one publishing phase.
+// budget, at least one publishing phase, and a spool under every host
+// kill. RunScenario itself rejects a kill without a spool before any
+// topology starts.
 func TestAtlasWellFormed(t *testing.T) {
+	bad := Scenario{Name: "kill-no-spool", Devices: 1, Topics: 1, Phases: []Phase{{Name: "crash", KillRestart: true}}}
+	if _, err := RunScenario(bad, ScenarioOptions{}); !errors.Is(err, ErrKillWithoutSpool) {
+		t.Errorf("RunScenario(KillRestart without Spool) = %v, want ErrKillWithoutSpool", err)
+	}
+
 	seen := map[string]bool{}
 	for _, sc := range Atlas() {
 		if sc.Name == "" || seen[sc.Name] {
@@ -221,6 +229,9 @@ func TestAtlasWellFormed(t *testing.T) {
 		}
 		if !published {
 			t.Errorf("scenario %s: no phase publishes anything", sc.Name)
+		}
+		if sc.killsHost() && !sc.Spool {
+			t.Errorf("scenario %s: kills the host without a spool", sc.Name)
 		}
 		if _, err := FindScenario(sc.Name); err != nil {
 			t.Errorf("FindScenario(%s): %v", sc.Name, err)

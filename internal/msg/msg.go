@@ -219,20 +219,6 @@ func (t *TraceContext) WithHop(node string, at time.Time) *TraceContext {
 	return &c
 }
 
-// HopAt returns the timestamp of the first hop recorded by the named
-// node, or the zero time when the node never stamped the context.
-func (t *TraceContext) HopAt(node string) time.Time {
-	if t == nil {
-		return time.Time{}
-	}
-	for _, h := range t.Hops {
-		if h.Node == node {
-			return time.Unix(0, h.At)
-		}
-	}
-	return time.Time{}
-}
-
 // NeverExpires reports whether the notification has no expiration.
 func (n *Notification) NeverExpires() bool { return n.Expires.IsZero() }
 

@@ -234,11 +234,6 @@ func NewWallWheel(tick time.Duration) *Wheel {
 	return w
 }
 
-// Tick returns the wheel's resolution, which bounds how late a callback
-// can fire relative to its requested instant (one tick in manual mode,
-// two in live mode).
-func (w *Wheel) Tick() time.Duration { return time.Duration(w.tickNs) }
-
 // Now returns the wall clock (live mode) or the simulated instant (manual
 // mode).
 func (w *Wheel) Now() time.Time {

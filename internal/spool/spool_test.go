@@ -243,6 +243,51 @@ func TestScanSkipsCorruptRemainder(t *testing.T) {
 	}
 }
 
+// TestVerifyFailsOnCorruptRecord: a byte flipped in the second of three
+// records fails Verify with ErrCorrupt at that record's offset, where the
+// recovery scan only warns and drops the remainder. A torn tail alone
+// still verifies.
+func TestVerifyFailsOnCorruptRecord(t *testing.T) {
+	dir := t.TempDir()
+	w := testWriter(t, Options{Dir: dir, Fsync: FsyncNever})
+	var locs []Loc
+	for i, name := range []string{"first", "second", "third"} {
+		loc, err := w.Append(rec(name, KindSnapshot, fmt.Sprint(i)), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		locs = append(locs, loc)
+	}
+	w.Abort()
+	if tallies, err := Verify(dir); err != nil || len(tallies) != 1 || tallies[0].Records != 3 {
+		t.Fatalf("intact spool: tallies %+v, err %v; want 3 records, no error", tallies, err)
+	}
+
+	data, err := os.ReadFile(locs[0].Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := data[:len(data)-1]
+	if err := os.WriteFile(locs[0].Path, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if tallies, err := Verify(dir); err != nil || tallies[0].Records != 2 {
+		t.Fatalf("torn tail: tallies %+v, err %v; want 2 records, no error", tallies, err)
+	}
+
+	data[locs[1].Offset+headerSize+2] ^= 0xFF
+	if err := os.WriteFile(locs[0].Path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Verify(dir)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("corrupt second record: err = %v, want ErrCorrupt", err)
+	}
+	if want := fmt.Sprintf("offset %d", locs[1].Offset); !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not name %s", err, want)
+	}
+}
+
 func TestAppendRejectsOversizedRecord(t *testing.T) {
 	w := testWriter(t, Options{MaxRecordBytes: 128})
 	if _, err := w.Append(rec("big", KindSnapshot, strings.Repeat("x", 256)), nil); !errors.Is(err, ErrTooLarge) {
