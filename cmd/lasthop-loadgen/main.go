@@ -162,7 +162,7 @@ func runScenarios(name string, scale float64, timeout time.Duration, out string,
 			BundleDir: os.Getenv("LASTHOP_BUNDLE_DIR"),
 		})
 		if err != nil {
-			return fmt.Errorf("scenario %s: %w", sc.Name, err)
+			return err // names the scenario already
 		}
 		if !rep.Verdict.Pass {
 			failed++

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"lasthop/internal/msg"
+	"lasthop/internal/rankedq"
 )
 
 // checkInvariants asserts the proxy's structural invariants for a topic.
@@ -22,64 +23,114 @@ func checkInvariants(t *testing.T, p *Proxy, topic string, step int) {
 	}
 	now := p.sched.Now()
 
-	// 1. The three queues are pairwise disjoint.
-	inOutgoing := ts.outgoing.IDSet()
-	inPrefetch := ts.prefetch.IDSet()
-	inHolding := ts.holding.IDSet()
-	if x := inOutgoing.Intersect(inPrefetch); x.Len() != 0 {
-		t.Fatalf("step %d: outgoing ∩ prefetch = %v", step, x)
+	// 0. The table: the ring holds len(ids) handles, no more than the
+	// history limit; every slot holds a notification indexed under its
+	// handle; the capacity past the ring is zeroed; and the counts kept
+	// beside the entries agree with them.
+	if len(ts.slots) != len(ts.ids) || len(ts.ents) != len(ts.slots) {
+		t.Fatalf("step %d: %d slots and %d entries for %d IDs", step, len(ts.slots), len(ts.ents), len(ts.ids))
 	}
-	if x := inOutgoing.Intersect(inHolding); x.Len() != 0 {
-		t.Fatalf("step %d: outgoing ∩ holding = %v", step, x)
+	if limit := ts.cfg.HistoryLimit; limit > 0 && (len(ts.slots) > limit || ts.head != 0 && len(ts.slots) < limit) {
+		t.Fatalf("step %d: ring of %d with head %d under limit %d", step, len(ts.slots), ts.head, limit)
 	}
-	if x := inPrefetch.Intersect(inHolding); x.Len() != 0 {
-		t.Fatalf("step %d: prefetch ∩ holding = %v", step, x)
+	for h, s := range ts.slots {
+		if s.N == nil || ts.ids[s.N.ID] != int32(h) {
+			t.Fatalf("step %d: slot %d holds %v, not indexed under it", step, h, s.N)
+		}
+	}
+	for h, s := range ts.slots[len(ts.slots):cap(ts.slots)] {
+		if s != (rankedq.Slot{}) {
+			t.Fatalf("step %d: free slot %d not zeroed", step, len(ts.slots)+h)
+		}
+	}
+	for h, e := range ts.ents[len(ts.ents):cap(ts.ents)] {
+		if e != (entry{}) {
+			t.Fatalf("step %d: free entry %d not zeroed: %+v", step, len(ts.ents)+h, e)
+		}
+	}
+	forwarded, armed, delayed := 0, 0, 0
+	for _, e := range ts.ents {
+		if e.fwd {
+			forwarded++
+		}
+		if e.armed {
+			armed++
+		}
+		if e.at == inDelay {
+			delayed++
+		}
+		if e.client {
+			t.Fatalf("step %d: client mark left behind", step)
+		}
+	}
+	if forwarded != ts.forwarded || armed != ts.expiry.Len() || delayed != len(ts.delays) {
+		t.Fatalf("step %d: %d forwarded (count %d), %d armed (heap %d), %d delayed (timers %d)",
+			step, forwarded, ts.forwarded, armed, ts.expiry.Len(), delayed, len(ts.delays))
+	}
+
+	// 1. Each entry's stage matches the heap that holds its handle, so
+	// the three queues are pairwise disjoint.
+	queued := map[stage][]int32{}
+	for _, s := range []stage{inOutgoing, inPrefetch, inHolding} {
+		q := &ts.queues[s]
+		queued[s] = q.AppendBest(nil, q.Len())
+		n := 0
+		for _, e := range ts.ents {
+			if e.at == s {
+				n++
+			}
+		}
+		if n != q.Len() {
+			t.Fatalf("step %d: %d entries in %s, heap holds %d", step, n, stageNames[s], q.Len())
+		}
+		for _, h := range queued[s] {
+			if ts.ents[h].at != s {
+				t.Fatalf("step %d: %s heap holds %s, which is in %q", step, stageNames[s], ts.slots[h].N.ID, stageNames[ts.ents[h].at])
+			}
+		}
 	}
 
 	// 2. Delayed events are in no queue.
-	for id := range ts.delayed {
-		if inOutgoing.Contains(id) || inPrefetch.Contains(id) || inHolding.Contains(id) {
-			t.Fatalf("step %d: delayed event %s also queued", step, id)
+	for h := range ts.delays {
+		if ts.ents[h].at != inDelay {
+			t.Fatalf("step %d: delayed event %s is in %q", step, ts.slots[h].N.ID, stageNames[ts.ents[h].at])
 		}
 	}
 
 	// 3. No expired event sits in any queue (expiry timers are exact in
 	// virtual time).
-	for _, q := range []*msg.IDSet{&inOutgoing, &inPrefetch, &inHolding} {
-		for id := range *q {
-			n, ok := ts.known[id]
-			if !ok {
-				t.Fatalf("step %d: queued event %s unknown", step, id)
-			}
-			if n.Expired(now) {
-				t.Fatalf("step %d: expired event %s still queued", step, id)
+	for _, hs := range queued {
+		for _, h := range hs {
+			if ts.slots[h].N.Expired(now) {
+				t.Fatalf("step %d: expired event %s still queued", step, ts.slots[h].N.ID)
 			}
 		}
 	}
 
 	// 4. Forwarded events never sit in prefetch or holding (outgoing is
 	// allowed: rank-revision signals).
-	for id := range ts.forwarded {
-		if inPrefetch.Contains(id) || inHolding.Contains(id) {
-			t.Fatalf("step %d: forwarded event %s still prefetchable", step, id)
+	for h, e := range ts.ents {
+		if e.fwd && (e.at == inPrefetch || e.at == inHolding) {
+			t.Fatalf("step %d: forwarded event %s still prefetchable", step, ts.slots[h].N.ID)
 		}
 	}
 
-	// 5. Every queued event is remembered by the history.
-	for _, set := range []msg.IDSet{inOutgoing, inPrefetch, inHolding} {
-		for id := range set {
-			if !ts.history.Contains(id) {
-				t.Fatalf("step %d: queued event %s not in history", step, id)
+	// 5. Every queued event is remembered by the history: its handle
+	// indexes a live slot.
+	for _, hs := range queued {
+		for _, h := range hs {
+			if int(h) >= len(ts.slots) {
+				t.Fatalf("step %d: queued handle %d past a ring of %d", step, h, len(ts.slots))
 			}
 		}
 	}
 
 	// 6. Below-threshold events are never queued for prefetch; holding
 	// and prefetch entries all meet the rank threshold.
-	for _, set := range []msg.IDSet{inPrefetch, inHolding} {
-		for id := range set {
-			if ts.known[id].Rank < ts.cfg.RankThreshold {
-				t.Fatalf("step %d: below-threshold event %s queued", step, id)
+	for _, s := range []stage{inPrefetch, inHolding} {
+		for _, h := range queued[s] {
+			if ts.slots[h].N.Rank < ts.cfg.RankThreshold {
+				t.Fatalf("step %d: below-threshold event %s queued", step, ts.slots[h].N.ID)
 			}
 		}
 	}
@@ -92,12 +143,12 @@ func checkInvariants(t *testing.T, p *Proxy, topic string, step int) {
 	// 8. The network gate: with the network up and the Buffer policy,
 	// the prefetch queue only retains events when the view is at the
 	// limit (otherwise try_forwarding would have drained more).
-	if p.networkUp && ts.cfg.Policy == Buffer && ts.prefetch.Len() > 0 && ts.queueSize < ts.prefetchLimit {
+	if p.networkUp && ts.cfg.Policy == Buffer && ts.queues[inPrefetch].Len() > 0 && ts.queueSize < ts.prefetchLimit {
 		t.Fatalf("step %d: prefetch stalled with room (view %d < limit %d, %d queued)",
-			step, ts.queueSize, ts.prefetchLimit, ts.prefetch.Len())
+			step, ts.queueSize, ts.prefetchLimit, ts.queues[inPrefetch].Len())
 	}
 	// 9. With the network up the outgoing queue is always drained.
-	if p.networkUp && ts.outgoing.Len() > 0 {
+	if p.networkUp && ts.queues[inOutgoing].Len() > 0 {
 		t.Fatalf("step %d: outgoing not drained while network up", step)
 	}
 }
@@ -155,6 +206,12 @@ func TestProxyInvariantsUnderRandomOps(t *testing.T) {
 			cfg := UnifiedConfig("t", 8)
 			cfg.RankThreshold = 3
 			cfg.Delay = 5 * time.Minute
+			return cfg
+		}(),
+		"buffer-short-history": func() TopicConfig {
+			cfg := BufferConfig("t", 8, 16)
+			cfg.HistoryLimit = 16
+			cfg.RankThreshold = 3
 			return cfg
 		}(),
 	}

@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"lasthop/internal/msg"
-	"lasthop/internal/rankedq"
 	"lasthop/internal/stats"
 )
 
@@ -35,10 +35,10 @@ func (p *Proxy) Export() *ProxySnapshot {
 		ts := p.topics[name]
 		st := msg.TopicState{
 			Topic:         name,
-			Outgoing:      ts.outgoing.IDs(),
-			Prefetch:      ts.prefetch.IDs(),
-			Holding:       ts.holding.IDs(),
-			History:       ts.history.IDs(),
+			Outgoing:      ts.queues[inOutgoing].IDs(),
+			Prefetch:      ts.queues[inPrefetch].IDs(),
+			Holding:       ts.queues[inHolding].IDs(),
+			History:       make([]msg.ID, 0, len(ts.slots)),
 			QueueSize:     ts.queueSize,
 			PrefetchLimit: ts.prefetchLimit,
 			ExpThreshold:  ts.expThreshold,
@@ -52,28 +52,31 @@ func (p *Proxy) Export() *ProxySnapshot {
 			OnlineDay:     ts.onlineDay,
 			OnlineSent:    ts.onlineSent,
 		}
-		for id, t := range ts.delayed {
-			st.Delayed = append(st.Delayed, msg.DelayedEntry{ID: id, FireAt: t.fireAt, Quiet: t.quiet})
+		for h, t := range ts.delays {
+			st.Delayed = append(st.Delayed, msg.DelayedEntry{ID: ts.slots[h].N.ID, FireAt: t.fireAt, Quiet: t.quiet})
 		}
 		sort.Slice(st.Delayed, func(i, j int) bool { return st.Delayed[i].ID < st.Delayed[j].ID })
-		// History order carries the content list so Import can replay
-		// remember() calls and reproduce the same eviction order.
-		for _, id := range st.History {
-			n, ok := ts.known[id]
-			if !ok {
-				continue // history and known are kept in lockstep; be safe
-			}
+		// History order, oldest first from the ring's head, carries the
+		// content list so Import can replay remember() calls and
+		// reproduce the same eviction order.
+		for i := range ts.slots {
+			h := (int(ts.head) + i) % len(ts.slots)
+			n := ts.slots[h].N
+			st.History = append(st.History, n.ID)
 			st.Notifications = append(st.Notifications, n)
 			if n.Trace != nil {
 				if st.Traces == nil {
 					st.Traces = make(map[msg.ID]*msg.TraceContext)
 				}
-				st.Traces[id] = n.Trace
+				st.Traces[n.ID] = n.Trace
+			}
+			if ts.ents[h].fwd {
+				st.Forwarded = append(st.Forwarded, n.ID)
 			}
 		}
-		st.Forwarded = sortedIDs(ts.forwarded)
+		slices.Sort(st.Forwarded)
 		st.ExpiryArmed = ts.expiry.IDs()
-		sort.Slice(st.ExpiryArmed, func(i, j int) bool { return st.ExpiryArmed[i] < st.ExpiryArmed[j] })
+		slices.Sort(st.ExpiryArmed)
 		snap.Topics = append(snap.Topics, TopicDurable{Config: ts.cfg, State: st})
 	}
 	return snap
@@ -90,18 +93,6 @@ func exportInterval(ia *stats.IntervalAverage) msg.IntervalSnapshot {
 		Last:    last,
 		HasLast: hasLast,
 	}
-}
-
-func sortedIDs(set msg.IDSet) []msg.ID {
-	if len(set) == 0 {
-		return nil
-	}
-	out := make([]msg.ID, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Import rebuilds the proxy from a snapshot. The proxy must be freshly
@@ -137,48 +128,59 @@ func (p *Proxy) Import(snap *ProxySnapshot) error {
 			if !ok {
 				return fmt.Errorf("import: topic %q history ID %s has no content", st.Topic, id)
 			}
+			if _, dup := ts.ids[id]; dup {
+				return fmt.Errorf("import: topic %q history ID %s listed twice", st.Topic, id)
+			}
 			p.remember(ts, n)
 		}
+		// Every other list names remembered IDs, and no ID waits in two
+		// stages.
+		lookup := func(what string, id msg.ID, staging bool) (int32, error) {
+			h, ok := ts.ids[id]
+			switch {
+			case !ok:
+				return h, fmt.Errorf("import: topic %q %s ID %s not in history", st.Topic, what, id)
+			case staging && ts.ents[h].at != nowhere:
+				return h, fmt.Errorf("import: topic %q %s ID %s already %s", st.Topic, what, id, stageNames[ts.ents[h].at])
+			}
+			return h, nil
+		}
 		for _, id := range st.Forwarded {
-			ts.forwarded.Add(id)
+			h, err := lookup("forwarded", id, false)
+			if err != nil {
+				return err
+			}
+			ts.setForwarded(h, true)
 		}
 		for _, q := range []struct {
-			ids  []msg.ID
-			dst  *rankedq.Queue
-			name string
-		}{
-			{st.Outgoing, ts.outgoing, "outgoing"},
-			{st.Prefetch, ts.prefetch, "prefetch"},
-			{st.Holding, ts.holding, "holding"},
-		} {
+			ids []msg.ID
+			at  stage
+		}{{st.Outgoing, inOutgoing}, {st.Prefetch, inPrefetch}, {st.Holding, inHolding}} {
+			what := stageNames[q.at] + " queue"
 			for _, id := range q.ids {
-				n, ok := ts.known[id]
-				if !ok {
-					return fmt.Errorf("import: topic %q %s queue ID %s not in history", st.Topic, q.name, id)
+				h, err := lookup(what, id, true)
+				if err != nil {
+					return err
 				}
-				p.mustPush(q.dst, n)
+				ts.push(h, q.at)
 			}
 		}
 		for _, e := range st.Delayed {
-			id := e.ID
-			if _, ok := ts.known[id]; !ok {
-				return fmt.Errorf("import: topic %q delayed ID %s not in history", st.Topic, id)
+			h, err := lookup("delayed", e.ID, true)
+			if err != nil {
+				return err
 			}
-			d := e.FireAt.Sub(now) // Schedule clamps negatives to zero
-			var t delayedTimer
-			if e.Quiet {
-				t = delayedTimer{timer: p.sched.Schedule(d, func() { p.quietTimeout(ts, id) }), fireAt: e.FireAt, quiet: true}
-			} else {
-				t = delayedTimer{timer: p.sched.Schedule(d, func() { p.delayTimeout(ts, id) }), fireAt: e.FireAt}
-			}
-			ts.delayed[id] = t
+			p.delay(ts, h, e.FireAt.Sub(now), e.FireAt, e.Quiet) // Schedule clamps negatives to zero
 		}
 		for _, id := range st.ExpiryArmed {
-			n, ok := ts.known[id]
-			if !ok {
-				return fmt.Errorf("import: topic %q expiry ID %s not in history", st.Topic, id)
+			h, err := lookup("expiry", id, false)
+			if err != nil {
+				return err
 			}
-			_ = ts.expiry.Add(n)
+			if !ts.ents[h].armed && !ts.slots[h].N.NeverExpires() {
+				ts.ents[h].armed = true
+				ts.expiry.Push(h)
+			}
 		}
 		p.armExpiry(ts)
 
@@ -221,11 +223,7 @@ func restoreInterval(is msg.IntervalSnapshot, fallbackSize int) *stats.IntervalA
 // (or after the scheduler has fully quiesced).
 func (p *Proxy) Shutdown() {
 	for _, ts := range p.topics {
-		ts.clearTimers()
-		for id, n := range ts.known {
-			delete(ts.known, id)
-			p.releaseNote(n)
-		}
+		p.drop(ts)
 	}
 	p.topics = make(map[string]*topicState)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -109,7 +110,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 	// The trace context survived through the sidecar.
 	ts2 := p2.topics["buf"]
-	n, ok := ts2.known["b3"]
+	h, ok := ts2.ids["b3"]
+	n := ts2.slots[h].N
 	if !ok || n.Trace == nil || n.Trace.TraceID != "trace-b3" {
 		t.Errorf("trace context lost: %+v", n)
 	}
@@ -166,14 +168,33 @@ func TestImportRejectsNonEmptyProxy(t *testing.T) {
 	}
 }
 
+// TestImportRejectsDanglingQueueID: every ID a snapshot lists beside the
+// history must be in it, and no ID may wait in two stages. A forwarded ID
+// outside the history would make the next Resume report a loss of a
+// notification the proxy never held.
 func TestImportRejectsDanglingQueueID(t *testing.T) {
-	snap := &ProxySnapshot{Topics: []TopicDurable{{
-		Config: OnDemandConfig("t", 4),
-		State:  msg.TopicState{Topic: "t", Outgoing: []msg.ID{"ghost"}},
-	}}}
-	p := New(newTestClock(t0), &fakeDevice{})
-	if err := p.Import(snap); err == nil {
-		t.Error("dangling queue ID accepted")
+	known := &msg.Notification{ID: "a", Topic: "t", Rank: 5, Published: t0}
+	for _, c := range []struct {
+		name string
+		st   msg.TopicState
+		want string
+	}{
+		{"queue", msg.TopicState{Outgoing: []msg.ID{"ghost"}}, "outgoing queue ID ghost not in history"},
+		{"forwarded", msg.TopicState{Forwarded: []msg.ID{"ghost"}}, "forwarded ID ghost not in history"},
+		{"delayed", msg.TopicState{Delayed: []msg.DelayedEntry{{ID: "ghost", FireAt: t0}}}, "delayed ID ghost not in history"},
+		{"two queues", msg.TopicState{Prefetch: []msg.ID{"a"}, Holding: []msg.ID{"a"}}, "holding queue ID a already prefetch"},
+		{"history twice", msg.TopicState{History: []msg.ID{"a", "a"}}, "history ID a listed twice"},
+	} {
+		c.st.Topic = "t"
+		if len(c.st.History) == 0 {
+			c.st.History = []msg.ID{"a"}
+		}
+		c.st.Notifications = []*msg.Notification{known}
+		snap := &ProxySnapshot{Topics: []TopicDurable{{Config: OnDemandConfig("t", 4), State: c.st}}}
+		p := New(newTestClock(t0), &fakeDevice{})
+		if err := p.Import(snap); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Import = %v, want an error containing %q", c.name, err, c.want)
+		}
 	}
 }
 

@@ -83,11 +83,11 @@ func TestLateTimeoutAfterRemoveTopicIsNoop(t *testing.T) {
 	// Late fires against the removed topic's state.
 	f.proxy.delayTimeout(ts, "x")
 	f.proxy.quietTimeout(ts, "x")
-	f.proxy.expirationTimeout(ts, "x")
+	f.proxy.expiryTimeout(ts)
 
-	if ts.prefetch.Len() != 0 || ts.outgoing.Len() != 0 {
+	if ts.queues[inPrefetch].Len() != 0 || ts.queues[inOutgoing].Len() != 0 {
 		t.Fatalf("late timeout mutated removed topic: prefetch=%d outgoing=%d",
-			ts.prefetch.Len(), ts.outgoing.Len())
+			ts.queues[inPrefetch].Len(), ts.queues[inOutgoing].Len())
 	}
 	if after := f.proxy.Stats(); after != before {
 		t.Fatalf("late timeout changed stats: %+v -> %+v", before, after)

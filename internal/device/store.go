@@ -22,6 +22,7 @@ type Store struct {
 	capacity  int     // unread notifications kept per topic; zero means unbounded
 	threshold float64 // rank threshold of topics nobody configured
 	topics    map[string]*topicStore
+	offer     []*msg.Notification // Offer's scratch
 }
 
 type topicStore struct {
@@ -180,11 +181,12 @@ func (s *Store) Offer(topic string, n int) msg.ReadRequest {
 	if haveN == 0 || haveN > q.Len() {
 		haveN = q.Len()
 	}
-	have := q.BestN(haveN)
-	ids := make([]msg.ID, 0, len(have))
-	for _, h := range have {
-		ids = append(ids, h.ID)
+	s.offer = q.AppendBestN(s.offer[:0], haveN)
+	ids := make([]msg.ID, len(s.offer))
+	for i, h := range s.offer {
+		ids[i] = h.ID
 	}
+	clear(s.offer)
 	return msg.ReadRequest{Topic: topic, N: n, QueueSize: q.Len(), ClientEvents: ids}
 }
 

@@ -275,10 +275,15 @@ const hostProbeMax = 10 * time.Second
 // Verdict filled in. The error return covers harness breakage (dial
 // failures, timeouts, a malformed scenario, a restart that recovers
 // fewer sessions than were hibernated); budget violations land in the
-// verdict instead.
-func RunScenario(sc Scenario, opts ScenarioOptions) (*Report, error) {
+// verdict instead. Every error names the scenario once.
+func RunScenario(sc Scenario, opts ScenarioOptions) (rep *Report, err error) {
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("scenario %s: %w", sc.Name, err)
+		}
+	}()
 	if sc.killsHost() && !sc.Spool {
-		return nil, fmt.Errorf("scenario %s: %w", sc.Name, ErrKillWithoutSpool)
+		return nil, ErrKillWithoutSpool
 	}
 	scale := opts.Scale
 	if scale <= 0 {
@@ -428,7 +433,7 @@ func RunScenario(sc Scenario, opts ScenarioOptions) (*Report, error) {
 
 	for _, ph := range sc.Phases {
 		if err := r.runPhase(ph); err != nil {
-			return nil, fmt.Errorf("scenario %s, phase %s: %w", sc.Name, ph.Name, err)
+			return nil, fmt.Errorf("phase %s: %w", ph.Name, err)
 		}
 	}
 
@@ -450,7 +455,7 @@ func RunScenario(sc Scenario, opts ScenarioOptions) (*Report, error) {
 	for _, n := range r.published {
 		total += n
 	}
-	rep := &Report{
+	rep = &Report{
 		Config: Config{
 			Devices:       len(r.devices),
 			Topics:        sc.Topics,

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"lasthop/internal/trace"
+	"lasthop/internal/wire"
 )
 
 // runAtlasScenario executes one atlas entry at CI scale and applies the
@@ -235,6 +236,26 @@ func TestAtlasWellFormed(t *testing.T) {
 		}
 		if _, err := FindScenario(sc.Name); err != nil {
 			t.Errorf("FindScenario(%s): %v", sc.Name, err)
+		}
+	}
+}
+
+// TestScenarioErrorNamesScenarioOnce: an error RunScenario returns names
+// the scenario exactly once, whether the topology raised it before any
+// phase ran (a subscription the host refuses) or the up-front spool check
+// did.
+func TestScenarioErrorNamesScenarioOnce(t *testing.T) {
+	for _, sc := range []Scenario{
+		{Name: "bad-mode", Devices: 1, Topics: 1, Policy: wire.TopicPolicy{Mode: "sideways"},
+			Phases: []Phase{{Name: "never", PublishMean: 1}}},
+		{Name: "kill-no-spool", Devices: 1, Topics: 1, Phases: []Phase{{Name: "crash", KillRestart: true}}},
+	} {
+		_, err := RunScenario(sc, ScenarioOptions{Timeout: 10 * time.Second})
+		if err == nil {
+			t.Fatalf("%s: RunScenario succeeded", sc.Name)
+		}
+		if n := strings.Count(err.Error(), "scenario "+sc.Name); n != 1 {
+			t.Errorf("%s: error names the scenario %d times: %v", sc.Name, n, err)
 		}
 	}
 }

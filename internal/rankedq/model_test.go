@@ -15,52 +15,52 @@ import (
 // notification's ID, the heap is in rank order, and the free list holds
 // exactly the slots no position refers to.
 func checkQueue(q *Queue) error {
-	h := &q.h
-	if len(h.index) != h.size {
-		return fmt.Errorf("%d index entries for %d queued", len(h.index), h.size)
+	a, h := &q.ids, &q.h
+	size := len(h.heap)
+	if len(a.index) != size {
+		return fmt.Errorf("%d index entries for %d queued", len(a.index), size)
 	}
-	if h.size > len(h.slots) {
-		return fmt.Errorf("%d queued in an arena of %d", h.size, len(h.slots))
+	if size > len(a.slots) {
+		return fmt.Errorf("%d queued in an arena of %d", size, len(a.slots))
 	}
-	live := make([]bool, len(h.slots))
-	for i := range h.size {
-		hd := h.slots[i].heap
-		if hd < 0 || int(hd) >= len(h.slots) {
-			return fmt.Errorf("position %d holds handle %d outside an arena of %d", i, hd, len(h.slots))
+	live := make([]bool, len(a.slots))
+	for i, hd := range h.heap {
+		if hd < 0 || int(hd) >= len(a.slots) {
+			return fmt.Errorf("position %d holds handle %d outside an arena of %d", i, hd, len(a.slots))
 		}
 		if live[hd] {
 			return fmt.Errorf("handle %d at two positions", hd)
 		}
 		live[hd] = true
-		s := h.slots[hd]
+		s := a.slots[hd]
 		switch {
-		case s.n == nil:
+		case s.N == nil:
 			return fmt.Errorf("position %d holds empty slot %d", i, hd)
 		case s.pos != int32(i):
 			return fmt.Errorf("slot %d records position %d, sits at %d", hd, s.pos, i)
-		case h.index[s.n.ID] != hd:
-			return fmt.Errorf("%s indexed at handle %d, sits in %d", s.n.ID, h.index[s.n.ID], hd)
-		case i > 0 && s.n.Before(h.at((i-1)/2)):
+		case a.index[s.N.ID] != hd:
+			return fmt.Errorf("%s indexed at handle %d, sits in %d", s.N.ID, a.index[s.N.ID], hd)
+		case i > 0 && s.N.Before(h.at((i-1)/2)):
 			return fmt.Errorf("position %d ranks ahead of its parent", i)
 		}
 	}
 	free := 0
-	for f := h.free; f != -1; f = h.slots[f].pos {
-		if f < 0 || int(f) >= len(h.slots) {
-			return fmt.Errorf("free list reaches handle %d outside an arena of %d", f, len(h.slots))
+	for f := a.free; f != -1; f = a.slots[f].pos {
+		if f < 0 || int(f) >= len(a.slots) {
+			return fmt.Errorf("free list reaches handle %d outside an arena of %d", f, len(a.slots))
 		}
 		if live[f] {
 			return fmt.Errorf("handle %d is both queued and free", f)
 		}
-		if h.slots[f].n != nil {
-			return fmt.Errorf("free slot %d still holds %s", f, h.slots[f].n.ID)
+		if a.slots[f].N != nil {
+			return fmt.Errorf("free slot %d still holds %s", f, a.slots[f].N.ID)
 		}
-		if free++; free > len(h.slots) {
+		if free++; free > len(a.slots) {
 			return fmt.Errorf("free list cycles")
 		}
 	}
-	if h.size+free != len(h.slots) {
-		return fmt.Errorf("%d queued + %d free != %d slots", h.size, free, len(h.slots))
+	if size+free != len(a.slots) {
+		return fmt.Errorf("%d queued + %d free != %d slots", size, free, len(a.slots))
 	}
 	return nil
 }
@@ -68,16 +68,17 @@ func checkQueue(q *Queue) error {
 // queueState is a copy of a queue's representation, to show an operation
 // left it untouched.
 type queueState struct {
-	slots      []slot
-	size, free int32
+	slots []Slot
+	heap  []int32
+	free  int32
 }
 
 func snapshot(q *Queue) queueState {
-	return queueState{slices.Clone(q.h.slots), int32(q.h.size), q.h.free}
+	return queueState{slices.Clone(q.ids.slots), slices.Clone(q.h.heap), q.ids.free}
 }
 
 func (s queueState) equal(q *Queue) bool {
-	return slices.Equal(s.slots, q.h.slots) && int(s.size) == q.h.size && s.free == q.h.free
+	return slices.Equal(s.slots, q.ids.slots) && slices.Equal(s.heap, q.h.heap) && s.free == q.ids.free
 }
 
 // TestQueueModel drives random operation sequences against a sorted-slice
@@ -193,10 +194,10 @@ func TestQueueModel(t *testing.T) {
 			if err := checkQueue(q); err != nil {
 				t.Fatalf("seed %d step %d: after %s: %v", seed, step, what, err)
 			}
-			if c := cap(q.h.slots); c < prevCap && q.Len() > 0 {
+			if c := cap(q.ids.slots); c < prevCap && q.Len() > 0 {
 				shrinks++
 			}
-			prevCap = cap(q.h.slots)
+			prevCap = cap(q.ids.slots)
 		}
 		if shrinks == 0 {
 			t.Fatalf("seed %d: the queue never shrank", seed)

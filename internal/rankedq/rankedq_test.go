@@ -536,7 +536,7 @@ func TestQueueShrinksAfterBurst(t *testing.T) {
 			t.Fatalf("push: %v", err)
 		}
 	}
-	grown := cap(q.h.slots)
+	grown := cap(q.ids.slots)
 	if grown < burst {
 		t.Fatalf("expected capacity >= %d after burst, got %d", burst, grown)
 	}
@@ -547,7 +547,7 @@ func TestQueueShrinksAfterBurst(t *testing.T) {
 			t.Fatal("queue drained early")
 		}
 	}
-	if c := cap(q.h.slots); c >= grown/2+1 {
+	if c := cap(q.ids.slots); c >= grown/2+1 {
 		t.Fatalf("backing array not released: len=%d cap=%d (burst cap %d)", q.Len(), c, grown)
 	}
 	// Shrinking must preserve the index: every remaining ID resolves and
@@ -578,11 +578,11 @@ func TestQueueSmallNeverShrinks(t *testing.T) {
 			t.Fatalf("push: %v", err)
 		}
 	}
-	before := cap(q.h.slots)
+	before := cap(q.ids.slots)
 	for q.Len() > 0 {
 		q.PopBest()
 	}
-	if c := cap(q.h.slots); c != before {
+	if c := cap(q.ids.slots); c != before {
 		t.Fatalf("small queue shrank below floor: cap %d -> %d", before, c)
 	}
 }
@@ -598,13 +598,13 @@ func TestQueueRemoveShrinks(t *testing.T) {
 			t.Fatalf("push: %v", err)
 		}
 	}
-	grown := cap(q.h.slots)
+	grown := cap(q.ids.slots)
 	for _, id := range all[:burst-burst/16] {
 		if _, ok := q.Remove(id); !ok {
 			t.Fatalf("remove %q failed", id)
 		}
 	}
-	if c := cap(q.h.slots); c >= grown {
+	if c := cap(q.ids.slots); c >= grown {
 		t.Fatalf("Remove path did not shrink: cap still %d (burst cap %d)", c, grown)
 	}
 }
@@ -683,17 +683,17 @@ func TestQueueWholeQueueMatchesPopOrder(t *testing.T) {
 			t.Fatalf("seed %d: PeekBest = %v after BestN, want %s", seed, best, want[0].ID)
 		}
 
-		grown := cap(q.h.slots)
+		grown := cap(q.ids.slots)
 		if got := q.TakeBestN(q.Len() + rng.Intn(3)); !same(got) {
 			t.Fatalf("seed %d: TakeBestN = %v, pop order %v", seed, ids(got), ids(want))
 		}
-		if q.Len() != 0 || len(q.h.index) != 0 {
-			t.Fatalf("seed %d: TakeBestN left %d items, %d index entries", seed, q.Len(), len(q.h.index))
+		if q.Len() != 0 || len(q.ids.index) != 0 {
+			t.Fatalf("seed %d: TakeBestN left %d items, %d index entries", seed, q.Len(), len(q.ids.index))
 		}
 		if _, ok := q.PeekBest(); ok {
 			t.Fatalf("seed %d: PeekBest on a taken queue returned ok", seed)
 		}
-		if c := cap(q.h.slots); grown >= shrinkFloor && c != 0 || grown < shrinkFloor && c != grown {
+		if c := cap(q.ids.slots); grown >= shrinkFloor && c != 0 || grown < shrinkFloor && c != grown {
 			t.Fatalf("seed %d: capacity %d after taking a queue of capacity %d", seed, c, grown)
 		}
 		for _, n := range want {
