@@ -215,8 +215,9 @@ func TestReadRequestsBetterDataOnly(t *testing.T) {
 func TestReadUnknownClientEventsOccupySlots(t *testing.T) {
 	f := newFixture(t, OnDemandConfig("t", 2))
 	f.proxy.Notify(f.note("x", 3, 0))
+	f.proxy.Notify(f.note("y", 2, 0))
 	// Client claims an event the proxy never heard of; it still occupies
-	// one of the two read slots.
+	// one of the two read slots, so only the better note fills the other.
 	if err := f.proxy.Read(msg.ReadRequest{Topic: "t", N: 2, QueueSize: 1, ClientEvents: []msg.ID{"ghost"}}); err != nil {
 		t.Fatal(err)
 	}
