@@ -68,7 +68,7 @@ func run() error {
 		traceOut    = flag.String("trace-out", "", "write the completed traces as JSONL here (for lasthop-trace; requires -trace-sample > 0)")
 
 		scenario  = flag.String("scenario", "", "run this atlas scenario instead of a throughput sweep (\"all\" runs the whole atlas; see -list-scenarios)")
-		scScale   = flag.Float64("scenario-scale", 1, "multiply the scenario's device population and publish volumes")
+		scScale   = flag.Float64("scenario-scale", 1, "multiply the scenario's device population (topics and publish volumes stay)")
 		listScens = flag.Bool("list-scenarios", false, "list the scenario atlas and exit")
 	)
 	flag.Parse()

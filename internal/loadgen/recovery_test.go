@@ -14,17 +14,7 @@ import (
 // gates (every owed ID read, duplicates within a tenth of deliveries,
 // no trace-attributed loss, the spool verifies).
 func TestRunRecovery(t *testing.T) {
-	sc, err := FindScenario("kill-restart")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc.Devices, sc.Topics = 12, 4
-	for i := range sc.Phases {
-		if sc.Phases[i].PublishMean > 0 {
-			sc.Phases[i].PublishMean = 15 // ~120 notifications over both halves
-		}
-	}
-	rep, err := RunScenario(sc, ScenarioOptions{Timeout: 60 * time.Second, Logf: t.Logf})
+	rep, err := RunScenario(smokeKillRestart(t), ScenarioOptions{Timeout: 60 * time.Second, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,5 +34,48 @@ func TestRunRecovery(t *testing.T) {
 	}
 	if rep.Duplicates > rep.Delivered/10 {
 		t.Fatalf("duplicates %d exceed a tenth of %d deliveries", rep.Duplicates, rep.Delivered)
+	}
+}
+
+// smokeKillRestart is the kill-restart scenario at smoke scale: 12
+// devices on 4 topics, ~120 notifications over both halves.
+func smokeKillRestart(t *testing.T) Scenario {
+	t.Helper()
+	sc, err := FindScenario("kill-restart")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Devices, sc.Topics = 12, 4
+	for i := range sc.Phases {
+		if sc.Phases[i].PublishMean > 0 {
+			sc.Phases[i].PublishMean = 15
+		}
+	}
+	return sc
+}
+
+// TestScenarioScaleGrowsDevicesOnly: Scale multiplies the device
+// population and nothing else, so owed reads grow linearly with it. At
+// scale 2 the smoke drill publishes exactly what scale 1 publishes (the
+// same seed draws the same per-topic counts) and delivers exactly twice
+// as much.
+func TestScenarioScaleGrowsDevicesOnly(t *testing.T) {
+	var published, delivered [2]int
+	for i, scale := range []float64{1, 2} {
+		rep, err := RunScenario(smokeKillRestart(t), ScenarioOptions{Scale: scale, Timeout: 60 * time.Second, Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Verdict.Pass {
+			t.Fatalf("scale %v: verdict failed: %v", scale, rep.Verdict.Failures)
+		}
+		if want := 12 * int(scale); rep.Config.Devices != want {
+			t.Fatalf("scale %v ran %d devices, want %d", scale, rep.Config.Devices, want)
+		}
+		published[i], delivered[i] = rep.Published, rep.Delivered
+	}
+	if published[1] != published[0] || delivered[1] != 2*delivered[0] {
+		t.Fatalf("published %d then %d, delivered %d then %d: want the same publishes and twice the deliveries",
+			published[0], published[1], delivered[0], delivered[1])
 	}
 }

@@ -45,8 +45,8 @@ type Scenario struct {
 	// faultnet decisions), so a failing run replays exactly.
 	Seed uint64 `json:"seed"`
 	// Devices and Topics size the population at scale 1; device i
-	// subscribes to topic i mod Topics. Scale multiplies Devices and the
-	// publish volumes, never Topics.
+	// subscribes to topic i mod Topics. Scale multiplies Devices only, so
+	// owed deliveries grow linearly with it.
 	Devices int `json:"devices"`
 	Topics  int `json:"topics"`
 	// OnDemand switches devices to §3.5 READ consumption.
@@ -109,7 +109,7 @@ type Phase struct {
 	RemapPct float64 `json:"remapPct,omitempty"`
 
 	// PublishMean is the mean of the per-topic Poisson notification count
-	// published this phase (scaled by the run's Scale). With Duration set
+	// published this phase, at any scale. With Duration set
 	// the arrivals spread over the window as a Poisson process; otherwise
 	// they are published as fast as the wire accepts.
 	PublishMean   float64       `json:"publishMean,omitempty"`
@@ -138,9 +138,10 @@ type Phase struct {
 // ScenarioOptions tunes a RunScenario invocation without touching the
 // scenario definition.
 type ScenarioOptions struct {
-	// Scale multiplies the device population and publish volumes; zero
-	// means 1 (the downscaled CI size). Full-size runs pass the
-	// documented per-scenario scale via LASTHOP_SCENARIO_FULL.
+	// Scale multiplies the device population; topics and publish volumes
+	// stay, so owed deliveries grow linearly with it. Zero means 1 (the
+	// downscaled CI size). Full-size runs pass the documented
+	// per-scenario scale via LASTHOP_SCENARIO_FULL.
 	Scale float64
 	// Timeout bounds the whole scenario; zero means 2 minutes.
 	Timeout time.Duration
@@ -200,7 +201,6 @@ func (d *scenarioDevice) close() {
 // scenarioRun carries the live topology through the phases.
 type scenarioRun struct {
 	sc       Scenario
-	scale    float64
 	logf     func(string, ...any)
 	deadline time.Time
 
@@ -325,7 +325,7 @@ func RunScenario(sc Scenario, opts ScenarioOptions) (rep *Report, err error) {
 		if n <= 0 || n > sc.Topics {
 			n = sc.Topics
 		}
-		expected += ph.PublishMean * float64(n) * scale
+		expected += ph.PublishMean * float64(n)
 	}
 	collector := trace.NewCollector("scenario", trace.NewSampler(1), int(expected*2)+512)
 	collector.RegisterMetrics(reg)
@@ -362,7 +362,6 @@ func RunScenario(sc Scenario, opts ScenarioOptions) (rep *Report, err error) {
 
 	r := &scenarioRun{
 		sc:        sc,
-		scale:     scale,
 		logf:      logf,
 		deadline:  time.Now().Add(timeout),
 		rng:       dist.New(sc.Seed),
@@ -673,6 +672,9 @@ func (r *scenarioRun) resolvePolicy() wire.TopicPolicy {
 // device's drain stagger from its dist awake-window read schedule (the
 // day compressed to a sub-second wall-clock spread).
 func (r *scenarioRun) connectDevices(n int) error {
+	// One draw from the run's stream whatever n is, so the publish waves
+	// drawn after it are the same at every scale.
+	schedules := r.rng.Split("reads")
 	r.devices = make([]*scenarioDevice, n)
 	for i := range r.devices {
 		d := &scenarioDevice{
@@ -681,7 +683,7 @@ func (r *scenarioRun) connectDevices(n int) error {
 			topicIdx: i % r.sc.Topics,
 			seen:     make(map[msg.ID]bool),
 		}
-		reads := dist.ReadSchedule(r.rng.Split("reads/"+d.name),
+		reads := dist.ReadSchedule(schedules.Split(d.name),
 			dist.ReadScheduleConfig{PerDay: 8}, dist.Day)
 		if len(reads) > 0 {
 			d.readStagger = time.Duration(float64(reads[0]) / float64(dist.Day) * float64(400*time.Millisecond))
@@ -852,7 +854,7 @@ func (r *scenarioRun) publish(ph Phase) (map[int]int, []msg.RankUpdate, error) {
 	if nTopics <= 0 || nTopics > r.sc.Topics {
 		nTopics = r.sc.Topics
 	}
-	mean := ph.PublishMean * r.scale
+	mean := ph.PublishMean
 	type slot struct {
 		off   time.Duration
 		topic int
