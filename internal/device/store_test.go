@@ -123,6 +123,9 @@ func TestStoreProperties(t *testing.T) {
 			if got := s.ConsumedLen(topic); got > 2*history {
 				t.Fatalf("seed %d step %d: %d consumed IDs remembered, window is %d", seed, step, got, 2*history)
 			}
+			if err := checkTable(s.topics[topic]); err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
 		}
 	}
 }
@@ -282,7 +285,7 @@ func TestStoreAgainstProxy(t *testing.T) {
 }
 
 // TestStoreTakeAllClearsExpiry: Take(0) takes the whole queue in one sort and
-// empties the expiry index in one step, which is sound only while the index
+// empties the expiry heap in one step, which is sound only while the heap
 // holds nothing but held IDs. Two stores see the same random accepts,
 // expiries, rank drops and sibling reads; one reads with Take(0), the
 // reference one notification at a time. They must agree on what was read,
@@ -297,15 +300,15 @@ func TestStoreTakeAllClearsExpiry(t *testing.T) {
 			s.Configure(topic, 1, 32)
 			ref.Configure(topic, 1, 32)
 		}
-		// expirable counts what the expiry index must hold: held IDs with a
+		// expirable counts what the expiry heap must hold: held IDs with a
 		// lifetime, and nothing else.
 		expirable := func(topic string) int {
 			c := 0
-			s.topics[topic].q.Each(func(n *msg.Notification) {
-				if !n.NeverExpires() {
+			for _, sl := range s.topics[topic].arena.Slots {
+				if sl.N != nil && !sl.N.NeverExpires() {
 					c++
 				}
-			})
+			}
 			return c
 		}
 		next := 0
@@ -368,7 +371,10 @@ func TestStoreTakeAllClearsExpiry(t *testing.T) {
 			}
 			for _, topic := range topics {
 				if got, want := s.topics[topic].exp.Len(), expirable(topic); got != want {
-					t.Fatalf("seed %d step %d: topic %s expiry index holds %d, %d held notifications expire", seed, step, topic, got, want)
+					t.Fatalf("seed %d step %d: topic %s expiry heap holds %d, %d held notifications expire", seed, step, topic, got, want)
+				}
+				if err := checkTable(s.topics[topic]); err != nil {
+					t.Fatalf("seed %d step %d: topic %s: %v", seed, step, topic, err)
 				}
 			}
 			if s.Stats != ref.Stats {

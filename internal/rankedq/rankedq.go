@@ -1,12 +1,11 @@
 // Package rankedq provides the queue structures used by the last-hop proxy
-// algorithm: a rank-ordered queue with removal by notification ID, an
-// expiration index that surfaces stale notifications in expiry order, and a
-// bounded history of seen events.
+// algorithm: a rank-ordered heap and an expiration heap that surfaces
+// stale notifications in expiry order.
 //
-// Queue and ExpiryIndex are keyed by notification ID. Each wraps a
-// handle-keyed form, Heap and ExpiryHeap, which owns no ID index: its
-// entries are handles into an arena of Slots that the caller owns and may
-// share between several of them, as the proxy's per-topic table does.
+// Heap and ExpiryHeap own no ID index: their entries are handles into an
+// Arena of Slots that the caller owns and may share between several of
+// them, as the proxy's and the device's per-topic tables do. Queue is a
+// Heap keyed by notification ID, with an arena and an index of its own.
 //
 // All structures are single-goroutine data structures: the proxy serializes
 // access to them through its scheduler, so they carry no locks.
@@ -149,6 +148,16 @@ func (q *Heap) removeAt(i int) int32 {
 // rest of the session.
 const shrinkFloor = 64
 
+// Clear empties the heap. A heap that grew past shrinkFloor gives its
+// storage back, a smaller one keeps it.
+func (q *Heap) Clear() {
+	if cap(q.heap) >= shrinkFloor {
+		q.heap = nil
+		return
+	}
+	q.heap = q.heap[:0]
+}
+
 // Remove deletes handle h from the heap.
 func (q *Heap) Remove(h int32) { q.removeAt(int((*q.arena)[h].pos)) }
 
@@ -256,65 +265,75 @@ func (q *Heap) IDs() []msg.ID {
 	return ids
 }
 
-// idArena is what the ID-keyed forms add to the handle-keyed ones: an
-// arena of their own, whose freed slots form a list linked through pos and
-// ended by -1 (so a structure at steady size allocates nothing per add),
-// and the index from ID to handle.
-type idArena struct {
-	slots []Slot
+// Arena is the slots that a set of heaps share. Freed slots form a list
+// linked through pos and ended by -1, so a structure at steady size
+// allocates nothing per add; the zero value is not ready, NewArena is.
+type Arena struct {
+	Slots []Slot
 	free  int32
-	index map[msg.ID]int32
 }
 
-func newIDArena() idArena { return idArena{free: -1, index: make(map[msg.ID]int32)} }
+// NewArena returns an empty arena.
+func NewArena() Arena { return Arena{free: -1} }
 
-// add puts n in a free slot, or a new one, and indexes it.
-func (a *idArena) add(n *msg.Notification) int32 {
+// Add puts n in a free slot, or a new one, and returns its handle.
+func (a *Arena) Add(n *msg.Notification) int32 {
 	h := a.free
 	if h >= 0 {
-		a.free = a.slots[h].pos
-		a.slots[h] = Slot{N: n}
-	} else {
-		h = int32(len(a.slots))
-		if a.slots == nil {
-			a.slots = make([]Slot, 0, 4)
-		}
-		a.slots = append(a.slots, Slot{N: n})
+		a.free = a.Slots[h].pos
+		a.Slots[h] = Slot{N: n}
+		return h
 	}
-	a.index[n.ID] = h
-	return h
+	if a.Slots == nil {
+		a.Slots = make([]Slot, 0, 4)
+	}
+	a.Slots = append(a.Slots, Slot{N: n})
+	return int32(len(a.Slots) - 1)
 }
 
-// release frees slot h and returns the notification it held.
-func (a *idArena) release(h int32) *msg.Notification {
-	n := a.slots[h].N
-	delete(a.index, n.ID)
-	a.slots[h] = Slot{pos: a.free}
+// Release frees slot h, which no heap holds, and returns its notification.
+func (a *Arena) Release(h int32) *msg.Notification {
+	n := a.Slots[h].N
+	a.Slots[h] = Slot{pos: a.free}
 	a.free = h
 	return n
+}
+
+// Reset frees every slot at once; no heap may hold any. An arena that grew
+// past shrinkFloor gives its storage back, a smaller one keeps it for the
+// next arrivals.
+func (a *Arena) Reset() {
+	if cap(a.Slots) >= shrinkFloor {
+		*a = NewArena()
+		return
+	}
+	clear(a.Slots)
+	a.Slots, a.free = a.Slots[:0], -1
 }
 
 // Queue is a priority queue of notifications ordered by msg.Notification
 // rank order that also supports O(log n) removal by ID, as required by the
 // set-subtraction operations in the paper's Figure 7 pseudo-code: a Heap
-// over an arena of its own, plus the ID index.
+// over an Arena of its own, plus the index from ID to handle.
 type Queue struct {
-	ids  idArena
-	h    Heap
-	best []int32 // BestN's scratch
+	ids   Arena
+	index map[msg.ID]int32
+	h     Heap
+	best  []int32 // BestN's scratch
 }
 
 // NewQueue returns an empty rank-ordered queue.
 func NewQueue() *Queue {
-	q := &Queue{ids: newIDArena()}
-	q.h = NewHeap(&q.ids.slots)
+	q := &Queue{ids: NewArena(), index: make(map[msg.ID]int32)}
+	q.h = NewHeap(&q.ids.Slots)
 	return q
 }
 
 // remove deletes the item at heap position i, frees its slot and applies
 // the memory rule.
 func (q *Queue) remove(i int) *msg.Notification {
-	n := q.ids.release(q.h.removeAt(i))
+	n := q.ids.Release(q.h.removeAt(i))
+	delete(q.index, n.ID)
 	q.maybeShrink()
 	return n
 }
@@ -323,46 +342,23 @@ func (q *Queue) remove(i int) *msg.Notification {
 // on its own) under the heap's memory rule. The compacted arena numbers its
 // slots in heap order and has none free.
 func (q *Queue) maybeShrink() {
-	c := cap(q.ids.slots)
+	c := cap(q.ids.Slots)
 	if c < shrinkFloor || q.Len() > c/4 {
 		return
 	}
 	slots := make([]Slot, q.Len(), c/2)
 	index := make(map[msg.ID]int32, q.Len())
 	for i, h := range q.h.heap {
-		n := q.ids.slots[h].N
+		n := q.ids.Slots[h].N
 		slots[i] = Slot{N: n, pos: int32(i)}
 		index[n.ID] = int32(i)
 		q.h.heap[i] = int32(i)
 	}
-	q.ids.slots, q.ids.free, q.ids.index = slots, -1, index
-}
-
-// notes appends the notifications with the given handles to dst.
-func (q *Queue) notes(dst []*msg.Notification, hs []int32) []*msg.Notification {
-	for _, h := range hs {
-		dst = append(dst, q.ids.slots[h].N)
-	}
-	return dst
+	q.ids.Slots, q.ids.free, q.index = slots, -1, index
 }
 
 // Len returns the number of queued notifications.
 func (q *Queue) Len() int { return q.h.Len() }
-
-// Contains reports whether a notification with the given ID is queued.
-func (q *Queue) Contains(id msg.ID) bool {
-	_, ok := q.ids.index[id]
-	return ok
-}
-
-// Get returns the queued notification with the given ID, if any.
-func (q *Queue) Get(id msg.ID) (*msg.Notification, bool) {
-	h, ok := q.ids.index[id]
-	if !ok {
-		return nil, false
-	}
-	return q.ids.slots[h].N, true
-}
 
 // Push inserts a notification. Inserting a duplicate ID is an error: the
 // proxy must use UpdateRank to revise a queued notification.
@@ -370,19 +366,13 @@ func (q *Queue) Push(n *msg.Notification) error {
 	if n == nil {
 		return fmt.Errorf("push nil notification")
 	}
-	if q.Contains(n.ID) {
+	if _, dup := q.index[n.ID]; dup {
 		return fmt.Errorf("duplicate notification %q", n.ID)
 	}
-	q.h.Push(q.ids.add(n))
+	h := q.ids.Add(n)
+	q.index[n.ID] = h
+	q.h.Push(h)
 	return nil
-}
-
-// PeekBest returns the highest-ranked notification without removing it.
-func (q *Queue) PeekBest() (*msg.Notification, bool) {
-	if q.Len() == 0 {
-		return nil, false
-	}
-	return q.h.at(0), true
 }
 
 // PopBest removes and returns the highest-ranked notification.
@@ -396,21 +386,21 @@ func (q *Queue) PopBest() (*msg.Notification, bool) {
 // Remove deletes the notification with the given ID, returning it if it was
 // queued. This implements the pseudo-code's "queue \ event" subtraction.
 func (q *Queue) Remove(id msg.ID) (*msg.Notification, bool) {
-	h, ok := q.ids.index[id]
+	h, ok := q.index[id]
 	if !ok {
 		return nil, false
 	}
-	return q.remove(int(q.ids.slots[h].pos)), true
+	return q.remove(int(q.ids.Slots[h].pos)), true
 }
 
 // UpdateRank revises the rank of a queued notification in place and
 // restores heap order. It reports whether the notification was queued.
 func (q *Queue) UpdateRank(id msg.ID, rank float64) bool {
-	h, ok := q.ids.index[id]
+	h, ok := q.index[id]
 	if !ok {
 		return false
 	}
-	q.ids.slots[h].N.Rank = rank
+	q.ids.Slots[h].N.Rank = rank
 	q.h.Fix(h)
 	return true
 }
@@ -422,30 +412,17 @@ func (q *Queue) BestN(n int) []*msg.Notification {
 	if n <= 0 || q.Len() == 0 {
 		return nil
 	}
-	return q.AppendBestN(make([]*msg.Notification, 0, min(n, q.Len())), n)
-}
-
-// AppendBestN is BestN appending to dst: with a reused dst it allocates
-// nothing. A read of the whole queue sorts a copy of it.
-func (q *Queue) AppendBestN(dst []*msg.Notification, n int) []*msg.Notification {
-	if n <= 0 || q.Len() == 0 {
-		return dst
+	q.best = q.h.AppendBest(q.best[:0], n)
+	out := make([]*msg.Notification, len(q.best))
+	for i, h := range q.best {
+		out[i] = q.ids.Slots[h].N
 	}
-	if n < q.Len() {
-		q.best = q.h.topN(q.best[:0], n)
-		return q.notes(dst, q.best)
-	}
-	start := len(dst)
-	dst = q.notes(dst, q.h.heap)
-	slices.SortFunc(dst[start:], (*msg.Notification).Compare)
-	return dst
+	return out
 }
 
 // TakeBestN removes and returns the up-to-n highest-ranked notifications in
 // rank order. Taking the whole queue sorts it once instead of popping it;
-// memory then follows the heap's rule: a queue whose arena grew past
-// shrinkFloor keeps neither it nor its index map, a smaller one keeps both
-// for the next arrivals.
+// memory then follows Arena.Reset's rule, the index map with the arena.
 func (q *Queue) TakeBestN(n int) []*msg.Notification {
 	if n <= 0 {
 		return nil
@@ -458,56 +435,14 @@ func (q *Queue) TakeBestN(n int) []*msg.Notification {
 		return out
 	}
 	out := q.BestN(q.Len())
-	if cap(q.ids.slots) < shrinkFloor {
-		clear(q.ids.slots)
-		q.ids.slots, q.ids.free, q.h.heap = q.ids.slots[:0], -1, q.h.heap[:0]
-		clear(q.ids.index)
+	if cap(q.ids.Slots) >= shrinkFloor {
+		q.index = make(map[msg.ID]int32)
 	} else {
-		q.Clear()
+		clear(q.index)
 	}
+	q.ids.Reset()
+	q.h.Clear()
 	return out
-}
-
-// PopWorst removes and returns the lowest-ranked notification. It is a
-// linear scan: devices evict under storage pressure rarely, and the queue
-// is optimized for best-first access.
-func (q *Queue) PopWorst() (*msg.Notification, bool) {
-	if q.Len() == 0 {
-		return nil, false
-	}
-	worst := 0
-	for i := 1; i < q.Len(); i++ {
-		if q.h.at(worst).Before(q.h.at(i)) {
-			worst = i
-		}
-	}
-	return q.remove(worst), true
-}
-
-// IDs returns the IDs of all queued notifications in unspecified order.
-func (q *Queue) IDs() []msg.ID { return q.h.IDs() }
-
-// IDSet returns the queued IDs as a set.
-func (q *Queue) IDSet() msg.IDSet {
-	s := make(msg.IDSet, q.Len())
-	for i := range q.Len() {
-		s.Add(q.h.at(i).ID)
-	}
-	return s
-}
-
-// Each calls fn for every queued notification in unspecified order. The
-// callback must not mutate the queue.
-func (q *Queue) Each(fn func(*msg.Notification)) {
-	for i := range q.Len() {
-		fn(q.h.at(i))
-	}
-}
-
-// Clear removes all queued notifications.
-func (q *Queue) Clear() {
-	q.ids = newIDArena()
-	q.h.heap = nil
 }
 
 // ExpiryHeap is a min-heap of handles into an arena of Slots keyed by
@@ -646,185 +581,4 @@ func (x *ExpiryHeap) IDs() []msg.ID {
 		ids[i] = (*x.arena)[e.h].N.ID
 	}
 	return ids
-}
-
-// ExpiryIndex is an ExpiryHeap over an arena of its own, keyed by
-// notification ID.
-type ExpiryIndex struct {
-	ids idArena
-	h   ExpiryHeap
-}
-
-// NewExpiryIndex returns an empty expiration index.
-func NewExpiryIndex() *ExpiryIndex {
-	x := &ExpiryIndex{ids: newIDArena()}
-	x.h = NewExpiryHeap(&x.ids.slots)
-	return x
-}
-
-// Len returns the number of indexed notifications.
-func (x *ExpiryIndex) Len() int { return x.h.Len() }
-
-// Add indexes a notification's expiration. Notifications that never expire
-// are ignored. Adding an already-indexed ID is an error.
-func (x *ExpiryIndex) Add(n *msg.Notification) error {
-	if n.NeverExpires() {
-		return nil
-	}
-	if x.Contains(n.ID) {
-		return fmt.Errorf("duplicate expiry entry %q", n.ID)
-	}
-	x.h.Push(x.ids.add(n))
-	return nil
-}
-
-// Remove drops the entry for the given ID, reporting whether it existed.
-func (x *ExpiryIndex) Remove(id msg.ID) bool {
-	h, ok := x.ids.index[id]
-	if !ok {
-		return false
-	}
-	x.h.Remove(h)
-	x.ids.release(h)
-	return true
-}
-
-// Clear drops every entry. Like Remove, it keeps the backing storage.
-func (x *ExpiryIndex) Clear() {
-	x.h.Clear()
-	clear(x.ids.slots)
-	x.ids.slots, x.ids.free = x.ids.slots[:0], -1
-	clear(x.ids.index)
-}
-
-// NextExpiry returns the earliest indexed expiration instant.
-func (x *ExpiryIndex) NextExpiry() (time.Time, bool) { return x.h.NextExpiry() }
-
-// PopDue removes and returns the earliest-expiring notification's ID if its
-// expiration instant is at or before now. Repeated calls drain every due
-// entry in (expiry, ID) order without allocating.
-func (x *ExpiryIndex) PopDue(now time.Time) (msg.ID, bool) {
-	h, ok := x.h.PopDue(now)
-	if !ok {
-		return msg.NoID, false
-	}
-	return x.ids.release(h).ID, true
-}
-
-// Contains reports whether the ID is indexed.
-func (x *ExpiryIndex) Contains(id msg.ID) bool {
-	_, ok := x.ids.index[id]
-	return ok
-}
-
-// IDs returns the indexed IDs in unspecified order.
-func (x *ExpiryIndex) IDs() []msg.ID { return x.h.IDs() }
-
-// History is the bounded, insertion-ordered record of events a topic has
-// seen (the pseudo-code's topic.history). The paper notes that the history
-// "grows without bounds" and leaves garbage collection unimplemented; here
-// a capacity bound evicts the oldest entries.
-type History struct {
-	capacity int
-	order    []msg.ID
-	head     int
-	set      msg.IDSet
-	// evictScratch backs Add's evicted return value so the steady-state
-	// add-evict cycle does not allocate a slice per insertion.
-	evictScratch []msg.ID
-}
-
-// NewHistory returns a history bounded to the given capacity; capacity <= 0
-// means unbounded.
-func NewHistory(capacity int) *History {
-	return &History{capacity: capacity, set: make(msg.IDSet)}
-}
-
-// Len returns the number of remembered IDs.
-func (h *History) Len() int { return len(h.set) }
-
-// Contains reports whether the ID is remembered.
-func (h *History) Contains(id msg.ID) bool { return h.set.Contains(id) }
-
-// Add remembers an ID, evicting the oldest entries beyond capacity. It
-// returns the evicted IDs (usually empty) and whether id was new. The
-// evicted slice is reused by the next Add: consume it before then.
-func (h *History) Add(id msg.ID) (evicted []msg.ID, added bool) {
-	if h.set.Contains(id) {
-		return nil, false
-	}
-	h.set.Add(id)
-	h.order = append(h.order, id)
-	if h.capacity > 0 {
-		evicted = h.evictScratch[:0]
-		for len(h.set) > h.capacity {
-			old := h.order[h.head]
-			h.order[h.head] = msg.NoID
-			h.head++
-			if h.set.Remove(old) {
-				evicted = append(evicted, old)
-			}
-		}
-		h.compact()
-		h.evictScratch = evicted[:0]
-	}
-	return evicted, true
-}
-
-// Remove forgets an ID, reporting whether it was remembered. The order
-// slot is lazily reclaimed.
-func (h *History) Remove(id msg.ID) bool {
-	if !h.set.Remove(id) {
-		return false
-	}
-	return true
-}
-
-// compact reclaims the consumed prefix of the order slice once it dominates
-// the backing array, keeping Add amortized O(1). The shift is in place so
-// the steady-state add-evict cycle reuses one backing array instead of
-// reallocating it every half-rotation; the vacated tail is cleared so
-// evicted IDs do not pin their strings.
-func (h *History) compact() {
-	if h.head > len(h.order)/2 && h.head > 32 {
-		n := copy(h.order, h.order[h.head:])
-		tail := h.order[n:]
-		for i := range tail {
-			tail[i] = msg.NoID
-		}
-		h.order = h.order[:n]
-		h.head = 0
-	}
-}
-
-// IDs returns the remembered IDs in insertion order, oldest first.
-// Re-Adding them in this order into a fresh History of the same capacity
-// reproduces the eviction state exactly.
-func (h *History) IDs() []msg.ID {
-	// Walk backward so an ID Removed and later re-Added surfaces at its
-	// newest insertion slot, not its stale one, then reverse into
-	// insertion order.
-	out := make([]msg.ID, 0, len(h.set))
-	seen := make(msg.IDSet, len(h.set))
-	for i := len(h.order) - 1; i >= h.head; i-- {
-		id := h.order[i]
-		if id != msg.NoID && h.set.Contains(id) && seen.Add(id) {
-			out = append(out, id)
-		}
-	}
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
-	}
-	return out
-}
-
-// Oldest returns the oldest remembered ID, if any.
-func (h *History) Oldest() (msg.ID, bool) {
-	for i := h.head; i < len(h.order); i++ {
-		id := h.order[i]
-		if id != msg.NoID && h.set.Contains(id) {
-			return id, true
-		}
-	}
-	return msg.NoID, false
 }

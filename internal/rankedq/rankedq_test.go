@@ -70,8 +70,8 @@ func TestQueueRemove(t *testing.T) {
 	if _, ok := q.Remove("c"); ok {
 		t.Error("second Remove(c) succeeded")
 	}
-	if q.Contains("c") {
-		t.Error("removed ID still contained")
+	if _, ok := q.index["c"]; ok {
+		t.Error("removed ID still indexed")
 	}
 	want := []msg.ID{"b", "d", "a"}
 	for _, id := range want {
@@ -79,23 +79,6 @@ func TestQueueRemove(t *testing.T) {
 		if !ok || n.ID != id {
 			t.Fatalf("after Remove, PopBest = %v, want %s", n, id)
 		}
-	}
-}
-
-func TestQueueGetContains(t *testing.T) {
-	q := NewQueue()
-	if err := q.Push(note("a", 2)); err != nil {
-		t.Fatal(err)
-	}
-	n, ok := q.Get("a")
-	if !ok || n.Rank != 2 {
-		t.Errorf("Get(a) = %v, %v", n, ok)
-	}
-	if _, ok := q.Get("zz"); ok {
-		t.Error("Get of absent ID succeeded")
-	}
-	if !q.Contains("a") || q.Contains("zz") {
-		t.Error("Contains wrong")
 	}
 }
 
@@ -112,13 +95,12 @@ func TestQueueUpdateRank(t *testing.T) {
 	if q.UpdateRank("zz", 10) {
 		t.Fatal("UpdateRank of absent ID succeeded")
 	}
-	best, _ := q.PeekBest()
+	best := q.BestN(1)[0]
 	if best.ID != "a" || best.Rank != 10 {
 		t.Errorf("after raise, best = %+v", best)
 	}
 	q.UpdateRank("a", 0)
-	best, _ = q.PeekBest()
-	if best.ID != "c" {
+	if best = q.BestN(1)[0]; best.ID != "c" {
 		t.Errorf("after drop, best = %+v", best)
 	}
 }
@@ -150,33 +132,6 @@ func TestQueueBestN(t *testing.T) {
 	}
 	if q.Len() != 1 {
 		t.Errorf("after TakeBestN, Len = %d", q.Len())
-	}
-}
-
-func TestQueueIDsEachClear(t *testing.T) {
-	q := NewQueue()
-	for _, n := range []*msg.Notification{note("a", 1), note("b", 2)} {
-		if err := q.Push(n); err != nil {
-			t.Fatal(err)
-		}
-	}
-	idSlice := q.IDs()
-	sort.Slice(idSlice, func(i, j int) bool { return idSlice[i] < idSlice[j] })
-	if len(idSlice) != 2 || idSlice[0] != "a" || idSlice[1] != "b" {
-		t.Errorf("IDs = %v", idSlice)
-	}
-	set := q.IDSet()
-	if set.Len() != 2 || !set.Contains("a") {
-		t.Errorf("IDSet = %v", set)
-	}
-	count := 0
-	q.Each(func(*msg.Notification) { count++ })
-	if count != 2 {
-		t.Errorf("Each visited %d", count)
-	}
-	q.Clear()
-	if q.Len() != 0 || q.Contains("a") {
-		t.Error("Clear left state behind")
 	}
 }
 
@@ -251,75 +206,103 @@ func TestQueueHeapProperty(t *testing.T) {
 	}
 }
 
+// expiryArena is an ExpiryHeap over an Arena, with an index from ID to
+// handle beside it, as the proxy's and the device's tables keep one.
+type expiryArena struct {
+	a   Arena
+	x   ExpiryHeap
+	ids map[msg.ID]int32
+}
+
+func newExpiryArena() *expiryArena {
+	e := &expiryArena{a: NewArena(), ids: make(map[msg.ID]int32)}
+	e.x = NewExpiryHeap(&e.a.Slots)
+	return e
+}
+
+// add pushes n's deadline; notifications that never expire stay out.
+func (e *expiryArena) add(n *msg.Notification) {
+	if n.NeverExpires() {
+		return
+	}
+	h := e.a.Add(n)
+	e.ids[n.ID] = h
+	e.x.Push(h)
+}
+
+// remove drops id's deadline, reporting whether it was in the heap.
+func (e *expiryArena) remove(id msg.ID) bool {
+	h, ok := e.ids[id]
+	if ok {
+		e.x.Remove(h)
+		e.a.Release(h)
+		delete(e.ids, id)
+	}
+	return ok
+}
+
 // popAllDue drains every entry PopDue reports due at now, in pop order.
-func popAllDue(x *ExpiryIndex, now time.Time) []msg.ID {
+func popAllDue(e *expiryArena, now time.Time) []msg.ID {
 	var out []msg.ID
 	for {
-		id, ok := x.PopDue(now)
+		h, ok := e.x.PopDue(now)
 		if !ok {
 			return out
 		}
+		id := e.a.Release(h).ID
+		delete(e.ids, id)
 		out = append(out, id)
 	}
 }
 
 func TestExpiryIndexOrder(t *testing.T) {
-	x := NewExpiryIndex()
-	if err := x.Add(expiring("a", 1, 3*time.Hour)); err != nil {
-		t.Fatal(err)
+	e := newExpiryArena()
+	for _, n := range []*msg.Notification{
+		expiring("a", 1, 3*time.Hour), expiring("b", 1, time.Hour), expiring("c", 1, 2*time.Hour), note("never", 1),
+	} {
+		e.add(n)
 	}
-	if err := x.Add(expiring("b", 1, time.Hour)); err != nil {
-		t.Fatal(err)
+	if e.x.Len() != 3 {
+		t.Fatalf("Len = %d, want 3", e.x.Len())
 	}
-	if err := x.Add(expiring("c", 1, 2*time.Hour)); err != nil {
-		t.Fatal(err)
-	}
-	if err := x.Add(note("never", 1)); err != nil {
-		t.Fatal(err)
-	}
-	if x.Len() != 3 {
-		t.Fatalf("Len = %d, want 3 (never-expiring ignored)", x.Len())
-	}
-	next, ok := x.NextExpiry()
+	next, ok := e.x.NextExpiry()
 	if !ok || !next.Equal(t0.Add(time.Hour)) {
 		t.Errorf("NextExpiry = %v, %v", next, ok)
 	}
 
-	got := popAllDue(x, t0.Add(2*time.Hour))
+	got := popAllDue(e, t0.Add(2*time.Hour))
 	if len(got) != 2 || got[0] != "b" || got[1] != "c" {
 		t.Errorf("PopDue drained %v, want [b c]", got)
 	}
-	if id, ok := x.PopDue(t0.Add(2 * time.Hour)); ok {
-		t.Errorf("PopDue after draining = %v, want nothing due", id)
+	if h, ok := e.x.PopDue(t0.Add(2 * time.Hour)); ok {
+		t.Errorf("PopDue after draining = %v, want nothing due", h)
 	}
-	if x.Len() != 1 {
-		t.Errorf("Len = %d, want 1", x.Len())
+	if e.x.Len() != 1 {
+		t.Errorf("Len = %d, want 1", e.x.Len())
 	}
 }
 
+// TestExpiryIndexRemoveDuplicate: entries that share a deadline pop in ID
+// order, and removal by handle takes exactly the one entry.
 func TestExpiryIndexRemoveDuplicate(t *testing.T) {
-	x := NewExpiryIndex()
-	n := expiring("a", 1, time.Hour)
-	if err := x.Add(n); err != nil {
-		t.Fatal(err)
+	e := newExpiryArena()
+	for _, id := range []msg.ID{"c", "a", "b"} {
+		e.add(expiring(id, 1, time.Hour))
 	}
-	if err := x.Add(n); err == nil {
-		t.Error("duplicate Add accepted")
+	if !e.remove("b") || e.remove("b") {
+		t.Error("Remove(b) did not take exactly one entry")
 	}
-	if !x.Contains("a") || fmt.Sprint(x.IDs()) != "[a]" {
-		t.Errorf("indexed a, but Contains = %v and IDs = %v", x.Contains("a"), x.IDs())
+	if got := fmt.Sprint(e.x.IDs()); got != "[a c]" && got != "[c a]" {
+		t.Errorf("removed b, but IDs = %v", got)
 	}
-	if !x.Remove("a") {
-		t.Error("Remove of indexed ID failed")
+	if got := popAllDue(e, t0.Add(time.Hour)); fmt.Sprint(got) != "[a c]" {
+		t.Errorf("PopDue drained %v, want [a c]", got)
 	}
-	if x.Remove("a") {
-		t.Error("second Remove succeeded")
+	if e.x.IDs() != nil {
+		t.Errorf("drained, but IDs = %v", e.x.IDs())
 	}
-	if x.Contains("a") || x.IDs() != nil {
-		t.Errorf("removed a, but Contains = %v and IDs = %v", x.Contains("a"), x.IDs())
-	}
-	if _, ok := x.NextExpiry(); ok {
-		t.Error("NextExpiry on empty index returned ok")
+	if _, ok := e.x.NextExpiry(); ok {
+		t.Error("NextExpiry on empty heap returned ok")
 	}
 }
 
@@ -327,19 +310,17 @@ func TestExpiryIndexRemoveDuplicate(t *testing.T) {
 // before the probe time.
 func TestExpiryIndexProperty(t *testing.T) {
 	f := func(lives []uint16, probe uint16) bool {
-		x := NewExpiryIndex()
+		e := newExpiryArena()
 		want := map[msg.ID]bool{}
 		for i, l := range lives {
 			id := msg.ID(rune('a'+i%26)) + msg.ID(rune('0'+(i/26)%10)) + msg.ID(rune('0'+(i/260)%10))
 			life := time.Duration(l) * time.Second
-			if err := x.Add(expiring(id, 1, life)); err != nil {
-				return false
-			}
+			e.add(expiring(id, 1, life))
 			if life <= time.Duration(probe)*time.Second {
 				want[id] = true
 			}
 		}
-		got := popAllDue(x, t0.Add(time.Duration(probe)*time.Second))
+		got := popAllDue(e, t0.Add(time.Duration(probe)*time.Second))
 		if len(got) != len(want) {
 			return false
 		}
@@ -348,7 +329,7 @@ func TestExpiryIndexProperty(t *testing.T) {
 				return false
 			}
 		}
-		return x.Len() == len(lives)-len(want)
+		return e.x.Len() == len(lives)-len(want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -361,7 +342,7 @@ func TestExpiryIndexProperty(t *testing.T) {
 func TestExpiryIndexInterleaved(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		x := NewExpiryIndex()
+		e := newExpiryArena()
 		model := map[msg.ID]time.Duration{}
 		now := time.Duration(0)
 		for step := 0; step < 2000; step++ {
@@ -372,14 +353,12 @@ func TestExpiryIndexInterleaved(t *testing.T) {
 					continue
 				}
 				life := now + time.Duration(rng.Intn(50))*time.Second
-				if err := x.Add(expiring(id, 1, life)); err != nil {
-					t.Fatal(err)
-				}
+				e.add(expiring(id, 1, life))
 				model[id] = life
 			case 3:
 				id := msg.ID(fmt.Sprintf("e%03d", rng.Intn(300)))
 				_, held := model[id]
-				if x.Remove(id) != held {
+				if e.remove(id) != held {
 					t.Fatalf("seed %d step %d: Remove(%s) disagrees with the model (held %v)", seed, step, id, held)
 				}
 				delete(model, id)
@@ -397,7 +376,7 @@ func TestExpiryIndexInterleaved(t *testing.T) {
 					}
 					return want[i] < want[j]
 				})
-				got := popAllDue(x, t0.Add(now))
+				got := popAllDue(e, t0.Add(now))
 				if fmt.Sprint(got) != fmt.Sprint(want) {
 					t.Fatalf("seed %d step %d: PopDue drained %v, want %v", seed, step, got, want)
 				}
@@ -405,118 +384,10 @@ func TestExpiryIndexInterleaved(t *testing.T) {
 					delete(model, id)
 				}
 			}
-			if x.Len() != len(model) {
-				t.Fatalf("seed %d step %d: Len = %d, model holds %d", seed, step, x.Len(), len(model))
+			if e.x.Len() != len(model) {
+				t.Fatalf("seed %d step %d: Len = %d, model holds %d", seed, step, e.x.Len(), len(model))
 			}
 		}
-	}
-}
-
-func TestHistoryUnbounded(t *testing.T) {
-	h := NewHistory(0)
-	if evicted, added := h.Add("a"); len(evicted) != 0 || !added {
-		t.Error("first Add wrong")
-	}
-	if _, added := h.Add("a"); added {
-		t.Error("duplicate Add reported added")
-	}
-	if !h.Contains("a") || h.Contains("b") {
-		t.Error("Contains wrong")
-	}
-	if h.Len() != 1 {
-		t.Errorf("Len = %d", h.Len())
-	}
-}
-
-func TestHistoryEviction(t *testing.T) {
-	h := NewHistory(3)
-	for _, id := range []msg.ID{"a", "b", "c"} {
-		if evicted, _ := h.Add(id); len(evicted) != 0 {
-			t.Fatalf("premature eviction %v", evicted)
-		}
-	}
-	evicted, added := h.Add("d")
-	if !added || len(evicted) != 1 || evicted[0] != "a" {
-		t.Fatalf("Add(d) evicted %v, added %v; want [a], true", evicted, added)
-	}
-	if h.Contains("a") {
-		t.Error("evicted ID still contained")
-	}
-	if h.Len() != 3 {
-		t.Errorf("Len = %d, want 3", h.Len())
-	}
-	oldest, ok := h.Oldest()
-	if !ok || oldest != "b" {
-		t.Errorf("Oldest = %v, %v; want b", oldest, ok)
-	}
-}
-
-func TestHistoryRemove(t *testing.T) {
-	h := NewHistory(0)
-	h.Add("a")
-	h.Add("b")
-	if !h.Remove("a") {
-		t.Error("Remove of member failed")
-	}
-	if h.Remove("a") {
-		t.Error("second Remove succeeded")
-	}
-	oldest, ok := h.Oldest()
-	if !ok || oldest != "b" {
-		t.Errorf("Oldest after Remove = %v, %v; want b", oldest, ok)
-	}
-}
-
-// TestHistoryCapacityProperty: after any insertion sequence the history
-// holds at most capacity entries and they are the most recent distinct ones.
-func TestHistoryCapacityProperty(t *testing.T) {
-	f := func(ids []uint8, capRaw uint8) bool {
-		capacity := int(capRaw%16) + 1
-		h := NewHistory(capacity)
-		var model []msg.ID // naive FIFO set model of the same semantics
-		inModel := func(id msg.ID) bool {
-			for _, m := range model {
-				if m == id {
-					return true
-				}
-			}
-			return false
-		}
-		for _, b := range ids {
-			id := msg.ID(rune('a' + b%32))
-			h.Add(id)
-			if !inModel(id) {
-				model = append(model, id)
-				if len(model) > capacity {
-					model = model[1:]
-				}
-			}
-		}
-		if h.Len() != len(model) {
-			return false
-		}
-		for _, id := range model {
-			if !h.Contains(id) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestHistoryCompaction(t *testing.T) {
-	h := NewHistory(4)
-	for i := 0; i < 10000; i++ {
-		h.Add(msg.ID(rune('a'+i%26)) + msg.ID(rune('0'+(i/26)%10)) + msg.ID(rune('0'+(i/260)%10)) + msg.ID(rune('0'+(i/2600)%10)))
-	}
-	if h.Len() != 4 {
-		t.Errorf("Len = %d, want 4", h.Len())
-	}
-	if len(h.order)-h.head > 64 {
-		t.Errorf("order slice not compacted: len=%d head=%d", len(h.order), h.head)
 	}
 }
 
@@ -536,7 +407,7 @@ func TestQueueShrinksAfterBurst(t *testing.T) {
 			t.Fatalf("push: %v", err)
 		}
 	}
-	grown := cap(q.ids.slots)
+	grown := cap(q.ids.Slots)
 	if grown < burst {
 		t.Fatalf("expected capacity >= %d after burst, got %d", burst, grown)
 	}
@@ -547,18 +418,15 @@ func TestQueueShrinksAfterBurst(t *testing.T) {
 			t.Fatal("queue drained early")
 		}
 	}
-	if c := cap(q.ids.slots); c >= grown/2+1 {
+	if c := cap(q.ids.Slots); c >= grown/2+1 {
 		t.Fatalf("backing array not released: len=%d cap=%d (burst cap %d)", q.Len(), c, grown)
 	}
 	// Shrinking must preserve the index: every remaining ID resolves and
 	// pops in rank order.
 	seen := 0
-	for {
-		n, ok := q.PeekBest()
-		if !ok {
-			break
-		}
-		if got, ok := q.Get(n.ID); !ok || got != n {
+	for q.Len() > 0 {
+		n := q.BestN(1)[0]
+		if h, ok := q.index[n.ID]; !ok || q.ids.Slots[h].N != n {
 			t.Fatalf("index broken after shrink for %q", n.ID)
 		}
 		if popped, ok := q.PopBest(); !ok || popped != n {
@@ -578,11 +446,11 @@ func TestQueueSmallNeverShrinks(t *testing.T) {
 			t.Fatalf("push: %v", err)
 		}
 	}
-	before := cap(q.ids.slots)
+	before := cap(q.ids.Slots)
 	for q.Len() > 0 {
 		q.PopBest()
 	}
-	if c := cap(q.ids.slots); c != before {
+	if c := cap(q.ids.Slots); c != before {
 		t.Fatalf("small queue shrank below floor: cap %d -> %d", before, c)
 	}
 }
@@ -598,13 +466,13 @@ func TestQueueRemoveShrinks(t *testing.T) {
 			t.Fatalf("push: %v", err)
 		}
 	}
-	grown := cap(q.ids.slots)
+	grown := cap(q.ids.Slots)
 	for _, id := range all[:burst-burst/16] {
 		if _, ok := q.Remove(id); !ok {
 			t.Fatalf("remove %q failed", id)
 		}
 	}
-	if c := cap(q.ids.slots); c >= grown {
+	if c := cap(q.ids.Slots); c >= grown {
 		t.Fatalf("Remove path did not shrink: cap still %d (burst cap %d)", c, grown)
 	}
 }
@@ -643,7 +511,9 @@ func TestQueueWholeQueueMatchesPopOrder(t *testing.T) {
 
 		// The reference order: pop a copy of the queue dry.
 		ref := NewQueue()
-		q.Each(func(n *msg.Notification) { _ = ref.Push(n) })
+		for _, h := range q.h.heap {
+			_ = ref.Push(q.ids.Slots[h].N)
+		}
 		var want []*msg.Notification
 		for {
 			n, ok := ref.PopBest()
@@ -675,29 +545,29 @@ func TestQueueWholeQueueMatchesPopOrder(t *testing.T) {
 			t.Fatalf("seed %d: after BestN: %v", seed, err)
 		}
 		for _, n := range want {
-			if got, ok := q.Get(n.ID); !ok || got != n || !q.Contains(n.ID) {
+			if h, ok := q.index[n.ID]; !ok || q.ids.Slots[h].N != n {
 				t.Fatalf("seed %d: index broken for %s after BestN", seed, n.ID)
 			}
 		}
-		if best, ok := q.PeekBest(); len(want) > 0 && (!ok || best != want[0]) {
-			t.Fatalf("seed %d: PeekBest = %v after BestN, want %s", seed, best, want[0].ID)
+		if best := q.BestN(1); len(want) > 0 && (len(best) != 1 || best[0] != want[0]) {
+			t.Fatalf("seed %d: BestN(1) = %v after BestN, want %s", seed, ids(best), want[0].ID)
 		}
 
-		grown := cap(q.ids.slots)
+		grown := cap(q.ids.Slots)
 		if got := q.TakeBestN(q.Len() + rng.Intn(3)); !same(got) {
 			t.Fatalf("seed %d: TakeBestN = %v, pop order %v", seed, ids(got), ids(want))
 		}
-		if q.Len() != 0 || len(q.ids.index) != 0 {
-			t.Fatalf("seed %d: TakeBestN left %d items, %d index entries", seed, q.Len(), len(q.ids.index))
+		if q.Len() != 0 || len(q.index) != 0 {
+			t.Fatalf("seed %d: TakeBestN left %d items, %d index entries", seed, q.Len(), len(q.index))
 		}
-		if _, ok := q.PeekBest(); ok {
-			t.Fatalf("seed %d: PeekBest on a taken queue returned ok", seed)
+		if best := q.BestN(1); best != nil {
+			t.Fatalf("seed %d: BestN(1) on a taken queue = %v", seed, ids(best))
 		}
-		if c := cap(q.ids.slots); grown >= shrinkFloor && c != 0 || grown < shrinkFloor && c != grown {
+		if c := cap(q.ids.Slots); grown >= shrinkFloor && c != 0 || grown < shrinkFloor && c != grown {
 			t.Fatalf("seed %d: capacity %d after taking a queue of capacity %d", seed, c, grown)
 		}
 		for _, n := range want {
-			if q.Contains(n.ID) {
+			if _, ok := q.index[n.ID]; ok {
 				t.Fatalf("seed %d: %s still indexed after TakeBestN", seed, n.ID)
 			}
 		}

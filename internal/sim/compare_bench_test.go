@@ -34,7 +34,7 @@ func BenchmarkCompareYear(b *testing.B) {
 // replay itself allocates a fixed handful per run; a per-input closure,
 // event or note copy would add thousands.
 func TestCompareAllocs(t *testing.T) {
-	const budget = 1329
+	const budget = 970
 	cfg := goldenConfig(1, false)
 	sc := mustScenario(t, cfg)
 	policy := core.UnifiedConfig(TopicName, cfg.Max)
