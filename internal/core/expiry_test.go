@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"lasthop/internal/msg"
-	"lasthop/internal/simtime"
 	"lasthop/internal/trace"
 )
 
@@ -210,60 +209,48 @@ func TestSameInstantExpiryOrder(t *testing.T) {
 	}
 }
 
-// lyingClock reports every Cancel as lost, the way a Wall timer that
-// fired just before Cancel does: its callback still runs later. (The
-// cancelled timer is in fact stopped; the test runs the late callback by
-// hand.)
-type lyingClock struct{ testClock }
-
-type lostCancel struct{ simtime.Timer }
-
-func (c lyingClock) Schedule(d time.Duration, fn func()) simtime.Timer {
-	return lostCancel{c.testClock.Schedule(d, fn)}
-}
-
-func (t lostCancel) Cancel() bool {
-	t.Timer.Cancel()
-	return false
-}
-
-// TestStaleExpiryFireIsNoop: a fire from a timer the topic has since
-// replaced, or from a topic that is gone, changes nothing.
+// TestStaleExpiryFireIsNoop: a timer the topic has since replaced, or the
+// timer of a topic that is gone, never fires, so it changes nothing. Both
+// schedulers honour a Cancel issued from the proxy's own entry points
+// (simtime's TestCancelFromBatchOrRunWins pins that), so the topic keeps
+// no count of stale fires to absorb.
 func TestStaleExpiryFireIsNoop(t *testing.T) {
-	sched := lyingClock{newTestClock(t0)}
+	sched := newTestClock(t0)
+	fired := 0
 	p := New(sched, &fakeDevice{})
 	if err := p.AddTopic(OnDemandConfig("t", 4)); err != nil {
 		t.Fatal(err)
 	}
 	ts := p.topics["t"]
+	fire := ts.expiryFire
+	ts.expiryFire = func() { fired++; fire() }
 	note := func(id msg.ID, life time.Duration) *msg.Notification {
 		return &msg.Notification{ID: id, Topic: "t", Rank: 5, Published: t0, Expires: t0.Add(life)}
 	}
 	p.Notify(note("late", 10*time.Minute))
-	p.Notify(note("soon", 5*time.Minute)) // re-arms; the 10-minute timer's cancel is lost
-	p.expiryTimeout(ts)                   // ... and its callback runs
+	p.Notify(note("soon", 5*time.Minute)) // re-arms; the 10-minute timer is cancelled
 	if got := sched.Pending(); got != 1 {
-		t.Fatalf("%d timers pending after a stale fire, want 1", got)
+		t.Fatalf("%d timers pending after a re-arm, want 1", got)
 	}
 	sched.Advance(5 * time.Minute)
-	if got := p.Stats().Expirations; got != 1 {
-		t.Fatalf("Expirations = %d at the first deadline, want 1", got)
+	if got := p.Stats().Expirations; got != 1 || fired != 1 {
+		t.Fatalf("Expirations = %d after %d fires at the first deadline, want 1 after 1", got, fired)
 	}
 	sched.Advance(5 * time.Minute)
-	if got := p.Stats().Expirations; got != 2 {
-		t.Fatalf("Expirations = %d at the second deadline, want 2", got)
+	if got := p.Stats().Expirations; got != 2 || fired != 2 {
+		t.Fatalf("Expirations = %d after %d fires at the second deadline, want 2 after 2", got, fired)
 	}
 
 	p.Notify(note("gone", 20*time.Minute))
 	if err := p.RemoveTopic("t"); err != nil {
 		t.Fatal(err)
 	}
-	p.expiryTimeout(ts) // the removed topic's cancelled timer runs late
 	if got := sched.Pending(); got != 0 {
-		t.Errorf("%d timers pending after a late fire on a removed topic, want 0", got)
+		t.Errorf("%d timers pending after the topic was removed, want 0", got)
 	}
-	if got := p.Stats().Expirations; got != 2 {
-		t.Errorf("Expirations = %d after a late fire on a removed topic, want 2", got)
+	sched.Advance(time.Hour)
+	if got := p.Stats().Expirations; got != 2 || fired != 2 {
+		t.Errorf("Expirations = %d after %d fires once the topic was removed, want 2 after 2", got, fired)
 	}
 }
 

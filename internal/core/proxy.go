@@ -147,14 +147,13 @@ type topicState struct {
 	// notification: expiry holds every armed deadline, and expiryTimer
 	// (nil when disarmed) is the one scheduler entry, armed at expiryAt,
 	// no later than the heap's earliest deadline. expiryFire is its
-	// callback, bound once so re-arming allocates no closure. expiryStale
-	// counts cancelled timers whose callback is still due to run (a Wall
-	// timer that fired before Cancel); each such fire is a no-op.
+	// callback, bound once so re-arming allocates no closure. Both
+	// schedulers honour a Cancel issued from a callback or Run, so a
+	// disarmed timer never fires.
 	expiry      rankedq.ExpiryHeap
 	expiryTimer simtime.Timer
 	expiryAt    time.Time
 	expiryFire  func()
-	expiryStale int
 
 	queueSize     int // proxy's view of the client device queue
 	prefetchLimit int
@@ -691,15 +690,12 @@ func (p *Proxy) armExpiry(ts *topicState) {
 	ts.expiryTimer = p.sched.Schedule(next.Sub(p.sched.Now()), ts.expiryFire)
 }
 
-// disarmExpiry cancels the topic's expiry timer. A cancel that loses to a
-// fire already under way leaves one stale callback to absorb.
+// disarmExpiry cancels the topic's expiry timer.
 func (ts *topicState) disarmExpiry() {
 	if ts.expiryTimer == nil {
 		return
 	}
-	if !ts.expiryTimer.Cancel() {
-		ts.expiryStale++
-	}
+	ts.expiryTimer.Cancel()
 	ts.expiryTimer = nil
 }
 
@@ -707,13 +703,6 @@ func (ts *topicState) disarmExpiry() {
 // expires, in (Expires, ID) order, then the timer re-arms at the next
 // deadline.
 func (p *Proxy) expiryTimeout(ts *topicState) {
-	if ts.expiryStale > 0 {
-		ts.expiryStale--
-		return
-	}
-	if ts.expiryTimer == nil {
-		return // disarmed: the topic was removed or the proxy shut down
-	}
 	ts.expiryTimer = nil
 	now := p.sched.Now()
 	for {
@@ -739,9 +728,7 @@ func (ts *topicState) clearTimers() {
 }
 
 // drop cancels the topic's timers and releases every remembered
-// notification. A wall-clock timer that fired before Cancel still runs
-// later; its callback looks its notification up by ID, or finds the expiry
-// timer disarmed, so emptying the table makes it a no-op.
+// notification.
 func (p *Proxy) drop(ts *topicState) {
 	ts.clearTimers()
 	for _, s := range ts.slots {

@@ -281,11 +281,11 @@ func TestRecoverRebuildsState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Recovery: replay into a fresh proxy on a fresh clock, advancing
-	// virtual time to each entry's instant.
-	clock2 := simtime.NewVirtual(t0)
+	// Recovery: the restarted proxy's clock reads the crash instant; the
+	// replay reruns the recorded instants on its own clock.
+	clock2 := simtime.NewVirtual(clock.Now())
 	dev2 := &sink{}
-	rec2, err := Recover(clock2, func(at time.Time) { clock2.RunUntil(at) }, dev2, path, nil)
+	rec2, err := Recover(clock2, dev2, path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,13 +297,13 @@ func TestRecoverRebuildsState(t *testing.T) {
 	if !ok {
 		t.Fatal("recovered proxy lost the topic")
 	}
-	// The recovered network state is down by design; everything else
-	// must match the pre-crash snapshot.
-	if got.Outgoing != want.Outgoing || got.Prefetch != want.Prefetch ||
-		got.Holding != want.Holding || got.Forwarded != want.Forwarded ||
-		got.History != want.History || got.PrefetchLimit != want.PrefetchLimit ||
-		got.QueueSizeView != want.QueueSizeView {
+	// The recovered network state is down by design; every snapshot
+	// field must match the pre-crash one.
+	if got != want {
 		t.Errorf("recovered state diverged:\n  want %+v\n  got  %+v", want, got)
+	}
+	if got, want := rec2.Proxy().Stats(), proxy.Stats(); got != want {
+		t.Errorf("recovered stats diverged:\n  want %+v\n  got  %+v", want, got)
 	}
 
 	// Post-recovery service: the device reconnects; its read corrects
@@ -343,18 +343,73 @@ func TestRecoverExpiredTimersFire(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Recover "two hours later": the notification is already expired and
-	// the replayed expiry timer fires when the clock catches up.
-	clock2 := simtime.NewVirtual(t0)
-	rec2, err := Recover(clock2, func(at time.Time) { clock2.RunUntil(at) }, &sink{}, path, nil)
+	// Recover "two hours later": the notification expired while the proxy
+	// was down, so its replayed expiry timer fires during recovery, on
+	// the replay's clock, and the live clock has nothing left to fire.
+	clock2 := simtime.NewVirtual(t0.Add(2 * time.Hour))
+	rec2, err := Recover(clock2, &sink{}, path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rec2.Close()
-	clock2.Advance(2 * time.Hour)
 	snap, _ := rec2.Proxy().Snapshot("t")
 	if snap.Prefetch != 0 {
 		t.Errorf("expired notification still queued after recovery: %+v", snap)
+	}
+	if got := rec2.Proxy().Stats().Expirations; got != 1 {
+		t.Errorf("expirations after recovery = %d, want 1", got)
+	}
+	if n := clock2.Pending(); n != 0 {
+		t.Errorf("%d timers armed on the live clock for an expired notification", n)
+	}
+}
+
+// TestRecoverFutureDeadlineFiresLive: a deadline that falls after the
+// restart is not run during recovery; it re-arms on the live scheduler
+// and fires at its own recorded instant there.
+func TestRecoverFutureDeadlineFiresLive(t *testing.T) {
+	path := tmpJournal(t)
+	clock := simtime.NewVirtual(t0)
+	j, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := NewRecorder(clock, core.New(clock, &sink{}), j)
+	if err := rec.AddTopic(core.OnDemandConfig("t", 4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Notify(note("long", 5, clock.Now(), 2*time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Restart one hour in: the deadline at t0+2h is still ahead.
+	clock2 := simtime.NewVirtual(t0.Add(time.Hour))
+	rec2, err := Recover(clock2, &sink{}, path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec2.Close()
+	queued := func() int {
+		snap, _ := rec2.Proxy().Snapshot("t")
+		return snap.Prefetch
+	}
+	if queued() != 1 || rec2.Proxy().Stats().Expirations != 0 {
+		t.Fatalf("recovery ran a deadline that is still ahead: %d queued, stats %+v", queued(), rec2.Proxy().Stats())
+	}
+	at, ok := clock2.NextDeadline()
+	if want := t0.Add(2 * time.Hour); !ok || !at.Equal(want) {
+		t.Fatalf("live clock's next deadline = %v (armed %v), want %v", at, ok, want)
+	}
+	clock2.RunUntil(at.Add(-time.Nanosecond))
+	if queued() != 1 {
+		t.Fatal("the deadline fired before its instant")
+	}
+	clock2.RunUntil(at)
+	if queued() != 0 || rec2.Proxy().Stats().Expirations != 1 {
+		t.Errorf("the deadline did not fire at its instant: %d queued, stats %+v", queued(), rec2.Proxy().Stats())
 	}
 }
 
@@ -387,13 +442,12 @@ func TestCompactShrinksAndPreservesState(t *testing.T) {
 	// set and tuning state: every live message is either still queued or
 	// recorded as forwarded, and the split is reconciled by the next
 	// read (§3.5). Expired messages are gone by design.
-	clock2 := simtime.NewVirtual(t0)
-	rec2, err := Recover(clock2, func(at time.Time) { clock2.RunUntil(at) }, &sink{}, path, nil)
+	clock2 := simtime.NewVirtual(clock.Now())
+	rec2, err := Recover(clock2, &sink{}, path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rec2.Close()
-	clock2.RunUntil(clock.Now())
 	got, ok := rec2.Proxy().Snapshot("t")
 	if !ok {
 		t.Fatal("compacted journal lost the topic")
@@ -437,7 +491,7 @@ func TestCompactDropsRemovedTopics(t *testing.T) {
 		t.Fatal(err)
 	}
 	clock2 := simtime.NewVirtual(t0)
-	rec2, err := Recover(clock2, nil, &sink{}, path, nil)
+	rec2, err := Recover(clock2, &sink{}, path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,66 +106,79 @@ func (r *Recorder) SetNetwork(up bool) error {
 	return nil
 }
 
-// mutedForwarder suppresses forwarding during replay while preserving the
-// proxy's decision sequence.
-type mutedForwarder struct {
-	out   core.BatchForwarder
-	muted bool
-}
+// discard is the replay proxy's forwarder: the device received whatever
+// the recorded proxy forwarded, so replay sends nothing.
+type discard struct{}
 
-func (m *mutedForwarder) ForwardBatch(batch []*msg.Notification) error {
-	if m.muted {
-		return nil
-	}
-	return m.out.ForwardBatch(batch)
-}
+func (discard) ForwardBatch([]*msg.Notification) error { return nil }
 
-// Recover rebuilds a proxy from the journal at path, replaying each entry
-// at its recorded instant on the hybrid scheduler, then appends new inputs
-// to the same journal. The caller drives sched (an *simtime.Hybrid in
-// deployment, any scheduler in tests whose clock can be advanced to the
-// entries' timestamps via the advance callback) and must call GoLive-style
-// switching itself after Recover returns. A torn final entry (crash
-// mid-append) is skipped; warnf (nil to discard) receives the diagnostic.
-func Recover(sched simtime.Scheduler, advance func(time.Time), out core.BatchForwarder, path string, warnf func(string, ...any)) (*Recorder, error) {
-	muted := &mutedForwarder{out: out, muted: true}
-	proxy := core.New(sched, muted)
-	proxy.SetNetwork(false)
+// Recover rebuilds a proxy from the journal at path and returns it on
+// sched, the live scheduler, appending new inputs to the same journal.
+// The entries replay into a muted proxy on a private Virtual clock that
+// starts at the first entry's instant and moves to each entry's recorded
+// instant, so the tuners see the recorded intervals and timers fire when
+// they fell due. That clock then runs up to sched.Now(), and the state
+// moves through core.Proxy.Export and Import into a proxy on sched that
+// forwards to out, with the network down. Import runs inside sched.Run,
+// and the deadlines still ahead re-arm there to fire at their own
+// instants. A torn final entry (crash mid-append) is skipped; warnf (nil
+// to discard) receives the diagnostic.
+func Recover(sched simtime.Scheduler, out core.BatchForwarder, path string, warnf func(string, ...any)) (*Recorder, error) {
+	var (
+		clock  *simtime.Virtual
+		replay *core.Proxy
+	)
 	err := ReadAllOpts(path, warnf, func(e Entry) error {
-		if advance != nil && !e.At.IsZero() {
-			advance(e.At)
+		if replay == nil {
+			clock = simtime.NewVirtual(e.At)
+			replay = core.New(clock, discard{})
+			replay.SetNetwork(false)
+		}
+		if !e.At.IsZero() {
+			clock.RunUntil(e.At)
 		}
 		switch e.Kind {
 		case KindAddTopic:
-			return proxy.AddTopic(*e.TopicConfig)
+			return replay.AddTopic(*e.TopicConfig)
 		case KindRemoveTopic:
-			return proxy.RemoveTopic(e.TopicName)
+			return replay.RemoveTopic(e.TopicName)
 		case KindNotify:
-			proxy.Notify(e.Notification)
+			replay.Notify(e.Notification)
 		case KindRankUpdate:
-			proxy.ApplyRankUpdate(*e.Update)
+			replay.ApplyRankUpdate(*e.Update)
 		case KindRead:
 			// Read errors during replay (for example a read for a topic
 			// removed later in the journal) are not fatal.
-			_ = proxy.Read(*e.Read)
+			_ = replay.Read(*e.Read)
 		case KindNetwork:
-			proxy.SetNetwork(*e.NetworkUp)
+			replay.SetNetwork(*e.NetworkUp)
 		case KindResume:
 			// Like reads, resumes for topics removed later in the journal
 			// are not fatal.
-			_ = proxy.Resume(e.Resume.Topic, msg.NewIDSet(e.Resume.Have...), msg.NewIDSet(e.Resume.Read...))
+			_ = replay.Resume(e.Resume.Topic, msg.NewIDSet(e.Resume.Have...), msg.NewIDSet(e.Resume.Read...))
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("recover: %w", err)
 	}
-	// Replay is done: un-mute and consider the device unreachable until
-	// the deployment reports otherwise.
-	muted.muted = false
-	proxy.SetNetwork(false)
 	j, err := Open(path)
 	if err != nil {
+		return nil, fmt.Errorf("recover: %w", err)
+	}
+	proxy := core.New(sched, out)
+	sched.Run(func() {
+		proxy.SetNetwork(false)
+		if replay == nil {
+			return
+		}
+		clock.RunUntil(sched.Now())
+		if err = proxy.Import(replay.Export()); err != nil {
+			proxy.Shutdown() // a partial Import may have armed timers
+		}
+	})
+	if err != nil {
+		_ = j.Close()
 		return nil, fmt.Errorf("recover: %w", err)
 	}
 	return NewRecorder(sched, proxy, j), nil

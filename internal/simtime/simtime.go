@@ -3,22 +3,28 @@
 // and under the wall clock in a live deployment.
 //
 // The proxy algorithm (paper Figure 7) relies on a schedule() primitive to
-// expire and delay notifications; Scheduler provides it. Virtual is the
-// deterministic single-goroutine simulator clock; Wall serializes real
-// timer callbacks and external events through one mutex, preserving the
-// algorithm's single-threaded discipline.
+// expire and delay notifications; Scheduler provides it. There are two
+// implementations. Virtual is the deterministic single-goroutine
+// simulator clock, and journal recovery replays on it too. Wheel is a
+// hierarchical timing wheel: NewWallWheel runs every live proxy against
+// the wall clock, serializing timer callbacks and external events through
+// one mutex so the algorithm keeps its single-threaded discipline, and
+// fires each callback no earlier than its instant and at most two ticks
+// late; NewWheel is its deterministic manual mode.
 package simtime
 
 import (
 	"math"
-	"sync"
 	"time"
 )
 
 // Timer is a handle to a scheduled callback.
 type Timer interface {
 	// Cancel prevents the callback from running, reporting whether it was
-	// still pending.
+	// still pending. Called serialized with the scheduler's callbacks
+	// (from a callback or a Run closure), a Cancel that returns true means
+	// the callback never runs, even when it is due in the batch that is
+	// firing.
 	Cancel() bool
 }
 
@@ -27,8 +33,8 @@ type Scheduler interface {
 	// Now returns the current instant.
 	Now() time.Time
 	// Schedule runs fn after d, serialized with every other callback.
-	// Non-positive delays run at the current instant (virtual) or as
-	// soon as possible (wall).
+	// Non-positive delays run at the current instant (Virtual) or on
+	// the next tick (the live wheel).
 	Schedule(d time.Duration, fn func()) Timer
 	// Run executes fn serialized with scheduled callbacks. External
 	// inputs (network frames, user commands) enter the proxy through Run.
@@ -46,11 +52,7 @@ type Virtual struct {
 	seq    uint64
 }
 
-// Compile-time interface checks.
-var (
-	_ Scheduler = (*Virtual)(nil)
-	_ Scheduler = (*Wall)(nil)
-)
+var _ Scheduler = (*Virtual)(nil)
 
 // event is one scheduled callback; it is also the callback's Timer.
 type event struct {
@@ -247,79 +249,4 @@ func (v *Virtual) NextDeadline() (time.Time, bool) {
 		return time.Time{}, false
 	}
 	return v.events[0].at, true
-}
-
-// Wall is a Scheduler backed by the wall clock. All callbacks and Run
-// closures are serialized through one mutex, so code written for the
-// single-threaded virtual scheduler is safe under it.
-type Wall struct {
-	mu     sync.Mutex
-	closed bool
-}
-
-// NewWall returns a wall-clock scheduler.
-func NewWall() *Wall { return &Wall{} }
-
-// Now returns the wall-clock time.
-func (w *Wall) Now() time.Time { return time.Now() }
-
-type wallTimer struct {
-	w     *Wall
-	t     *time.Timer
-	mu    sync.Mutex
-	state int // 0 pending, 1 fired, 2 cancelled
-}
-
-// Cancel stops the timer, reporting whether it was still pending.
-func (t *wallTimer) Cancel() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.state != 0 {
-		return false
-	}
-	t.state = 2
-	t.t.Stop()
-	return true
-}
-
-// Schedule runs fn after d under the scheduler mutex. After Close, the
-// callback is dropped.
-func (w *Wall) Schedule(d time.Duration, fn func()) Timer {
-	if d < 0 {
-		d = 0
-	}
-	wt := &wallTimer{w: w}
-	wt.t = time.AfterFunc(d, func() {
-		wt.mu.Lock()
-		if wt.state != 0 {
-			wt.mu.Unlock()
-			return
-		}
-		wt.state = 1
-		wt.mu.Unlock()
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		if !w.closed {
-			fn()
-		}
-	})
-	return wt
-}
-
-// Run executes fn under the scheduler mutex.
-func (w *Wall) Run(fn func()) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return
-	}
-	fn()
-}
-
-// Close stops delivering callbacks: fns scheduled but not yet fired are
-// dropped, and Close blocks until any currently running callback finishes.
-func (w *Wall) Close() {
-	w.mu.Lock()
-	w.closed = true
-	w.mu.Unlock()
 }

@@ -172,8 +172,11 @@ func TestVirtualOrderProperty(t *testing.T) {
 	}
 }
 
+// The TestWall* tests pin the live scheduler's contract on the wall-clock
+// wheel every live proxy runs on.
+
 func TestWallScheduleAndRun(t *testing.T) {
-	w := NewWall()
+	w := NewWallWheel(time.Millisecond)
 	defer w.Close()
 	done := make(chan struct{})
 	var mu sync.Mutex
@@ -201,15 +204,22 @@ func TestWallScheduleAndRun(t *testing.T) {
 	}
 }
 
+// TestWallCancel cancels from a Run closure, as the wheel's contract on
+// Cancel asks: serialized with the callbacks.
 func TestWallCancel(t *testing.T) {
-	w := NewWall()
+	w := NewWallWheel(time.Millisecond)
 	defer w.Close()
 	fired := make(chan struct{}, 1)
-	timer := w.Schedule(20*time.Millisecond, func() { fired <- struct{}{} })
-	if !timer.Cancel() {
+	var first, second bool
+	w.Run(func() {
+		timer := w.Schedule(20*time.Millisecond, func() { fired <- struct{}{} })
+		first = timer.Cancel()
+		second = timer.Cancel()
+	})
+	if !first {
 		t.Error("Cancel returned false")
 	}
-	if timer.Cancel() {
+	if second {
 		t.Error("second Cancel returned true")
 	}
 	select {
@@ -220,7 +230,7 @@ func TestWallCancel(t *testing.T) {
 }
 
 func TestWallClose(t *testing.T) {
-	w := NewWall()
+	w := NewWallWheel(time.Millisecond)
 	fired := make(chan struct{}, 1)
 	w.Schedule(30*time.Millisecond, func() { fired <- struct{}{} })
 	w.Close()
@@ -233,7 +243,7 @@ func TestWallClose(t *testing.T) {
 }
 
 func TestWallNow(t *testing.T) {
-	w := NewWall()
+	w := NewWallWheel(time.Millisecond)
 	defer w.Close()
 	before := time.Now()
 	got := w.Now()
@@ -244,7 +254,7 @@ func TestWallNow(t *testing.T) {
 }
 
 func TestWallSerialization(t *testing.T) {
-	w := NewWall()
+	w := NewWallWheel(time.Millisecond)
 	defer w.Close()
 	const n = 50
 	counter := 0
@@ -266,4 +276,74 @@ func TestWallSerialization(t *testing.T) {
 			t.Errorf("counter = %d, want %d", counter, n+1)
 		}
 	})
+}
+
+// TestCancelFromBatchOrRunWins pins the contract core's expiry timer
+// relies on, for both schedulers and both wheel modes: a Cancel issued
+// serialized with the callbacks — from an earlier callback of the batch
+// that is firing, or from a Run closure — returns true, and the cancelled
+// callback never runs. No cancelled timer can leave a stale fire behind.
+func TestCancelFromBatchOrRunWins(t *testing.T) {
+	type clock struct {
+		s Scheduler
+		// runTo fires every callback due by the instant (a live wheel
+		// waits for its ticker to get there).
+		runTo func(time.Time)
+		close func()
+	}
+	clocks := map[string]func() clock{
+		"virtual": func() clock {
+			v := NewVirtual(t0)
+			return clock{v, v.RunUntil, func() {}}
+		},
+		"manual-wheel": func() clock {
+			w := NewWheel(t0, time.Millisecond)
+			return clock{w, w.RunUntil, w.Close}
+		},
+		"live-wheel": func() clock {
+			w := NewWallWheel(time.Millisecond)
+			return clock{w, func(at time.Time) {
+				done := make(chan struct{})
+				w.Schedule(time.Until(at), func() { close(done) })
+				<-done
+			}, w.Close}
+		},
+	}
+	for name, mk := range clocks {
+		t.Run(name, func(t *testing.T) {
+			c := mk()
+			defer c.close()
+			var ran []string
+			var fromBatch, fromRun bool
+			// Three timers due on one instant form one batch; the first
+			// cancels the second. A fourth, later timer is cancelled from
+			// Run before it is due.
+			var due time.Time
+			c.s.Run(func() {
+				due = c.s.Now().Add(5 * time.Millisecond)
+				var second Timer
+				c.s.Schedule(5*time.Millisecond, func() {
+					ran = append(ran, "first")
+					fromBatch = second.Cancel()
+				})
+				second = c.s.Schedule(5*time.Millisecond, func() { ran = append(ran, "second") })
+				c.s.Schedule(5*time.Millisecond, func() { ran = append(ran, "third") })
+			})
+			var later Timer
+			c.s.Run(func() { later = c.s.Schedule(10*time.Millisecond, func() { ran = append(ran, "later") }) })
+			c.s.Run(func() { fromRun = later.Cancel() })
+			c.runTo(due.Add(20 * time.Millisecond))
+			c.s.Run(func() {
+				if !fromBatch {
+					t.Error("Cancel from an earlier callback of the batch returned false")
+				}
+				if !fromRun {
+					t.Error("Cancel from Run returned false")
+				}
+				if len(ran) != 2 || ran[0] != "first" || ran[1] != "third" {
+					t.Errorf("callbacks ran %v, want [first third]", ran)
+				}
+			})
+		})
+	}
 }

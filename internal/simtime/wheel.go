@@ -1,10 +1,10 @@
-// Hierarchical timing wheel (Varghese & Lauck) backing the multi-tenant
-// proxy host. Wall arms one runtime timer per scheduled callback, which is
-// what the host is trying to escape: a node with a million queued
-// notifications would hold a million entries in the runtime timer heap.
-// The wheel stores timers in coarse-tick buckets instead — O(1) arm and
-// cancel with zero steady-state allocation, one ticker goroutine per wheel
-// — at the cost of quantizing fire times up to one tick late.
+// Hierarchical timing wheel (Varghese & Lauck) backing every live proxy.
+// One runtime timer per scheduled callback (time.AfterFunc) is what the
+// multi-tenant host escapes: a node with a million queued notifications
+// would hold a million entries in the runtime timer heap. The wheel stores
+// timers in coarse-tick buckets instead — O(1) arm and cancel with zero
+// steady-state allocation, one ticker goroutine per wheel — at the cost of
+// quantizing fire times up to one tick late.
 package simtime
 
 import (
@@ -26,9 +26,9 @@ const (
 // one of two modes:
 //
 //   - Live (NewWallWheel): a ticker goroutine advances the wheel against
-//     the wall clock. Callbacks run serialized with Run, exactly like Wall,
-//     but arming a timer only links a recycled list node into a bucket —
-//     no runtime timer, no allocation in steady state.
+//     the wall clock. Callbacks run serialized with Run, and arming a
+//     timer only links a recycled list node into a bucket — no runtime
+//     timer, no allocation in steady state.
 //   - Manual (NewWheel): a deterministic driver (RunUntil / Advance) fires
 //     due callbacks in the same (deadline, arm-order) order Virtual uses,
 //     so simulations and property tests can compare the two directly.
@@ -51,7 +51,7 @@ const (
 // timer; callers that drop handles once their callback runs (as the
 // proxy's timers do) never observe a re-armed node.
 type Wheel struct {
-	// cbMu serializes callbacks and Run closures (the role Wall.mu plays).
+	// cbMu serializes callbacks and Run closures.
 	// Lock order: cbMu before mu; Schedule/Cancel take only mu so timer
 	// management from inside callbacks cannot deadlock.
 	cbMu sync.Mutex
@@ -162,9 +162,9 @@ type wheelTimer struct {
 }
 
 // Cancel stops the timer, reporting whether the callback had not yet run.
-// Like Virtual — and unlike Wall — cancelling a timer that is due in the
-// current batch but whose callback has not started yet still wins. See
-// the Wheel doc for the serialization contract on stale handles.
+// Like Virtual, cancelling a timer that is due in the current batch but
+// whose callback has not started yet still wins. See the Wheel doc for
+// the serialization contract on stale handles.
 func (t *wheelTimer) Cancel() bool {
 	w := t.w
 	if w == nil {

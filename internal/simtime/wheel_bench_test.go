@@ -7,9 +7,9 @@ import (
 
 // BenchmarkTimerWheel measures arming + cancelling one timer while 100k
 // timers stay outstanding — the host's steady state, where every queued
-// notification holds a delay or expiry timer. Sub-benchmarks compare the
-// wheel against the two runtime-timer baselines it replaces: raw
-// time.AfterFunc and the Wall scheduler's wrapped AfterFunc.
+// notification holds a delay or expiry timer. The sub-benchmarks compare
+// the wheel against the runtime-timer baseline it replaces, raw
+// time.AfterFunc.
 func BenchmarkTimerWheel(b *testing.B) {
 	const outstanding = 100_000
 	nop := func() {}
@@ -41,25 +41,6 @@ func BenchmarkTimerWheel(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			time.AfterFunc(time.Hour, nop).Stop()
-		}
-	})
-
-	b.Run("Wall", func(b *testing.B) {
-		w := NewWall()
-		defer w.Close()
-		pinned := make([]Timer, outstanding)
-		for i := range pinned {
-			pinned[i] = w.Schedule(time.Hour, nop)
-		}
-		defer func() {
-			for _, t := range pinned {
-				t.Cancel()
-			}
-		}()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			w.Schedule(time.Hour, nop).Cancel()
 		}
 	})
 }

@@ -125,9 +125,10 @@ func TestWheelFarFutureAndCascade(t *testing.T) {
 	}
 }
 
-// TestWheelCancelSemantics pins Cancel's contract, including the case that
-// distinguishes the wheel from Wall: a callback already collected into the
-// due batch but not yet run can still be cancelled (matching Virtual).
+// TestWheelCancelSemantics pins Cancel's contract, including the case
+// that a runtime-timer scheduler cannot offer: a callback already
+// collected into the due batch but not yet run can still be cancelled
+// (matching Virtual).
 func TestWheelCancelSemantics(t *testing.T) {
 	w := NewWheel(w0, 10*time.Millisecond)
 	defer w.Close()
@@ -343,14 +344,15 @@ func TestWheelStress(t *testing.T) {
 	time.Sleep(30 * time.Millisecond)
 }
 
-// --- simtime.Wall race coverage (PR 5 satellite) ---
+// --- live-scheduler race coverage ---
 
-// TestWallScheduleCancelCloseRaces hammers Wall's Schedule/Cancel/Close
-// paths concurrently; -race verifies the serialization claims in the
-// package doc.
+// TestWallScheduleCancelCloseRaces hammers the live wheel's Schedule,
+// Cancel and Close paths from several goroutines; -race verifies the
+// serialization claims in the package doc. Each Cancel runs in a Run
+// closure, as the wheel's contract on stale handles asks.
 func TestWallScheduleCancelCloseRaces(t *testing.T) {
 	for round := 0; round < 20; round++ {
-		w := NewWall()
+		w := NewWallWheel(time.Millisecond)
 		var counter int // written only under w's serialization
 		var wg sync.WaitGroup
 		for g := 0; g < 4; g++ {
@@ -364,7 +366,8 @@ func TestWallScheduleCancelCloseRaces(t *testing.T) {
 					timers = append(timers, w.Schedule(d, func() { counter++ }))
 					switch {
 					case rng.Float64() < 0.3 && len(timers) > 0:
-						timers[rng.Intn(len(timers))].Cancel()
+						tm := timers[rng.Intn(len(timers))]
+						w.Run(func() { tm.Cancel() })
 					case rng.Float64() < 0.1:
 						w.Run(func() { counter++ })
 					}
@@ -378,48 +381,10 @@ func TestWallScheduleCancelCloseRaces(t *testing.T) {
 	}
 }
 
-// TestWallCancelFireRace pins the contract on the Cancel/fire boundary:
-// for every timer, either Cancel reports true and the callback must not
-// have run its effect yet... or Cancel reports false. Wall's known
-// wrinkle — a fired-but-not-yet-run callback reports Cancel()==false and
-// still runs — is allowed; what is never allowed is Cancel()==true AND
-// the callback running.
-func TestWallCancelFireRace(t *testing.T) {
-	w := NewWall()
-	defer w.Close()
-	var mu sync.Mutex
-	ran := make(map[int]bool)
-	var wg sync.WaitGroup
-	const n = 500
-	cancelled := make([]bool, n)
-	for i := 0; i < n; i++ {
-		i := i
-		tm := w.Schedule(time.Duration(i%3)*time.Millisecond, func() {
-			mu.Lock()
-			ran[i] = true
-			mu.Unlock()
-		})
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cancelled[i] = tm.Cancel()
-		}()
-	}
-	wg.Wait()
-	time.Sleep(10 * time.Millisecond)
-	mu.Lock()
-	defer mu.Unlock()
-	for i := 0; i < n; i++ {
-		if cancelled[i] && ran[i] {
-			t.Fatalf("timer %d: Cancel reported success but callback ran", i)
-		}
-	}
-}
-
 // TestWallCloseDuringCallbacks verifies Close blocks until in-flight
 // callbacks finish and drops everything after.
 func TestWallCloseDuringCallbacks(t *testing.T) {
-	w := NewWall()
+	w := NewWallWheel(time.Millisecond)
 	started := make(chan struct{})
 	var finished int32
 	w.Schedule(0, func() {

@@ -115,10 +115,6 @@ func (pp plainProxy) SetNetwork(up bool) error {
 	return nil
 }
 
-type closer interface {
-	Close()
-}
-
 // ProxyOptions configures a proxy server.
 type ProxyOptions struct {
 	// BrokerAddr is the upstream broker's address.
@@ -177,8 +173,7 @@ type DeviceSession struct {
 type ProxyServer struct {
 	name     string
 	opts     ProxyOptions
-	sched    simtime.Scheduler
-	schedC   closer
+	sched    *simtime.Wheel
 	proxy    *core.Proxy
 	api      proxyAPI
 	upstream *BrokerClient
@@ -220,25 +215,25 @@ func NewProxyServerOpts(opts ProxyOptions) (*ProxyServer, error) {
 		opts:     opts,
 		logf:     logf,
 		sessions: make(map[string]*DeviceSession),
+		sched:    simtime.NewWallWheel(0),
 	}
 
+	// Every touch of the proxy goes through sched.Run from here on: a
+	// recovered proxy's timers can fire on the wheel as soon as Recover
+	// returns.
 	if opts.JournalPath == "" {
-		wall := simtime.NewWall()
-		ps.sched, ps.schedC = wall, wall
-		ps.proxy = core.New(wall, ps)
+		ps.proxy = core.New(ps.sched, ps)
 		ps.api = plainProxy{p: ps.proxy}
 	} else {
-		hybrid := simtime.NewHybrid(time.Now())
-		rec, err := journal.Recover(hybrid, hybrid.AdvanceTo, ps, opts.JournalPath, logf)
+		rec, err := journal.Recover(ps.sched, ps, opts.JournalPath, logf)
 		if err != nil {
+			ps.sched.Close()
 			return nil, fmt.Errorf("proxy: %w", err)
 		}
-		hybrid.GoLive()
-		ps.sched, ps.schedC = hybrid, hybrid
 		ps.proxy = rec.Proxy()
 		ps.api = rec
-		logf("proxy: recovered journal %s (%d topics)", opts.JournalPath, len(ps.proxy.Topics()))
 	}
+	var topics []string
 	ps.sched.Run(func() {
 		// Upstream pushes arrive as pooled notifications and their
 		// ownership ends inside the core (forwarding serializes onto the
@@ -247,19 +242,24 @@ func NewProxyServerOpts(opts ProxyOptions) (*ProxyServer, error) {
 		if err := ps.api.SetNetwork(false); err != nil { // no device yet
 			logf("proxy: initial network state: %v", err)
 		}
+		if opts.Trace != nil {
+			// Stamp this proxy's name onto core events so shared
+			// collectors (the load generator uses one for the whole
+			// topology) attribute queue decisions to the right node.
+			ps.proxy.SetTracer(nodeTracer{node: ps.name, t: opts.Trace})
+		}
+		topics = ps.proxy.Topics()
 	})
+	if opts.JournalPath != "" {
+		logf("proxy: recovered journal %s (%d topics)", opts.JournalPath, len(topics))
+	}
 	ps.ingress.drain = func() { ps.drainIngress() }
 
 	upstream, err := DialBrokerOpts(opts.BrokerAddr, opts.Name, opts.Upstream)
 	if err != nil {
-		ps.schedC.Close()
+		ps.sched.Run(func() { ps.proxy.Shutdown() })
+		ps.sched.Close()
 		return nil, fmt.Errorf("proxy: %w", err)
-	}
-	if opts.Trace != nil {
-		// Stamp this proxy's name onto core events so shared collectors
-		// (the load generator uses one for the whole topology) attribute
-		// queue decisions to the right node.
-		ps.proxy.SetTracer(nodeTracer{node: ps.name, t: opts.Trace})
 	}
 	upstream.OnPush(
 		func(n *msg.Notification) {
@@ -277,7 +277,7 @@ func NewProxyServerOpts(opts ProxyOptions) (*ProxyServer, error) {
 	ps.upstream = upstream
 
 	// A recovered proxy re-subscribes its topics upstream.
-	for _, topic := range ps.proxy.Topics() {
+	for _, topic := range topics {
 		sub := msg.Subscription{Topic: topic, Subscriber: opts.Name}
 		if err := upstream.Subscribe(sub); err != nil {
 			logf("proxy: resubscribe %q: %v", topic, err)
@@ -489,7 +489,7 @@ func (ps *ProxyServer) Close() {
 	// core's remembered notifications back into the pool before stopping
 	// the scheduler.
 	ps.sched.Run(func() { ps.proxy.Shutdown() })
-	ps.schedC.Close()
+	ps.sched.Close()
 }
 
 func (ps *ProxyServer) handleDevice(conn *Conn) {

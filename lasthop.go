@@ -15,7 +15,9 @@
 //   - the pub/sub routing substrate (Broker),
 //   - the core last-hop proxy (Proxy), its policies and its Forwarder,
 //   - the device model (Device) and last-hop link model (Link),
-//   - virtual/wall-clock scheduling (VirtualClock, WallClock),
+//   - scheduling: the deterministic VirtualClock and the WallClock every
+//     live proxy runs on, a timing wheel whose callbacks fire at most two
+//     10 ms ticks late,
 //   - the discrete-event simulator (SimConfig, Scenario, Compare),
 //   - the experiment harness regenerating the paper's figures, and
 //   - the TCP wire deployment (BrokerServer, ProxyServer, DeviceClient).
@@ -151,15 +153,18 @@ type (
 	Scheduler = simtime.Scheduler
 	// VirtualClock is the deterministic discrete-event scheduler.
 	VirtualClock = simtime.Virtual
-	// WallClock is the real-time scheduler.
-	WallClock = simtime.Wall
+	// WallClock is the real-time scheduler: a timing wheel driven by its
+	// own ticker goroutine, firing each callback no earlier than its
+	// instant and at most two ticks late. Close releases the goroutine.
+	WallClock = simtime.Wheel
 )
 
 // NewVirtualClock returns a virtual scheduler starting at the instant.
 func NewVirtualClock(start time.Time) *VirtualClock { return simtime.NewVirtual(start) }
 
-// NewWallClock returns a wall-clock scheduler.
-func NewWallClock() *WallClock { return simtime.NewWall() }
+// NewWallClock returns a wall-clock scheduler with the 10 ms tick every
+// live proxy uses.
+func NewWallClock() *WallClock { return simtime.NewWallWheel(0) }
 
 // Simulator (internal/sim) and metrics (internal/metrics).
 type (
