@@ -14,7 +14,7 @@ import (
 // gates (every owed ID read, duplicates within a tenth of deliveries,
 // no trace-attributed loss, the spool verifies).
 func TestRunRecovery(t *testing.T) {
-	rep, err := RunScenario(smokeKillRestart(t), ScenarioOptions{Timeout: 60 * time.Second, Logf: t.Logf})
+	rep, err := RunScenario(smokeKillRestart(t), ScenarioOptions{Timeout: 60 * time.Second, Logf: t.Logf, BundleDir: bundleDir(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,8 +61,9 @@ func smokeKillRestart(t *testing.T) Scenario {
 // as much.
 func TestScenarioScaleGrowsDevicesOnly(t *testing.T) {
 	var published, delivered [2]int
+	bundles := bundleDir(t)
 	for i, scale := range []float64{1, 2} {
-		rep, err := RunScenario(smokeKillRestart(t), ScenarioOptions{Scale: scale, Timeout: 60 * time.Second, Logf: t.Logf})
+		rep, err := RunScenario(smokeKillRestart(t), ScenarioOptions{Scale: scale, Timeout: 60 * time.Second, Logf: t.Logf, BundleDir: bundles})
 		if err != nil {
 			t.Fatal(err)
 		}

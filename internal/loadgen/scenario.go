@@ -151,7 +151,9 @@ type ScenarioOptions struct {
 	// private one.
 	Registry *obs.Registry
 	// BundleDir, when set, receives a post-mortem flight bundle on a
-	// stall-watchdog trip or a failed verdict (the CLI wires it from
+	// stall-watchdog trip, a failed verdict, or an error once the
+	// topology is up: a device or publisher that cannot connect, or a
+	// phase that fails or times out (the CLI wires it from
 	// LASTHOP_BUNDLE_DIR). A trip also fails the verdict with the
 	// bundle path attached. Empty disables bundle dumps.
 	BundleDir string
@@ -386,6 +388,39 @@ func RunScenario(sc Scenario, opts ScenarioOptions) (rep *Report, err error) {
 	defer r.teardown()
 	r.h.RegisterMetrics(reg, "sc-host")
 
+	// dump writes a post-mortem flight bundle to opts.BundleDir and
+	// returns its path, or "" when bundles are off or the write failed.
+	dump := func(reason string, trips []flight.Trip) string {
+		if opts.BundleDir == "" {
+			return ""
+		}
+		p, err := flight.WriteBundle(flight.BundleOptions{
+			Dir:      opts.BundleDir,
+			Node:     "sc-" + sc.Name,
+			Reason:   reason,
+			Trips:    trips,
+			Recorder: flight.Active(),
+			Metrics:  reg,
+			Traces:   collector,
+		})
+		if err != nil {
+			logf("scenario %s: flight bundle failed: %v", sc.Name, err)
+			return ""
+		}
+		return p
+	}
+	// A harness error — a device or publisher that cannot connect, a
+	// phase that fails or runs into the deadline — leaves a bundle too,
+	// written before the deferred teardown so its goroutine stacks show
+	// the topology as it was stuck.
+	defer func() {
+		if err != nil {
+			if p := dump("scenario-error", nil); p != "" {
+				logf("scenario %s: %v: flight bundle at %s", sc.Name, err, p)
+			}
+		}
+	}()
+
 	// The stall watchdog mirrors production wiring: a wedged worker
 	// loop, spool group commit, or egress flusher during the run dumps a
 	// post-mortem bundle and fails the verdict with the bundle path
@@ -393,23 +428,7 @@ func RunScenario(sc Scenario, opts ScenarioOptions) (rep *Report, err error) {
 	// masquerades as a stall.
 	r.watchdog = flight.NewWatchdog(250 * time.Millisecond)
 	r.watchdog.OnTrip(func(trips []flight.Trip) {
-		path := ""
-		if opts.BundleDir != "" {
-			o := flight.BundleOptions{
-				Dir:      opts.BundleDir,
-				Node:     "sc-" + sc.Name,
-				Reason:   "watchdog",
-				Trips:    trips,
-				Recorder: flight.Active(),
-				Metrics:  reg,
-				Traces:   collector,
-			}
-			if p, err := flight.WriteBundle(o); err != nil {
-				logf("scenario %s: flight bundle failed: %v", sc.Name, err)
-			} else {
-				path = p
-			}
-		}
+		path := dump("watchdog", trips)
 		for _, tr := range trips {
 			if path != "" {
 				r.failf("watchdog: %s (bundle: %s)", tr, path)
@@ -489,18 +508,8 @@ func RunScenario(sc Scenario, opts ScenarioOptions) (rep *Report, err error) {
 	v := sc.Budget.Evaluate(sc.Name, rep, r.takeFailures())
 	v.ElapsedSeconds = elapsed.Seconds()
 	rep.Verdict = &v
-	if !v.Pass && opts.BundleDir != "" {
-		o := flight.BundleOptions{
-			Dir:      opts.BundleDir,
-			Node:     "sc-" + sc.Name,
-			Reason:   "scenario-failure",
-			Recorder: flight.Active(),
-			Metrics:  reg,
-			Traces:   collector,
-		}
-		if p, err := flight.WriteBundle(o); err != nil {
-			logf("scenario %s: flight bundle failed: %v", sc.Name, err)
-		} else {
+	if !v.Pass {
+		if p := dump("scenario-failure", nil); p != "" {
 			logf("scenario %s failed: flight bundle at %s", sc.Name, p)
 		}
 	}
