@@ -151,8 +151,7 @@ func expiryProgram(t *testing.T, cfg TopicConfig, seed int64) []byte {
 
 // TestExpiryPresetDigests runs seeded programs under each of the five
 // presets and compares their transcripts with digests recorded from the
-// one-timer-per-notification implementation. LASTHOP_CORE_SCHED=wheel
-// must reproduce the same digests: every instant is tick-aligned.
+// one-timer-per-notification implementation.
 func TestExpiryPresetDigests(t *testing.T) {
 	for _, c := range []struct {
 		cfg  TopicConfig
@@ -279,8 +278,7 @@ func TestExpiryArmsOneTimerPerTopic(t *testing.T) {
 // arrival on a warmed proxy whose history is full, so every arrival also
 // evicts (and forgets) the oldest notification. It allocates nothing:
 // arming one timer and a closure per notification cost two allocations
-// here under the virtual scheduler and one under the wheel, whose nodes
-// are recycled.
+// here.
 func TestNotifyExpirableAllocs(t *testing.T) {
 	const history = 64
 	cfg := OnDemandConfig("t", 4)

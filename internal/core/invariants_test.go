@@ -12,6 +12,7 @@ import (
 
 	"lasthop/internal/msg"
 	"lasthop/internal/rankedq"
+	"lasthop/internal/simtime"
 )
 
 // checkInvariants asserts the proxy's structural invariants for a topic.
@@ -155,7 +156,7 @@ func checkInvariants(t *testing.T, p *Proxy, topic string, step int) {
 
 // applyRandomOp drives one random proxy input, returning the device's
 // notion of its queue so reads can be plausible.
-func applyRandomOp(t *testing.T, rng *rand.Rand, clock testClock, p *Proxy, dev *fakeDevice, next *int) {
+func applyRandomOp(t *testing.T, rng *rand.Rand, clock *simtime.Virtual, p *Proxy, dev *fakeDevice, next *int) {
 	t.Helper()
 	switch rng.Intn(10) {
 	case 0, 1, 2, 3: // arrival

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"lasthop/internal/msg"
+	"lasthop/internal/simtime"
 )
 
 // parityDriver runs one proxy through a scenario and keeps a transcript of
@@ -24,7 +25,7 @@ import (
 // against were recorded from the per-event path, which forwarded one
 // notification per call and stopped at the first failure.
 type parityDriver struct {
-	sched      testClock
+	sched      *simtime.Virtual
 	proxy      *Proxy
 	dev        *fakeDevice
 	transcript strings.Builder

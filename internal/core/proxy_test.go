@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -47,27 +46,13 @@ func (d *fakeDevice) ids() []msg.ID {
 	return out
 }
 
-// testClock is the driver surface the core tests need from a scheduler.
-// Both simtime.Virtual and the manual simtime.Wheel satisfy it, which is
-// how the wheel's drop-in claim is enforced: LASTHOP_CORE_SCHED=wheel
-// reruns this entire package against the timing wheel.
-type testClock interface {
-	simtime.Scheduler
-	Advance(time.Duration)
-	Pending() int
-}
-
-func newTestClock(start time.Time) testClock {
-	if os.Getenv("LASTHOP_CORE_SCHED") == "wheel" {
-		// 1ms ticks: fine enough that the tests' second-granularity
-		// schedules stay tick-aligned and fire at their exact instants.
-		return simtime.NewWheel(start, time.Millisecond)
-	}
-	return simtime.NewVirtual(start)
-}
+// newTestClock returns the scheduler every core test runs on: Virtual,
+// the one deterministic scheduler. The live wheel's tick walk is tested
+// against it in internal/simtime.
+func newTestClock(start time.Time) *simtime.Virtual { return simtime.NewVirtual(start) }
 
 type fixture struct {
-	sched testClock
+	sched *simtime.Virtual
 	dev   *fakeDevice
 	proxy *Proxy
 }

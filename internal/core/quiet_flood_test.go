@@ -6,19 +6,17 @@ import (
 	"time"
 
 	"lasthop/internal/msg"
-	"lasthop/internal/simtime"
 )
 
 // TestQuietReleaseFloodAtSlotBoundary pins the quiet-window release path
-// under a flood, on the real timing wheel, at a slot-wrap boundary. t0 is
-// midnight, the wheel ticks at 1s, and the quiet window ends at the next
-// midnight: release tick 86400 is ≡ 0 mod 64, so every deferred timer
-// reaches level 0 by an outer-wheel cascade landing exactly on the tick
-// under test. The assertions guard three separate failure modes:
+// under a flood of notes deferred from six instants to one release
+// instant, midnight (t0 is midnight, and the quiet window ends at the next
+// one). That the live wheel fires such a flood on its tick, however the
+// cascade brings it down, is simtime's TestWallWheelCascadeBoundary. The
+// assertions here guard three failure modes of the proxy:
 //
-//   - cascade coalescing or late re-arm: nothing may release one tick
-//     before midnight, and *everything* must release at the midnight tick
-//     itself, not a tick (or a cascade) later;
+//   - the release instant: nothing may release a second before midnight,
+//     and *everything* must release at midnight itself;
 //   - cap accounting: the daily cap is charged once per released note at
 //     release time, against the delivery day — the arrival day's budget is
 //     already spent when the flood arrives, so a defer-time (or
@@ -33,9 +31,9 @@ func TestQuietReleaseFloodAtSlotBoundary(t *testing.T) {
 		flood    = batches * perBatch // 1998 deferred notes
 	)
 
-	wheel := simtime.NewWheel(t0, time.Second)
+	clock := newTestClock(t0)
 	dev := &fakeDevice{}
-	p := New(wheel, dev)
+	p := New(clock, dev)
 	cfg := OnlineConfig("t")
 	cfg.DailyOnlineCap = dailyCap
 	cfg.Quiet = []QuietWindow{{Start: 22 * time.Hour, End: 24 * time.Hour}}
@@ -53,14 +51,14 @@ func TestQuietReleaseFloodAtSlotBoundary(t *testing.T) {
 	// Exhaust day 0's on-line budget in the afternoon. A bug that charges
 	// the cap when the flood is deferred — or against the arrival day —
 	// would find the budget empty and release nothing at midnight.
-	wheel.Advance(12 * time.Hour)
+	clock.Advance(12 * time.Hour)
 	for i := 0; i < dailyCap; i++ {
-		p.Notify(&msg.Notification{ID: msg.ID(fmt.Sprintf("day0-%d", i)), Topic: "t", Rank: 5, Published: wheel.Now()})
+		p.Notify(&msg.Notification{ID: msg.ID(fmt.Sprintf("day0-%d", i)), Topic: "t", Rank: 5, Published: clock.Now()})
 	}
 	if len(dev.received) != dailyCap {
 		t.Fatalf("day-0 warmup delivered %d, want %d", len(dev.received), dailyCap)
 	}
-	p.Notify(&msg.Notification{ID: "day0-over", Topic: "t", Rank: 5, Published: wheel.Now()})
+	p.Notify(&msg.Notification{ID: "day0-over", Topic: "t", Rank: 5, Published: clock.Now()})
 	if s := snap(); s.Prefetch != 1 {
 		t.Fatalf("day-0 overflow: prefetch = %d, want 1 (cap not exhausted?)", s.Prefetch)
 	}
@@ -68,9 +66,7 @@ func TestQuietReleaseFloodAtSlotBoundary(t *testing.T) {
 	stagedBase := 1
 
 	// Flood the quiet window from spread-out instants: every batch defers
-	// over a different distance to the same release tick, so the timers
-	// enter the wheel in different slots and levels and must all converge
-	// on tick 86400 by cascade.
+	// over a different distance to the same release instant.
 	offsets := []time.Duration{
 		22 * time.Hour,
 		22*time.Hour + time.Second,
@@ -81,9 +77,9 @@ func TestQuietReleaseFloodAtSlotBoundary(t *testing.T) {
 	}
 	sent := 0
 	for b, off := range offsets {
-		wheel.Advance(t0.Add(off).Sub(wheel.Now()))
+		clock.Advance(t0.Add(off).Sub(clock.Now()))
 		for i := 0; i < perBatch; i++ {
-			p.Notify(&msg.Notification{ID: msg.ID(fmt.Sprintf("f%d-%d", b, i)), Topic: "t", Rank: 5, Published: wheel.Now()})
+			p.Notify(&msg.Notification{ID: msg.ID(fmt.Sprintf("f%d-%d", b, i)), Topic: "t", Rank: 5, Published: clock.Now()})
 			sent++
 		}
 	}
@@ -94,27 +90,27 @@ func TestQuietReleaseFloodAtSlotBoundary(t *testing.T) {
 		t.Fatalf("mid-window: delayed = %d outgoing = %d, want %d and 0", s.Delayed, s.Outgoing, flood)
 	}
 
-	// One tick before midnight: not a single early release.
-	wheel.Advance(t0.Add(24*time.Hour - time.Second).Sub(wheel.Now()))
+	// One second before midnight: not a single early release.
+	clock.Advance(t0.Add(24*time.Hour - time.Second).Sub(clock.Now()))
 	if len(dev.received) != 0 {
-		t.Fatalf("%d notes released a tick before the window end", len(dev.received))
+		t.Fatalf("%d notes released a second before the window end", len(dev.received))
 	}
 	if s := snap(); s.Delayed != flood {
-		t.Fatalf("one tick early: delayed = %d, want %d", s.Delayed, flood)
+		t.Fatalf("one second early: delayed = %d, want %d", s.Delayed, flood)
 	}
 
-	// The midnight tick: the whole flood resolves in this single tick —
-	// dailyCap on-line deliveries charged to the new day, the rest staged.
-	wheel.Advance(time.Second)
+	// Midnight: the whole flood resolves at this one instant — dailyCap
+	// on-line deliveries charged to the new day, the rest staged.
+	clock.Advance(time.Second)
 	if len(dev.received) != dailyCap {
-		t.Fatalf("midnight tick delivered %d, want %d (cap of the delivery day)", len(dev.received), dailyCap)
+		t.Fatalf("midnight delivered %d, want %d (cap of the delivery day)", len(dev.received), dailyCap)
 	}
 	s := snap()
 	if s.Delayed != 0 {
-		t.Fatalf("midnight tick left %d notes delayed (cascade re-armed a tick late?)", s.Delayed)
+		t.Fatalf("midnight left %d notes delayed", s.Delayed)
 	}
 	if want := stagedBase + flood - dailyCap; s.Prefetch != want {
-		t.Fatalf("midnight tick staged %d notes, want %d", s.Prefetch-stagedBase, want-stagedBase)
+		t.Fatalf("midnight staged %d notes, want %d", s.Prefetch-stagedBase, want-stagedBase)
 	}
 	seen := make(map[msg.ID]bool, dailyCap)
 	for _, n := range dev.received {
@@ -127,8 +123,8 @@ func TestQuietReleaseFloodAtSlotBoundary(t *testing.T) {
 	// The released notes spent the new day's entire budget: the next
 	// arrival (outside the window now) must overflow to staging. An
 	// under-charged release would let it through on-line.
-	wheel.Advance(time.Second)
-	p.Notify(&msg.Notification{ID: "day1-probe", Topic: "t", Rank: 5, Published: wheel.Now()})
+	clock.Advance(time.Second)
+	p.Notify(&msg.Notification{ID: "day1-probe", Topic: "t", Rank: 5, Published: clock.Now()})
 	if len(dev.received) != dailyCap {
 		t.Fatalf("post-flood probe delivered on-line (%d total deliveries): the flood under-charged the cap", len(dev.received))
 	}
@@ -138,17 +134,15 @@ func TestQuietReleaseFloodAtSlotBoundary(t *testing.T) {
 }
 
 // TestQuietReleaseRedeferAcrossWheelLevels covers the re-defer branch of
-// quietTimeout on the real wheel: a release that fires exactly at the
-// start of a second quiet window must re-arm for that window's end — over
-// another multi-level deferral span (2h crosses the level-1 horizon of
-// 64×64 ticks = 4096s) — and fire at its exact tick, not inside the
-// window and not a cascade late.
+// quietTimeout: a release that fires exactly at the start of a second
+// quiet window must re-arm for that window's end, two hours on, and fire
+// at that instant, not inside the window and not later.
 func TestQuietReleaseRedeferAcrossWheelLevels(t *testing.T) {
-	wheel := simtime.NewWheel(t0, time.Second)
+	clock := newTestClock(t0)
 	dev := &fakeDevice{}
-	p := New(wheel, dev)
+	p := New(clock, dev)
 	cfg := OnlineConfig("t")
-	// Back-to-back windows: the first's release tick (03:00:00) is the
+	// Back-to-back windows: the first's release instant (03:00:00) is the
 	// second's first quiet instant, so the release must re-defer.
 	cfg.Quiet = []QuietWindow{
 		{Start: 1 * time.Hour, End: 3 * time.Hour},
@@ -158,12 +152,12 @@ func TestQuietReleaseRedeferAcrossWheelLevels(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	wheel.Advance(2 * time.Hour)
-	p.Notify(&msg.Notification{ID: "deep", Topic: "t", Rank: 5, Published: wheel.Now()})
+	clock.Advance(2 * time.Hour)
+	p.Notify(&msg.Notification{ID: "deep", Topic: "t", Rank: 5, Published: clock.Now()})
 
 	// The 03:00:00 release fires into the second window: re-deferred,
 	// nothing delivered.
-	wheel.Advance(time.Hour)
+	clock.Advance(time.Hour)
 	if len(dev.received) != 0 {
 		t.Fatalf("delivered %d notes into the second quiet window", len(dev.received))
 	}
@@ -171,13 +165,13 @@ func TestQuietReleaseRedeferAcrossWheelLevels(t *testing.T) {
 		t.Fatalf("re-defer lost the note: delayed = %d, want 1", s.Delayed)
 	}
 
-	// One tick before the second window's end: still held.
-	wheel.Advance(2*time.Hour - time.Second)
+	// One second before the second window's end: still held.
+	clock.Advance(2*time.Hour - time.Second)
 	if len(dev.received) != 0 {
-		t.Fatalf("released %d notes a tick before the second window end", len(dev.received))
+		t.Fatalf("released %d notes a second before the second window end", len(dev.received))
 	}
-	wheel.Advance(time.Second)
+	clock.Advance(time.Second)
 	if len(dev.received) != 1 {
-		t.Fatalf("re-deferred release delivered %d notes at its exact tick, want 1", len(dev.received))
+		t.Fatalf("re-deferred release delivered %d notes at its instant, want 1", len(dev.received))
 	}
 }

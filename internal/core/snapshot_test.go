@@ -8,12 +8,13 @@ import (
 	"time"
 
 	"lasthop/internal/msg"
+	"lasthop/internal/simtime"
 )
 
 // buildBusyProxy drives a proxy into a state that exercises every durable
 // field: staged queues, a delay stage, armed expiry timers, forwarded
 // bookkeeping, tuner statistics fed by reads, and trace contexts.
-func buildBusyProxy(t *testing.T, sched testClock, dev *fakeDevice) *Proxy {
+func buildBusyProxy(t *testing.T, sched *simtime.Virtual, dev *fakeDevice) *Proxy {
 	t.Helper()
 	p := New(sched, dev)
 	bcfg := BufferConfig("buf", 3, 2)

@@ -170,20 +170,22 @@ func (j *Journal) Appended() int {
 	return j.n
 }
 
-// Close flushes and closes the file.
+// Close flushes the file, syncs it to stable storage and closes it.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
 		return nil
 	}
-	flushErr := j.w.Flush()
-	closeErr := j.f.Close()
-	j.f = nil
-	if flushErr != nil {
-		return flushErr
+	err := j.w.Flush()
+	if err == nil {
+		err = j.f.Sync()
 	}
-	return closeErr
+	if closeErr := j.f.Close(); err == nil {
+		err = closeErr
+	}
+	j.f = nil
+	return err
 }
 
 // ReadAll streams every entry of a journal file. A missing file yields no

@@ -28,7 +28,7 @@ func NewRecorder(sched simtime.Scheduler, proxy *core.Proxy, j *Journal) *Record
 // Proxy exposes the wrapped proxy for read-only inspection.
 func (r *Recorder) Proxy() *core.Proxy { return r.proxy }
 
-// Close closes the underlying journal.
+// Close syncs and closes the underlying journal.
 func (r *Recorder) Close() error { return r.j.Close() }
 
 func (r *Recorder) log(e Entry) error {

@@ -223,6 +223,24 @@ func (b *Broker) Unsubscribe(topic, subscriber string) error {
 	return nil
 }
 
+// Unbind removes the subscriber from the topic only while its binding
+// still delivers to sub. The check and the removal share one critical
+// section, so a connection's cleanup never removes the binding a newer
+// connection re-subscribed under the same name. sub must be comparable.
+func (b *Broker) Unbind(topic, subscriber string, sub Subscriber) {
+	sh := b.shard(topic)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	st, ok := sh.topics[topic]
+	if !ok {
+		return
+	}
+	if s, ok := st.subs[subscriber]; ok && s.sub == sub {
+		delete(st.subs, subscriber)
+		st.refreshSubs()
+	}
+}
+
 // Publish routes a notification to every subscriber of its topic. The
 // topic must be advertised; notification IDs must be fresh. The admission checks and the
 // duplicate-suppression record share one locked pass over the topic's

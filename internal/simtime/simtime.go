@@ -4,13 +4,13 @@
 //
 // The proxy algorithm (paper Figure 7) relies on a schedule() primitive to
 // expire and delay notifications; Scheduler provides it. There are two
-// implementations. Virtual is the deterministic single-goroutine
-// simulator clock, and journal recovery replays on it too. Wheel is a
-// hierarchical timing wheel: NewWallWheel runs every live proxy against
-// the wall clock, serializing timer callbacks and external events through
-// one mutex so the algorithm keeps its single-threaded discipline, and
-// fires each callback no earlier than its instant and at most two ticks
-// late; NewWheel is its deterministic manual mode.
+// implementations. Virtual is the one deterministic scheduler: the
+// single-goroutine simulator clock, on which journal recovery replays too.
+// Wheel is a hierarchical timing wheel that NewWallWheel walks against the
+// wall clock for every live proxy, serializing timer callbacks and
+// external events through one mutex so the algorithm keeps its
+// single-threaded discipline, and firing each callback no earlier than its
+// instant and at most two ticks late.
 package simtime
 
 import (

@@ -279,10 +279,11 @@ func TestWallSerialization(t *testing.T) {
 }
 
 // TestCancelFromBatchOrRunWins pins the contract core's expiry timer
-// relies on, for both schedulers and both wheel modes: a Cancel issued
-// serialized with the callbacks — from an earlier callback of the batch
-// that is firing, or from a Run closure — returns true, and the cancelled
-// callback never runs. No cancelled timer can leave a stale fire behind.
+// relies on, for Virtual and for the wheel, walked by hand and by its
+// ticker: a Cancel issued serialized with the callbacks — from an earlier
+// callback of the batch that is firing, or from a Run closure — returns
+// true, and the cancelled callback never runs. No cancelled timer can
+// leave a stale fire behind.
 func TestCancelFromBatchOrRunWins(t *testing.T) {
 	type clock struct {
 		s Scheduler
@@ -297,8 +298,10 @@ func TestCancelFromBatchOrRunWins(t *testing.T) {
 			return clock{v, v.RunUntil, func() {}}
 		},
 		"manual-wheel": func() clock {
-			w := NewWheel(t0, time.Millisecond)
-			return clock{w, w.RunUntil, w.Close}
+			w := newWheel(time.Millisecond)
+			return clock{w, func(at time.Time) {
+				walkTo(w, int64(at.Sub(w.start))/w.tickNs)
+			}, w.Close}
 		},
 		"live-wheel": func() clock {
 			w := NewWallWheel(time.Millisecond)

@@ -4,7 +4,7 @@
 // would hold a million entries in the runtime timer heap. The wheel stores
 // timers in coarse-tick buckets instead — O(1) arm and cancel with zero
 // steady-state allocation, one ticker goroutine per wheel — at the cost of
-// quantizing fire times up to one tick late.
+// firing up to two ticks late.
 package simtime
 
 import (
@@ -22,23 +22,16 @@ const (
 	wheelLevels = 8 // 64^8 ticks of horizon; beyond that clamps to the top level
 )
 
-// Wheel is a hierarchical timing wheel implementing Scheduler. It runs in
-// one of two modes:
+// Wheel is a hierarchical timing wheel implementing Scheduler. A ticker
+// goroutine walks it against the wall clock. Callbacks run serialized with
+// Run, and arming a timer only links a recycled list node into a bucket —
+// no runtime timer, no allocation in steady state.
 //
-//   - Live (NewWallWheel): a ticker goroutine advances the wheel against
-//     the wall clock. Callbacks run serialized with Run, and arming a
-//     timer only links a recycled list node into a bucket — no runtime
-//     timer, no allocation in steady state.
-//   - Manual (NewWheel): a deterministic driver (RunUntil / Advance) fires
-//     due callbacks in the same (deadline, arm-order) order Virtual uses,
-//     so simulations and property tests can compare the two directly.
-//
-// Fire times are quantized. In manual mode a callback scheduled for
-// instant T runs at the first tick boundary at or after T: never early, at
-// most one tick late. In live mode Schedule charges one extra tick of
+// Fire times are quantized to ticks. Schedule charges one extra tick of
 // slack (it reads the coarse tick counter, not the wall clock), so a
 // callback runs no earlier than its requested instant and at most two
-// ticks late, plus whatever the ticker goroutine is delayed by.
+// ticks late, plus whatever the ticker goroutine is delayed by. Callbacks
+// due on one tick run in arm order.
 //
 // Timer handles and recycling: timer nodes return to a free list when
 // they fire or are cancelled, so arming under churn does not allocate.
@@ -64,19 +57,15 @@ type Wheel struct {
 
 	start   time.Time
 	tickNs  int64
-	cur     int64 // last processed tick; logical now >= start + cur*tick
-	nowNs   int64 // manual mode: simulated now, nanoseconds since start
+	cur     int64 // last processed tick; now >= start + cur*tick
 	seq     uint64
 	pending int
 	closed  bool
 	free    *wheelTimer // recycled nodes, linked through next
 	buckets [wheelLevels][wheelSlots]wheelList
+	done    chan struct{} // closed by Close; stops tickLoop
 
-	live   bool
-	ticker *time.Ticker
-	done   chan struct{}
-
-	// tickHook, when set, runs at the end of every live advance (under
+	// tickHook, when set, runs at the end of every advance (under
 	// cbMu, after mu is released) with the ticks processed, timers
 	// cascaded, and wall time spent. The host uses it as the worker
 	// heartbeat: an idle wheel still advances, so a fresh stamp means
@@ -155,7 +144,6 @@ type wheelTimer struct {
 	fn         func()
 	prev, next *wheelTimer
 	list       *wheelList
-	atNs       int64 // requested instant, nanoseconds since w.start
 	tickN      int64 // boundary tick the callback fires on
 	seq        uint64
 	state      uint8
@@ -212,39 +200,23 @@ func (w *Wheel) recycle(t *wheelTimer) {
 	w.free = t
 }
 
-// NewWheel returns a manual-mode wheel starting at the given instant. The
-// caller drives it with RunUntil / Advance, like Virtual.
-func NewWheel(start time.Time, tick time.Duration) *Wheel {
-	if tick <= 0 {
-		tick = time.Millisecond
-	}
-	return &Wheel{start: start, tickNs: int64(tick)}
-}
-
-// NewWallWheel returns a live wheel driven against the wall clock by its
-// own ticker goroutine. Close releases the goroutine.
+// NewWallWheel returns a wheel walked against the wall clock by its own
+// ticker goroutine. Close releases the goroutine.
 func NewWallWheel(tick time.Duration) *Wheel {
 	if tick <= 0 {
 		tick = 10 * time.Millisecond
 	}
-	w := &Wheel{start: time.Now(), tickNs: int64(tick), live: true}
-	w.ticker = time.NewTicker(tick)
-	w.done = make(chan struct{})
+	w := newWheel(tick)
 	go w.tickLoop()
 	return w
 }
 
-// Now returns the wall clock (live mode) or the simulated instant (manual
-// mode).
-func (w *Wheel) Now() time.Time {
-	if w.live {
-		return time.Now()
-	}
-	w.mu.lock()
-	ns := w.nowNs
-	w.mu.unlock()
-	return w.start.Add(time.Duration(ns))
+func newWheel(tick time.Duration) *Wheel {
+	return &Wheel{start: time.Now(), tickNs: int64(tick), done: make(chan struct{})}
 }
+
+// Now returns the wall clock.
+func (w *Wheel) Now() time.Time { return time.Now() }
 
 // deadTimer is returned by Schedule on a closed wheel; its nil wheel makes
 // Cancel a no-op.
@@ -267,20 +239,11 @@ func (w *Wheel) Schedule(d time.Duration, fn func()) Timer {
 	t.seq = w.seq
 	t.state = wtPending
 	w.seq++
-	if w.live {
-		// Tick arithmetic instead of the wall clock: the walk has
-		// processed tick cur, so "now" is inside (cur, cur+1]; charging
-		// from cur+1 means the callback can never run early, at the cost
-		// of up to one extra tick of slack.
-		t.tickN = w.cur + 1 + ceilDiv(int64(d), w.tickNs)
-		t.atNs = t.tickN * w.tickNs
-	} else {
-		t.atNs = w.nowNs + int64(d)
-		t.tickN = ceilDiv(t.atNs, w.tickNs)
-		if t.tickN < w.cur {
-			t.tickN = w.cur
-		}
-	}
+	// Tick arithmetic instead of the wall clock: the walk has processed
+	// tick cur, so "now" is inside (cur, cur+1]; charging from cur+1 means
+	// the callback can never run early, at the cost of up to one extra
+	// tick of slack.
+	t.tickN = w.cur + 1 + ceilDiv(int64(d), w.tickNs)
 	w.place(t)
 	w.pending++
 	w.mu.unlock()
@@ -292,12 +255,10 @@ func ceilDiv(a, b int64) int64 {
 }
 
 // place links a pending timer into the level whose span covers its delta
-// from the current tick. Callers hold mu.
+// from the current tick, which is never negative: Schedule arms past cur,
+// and cascade re-places only entries due at or after it. Callers hold mu.
 func (w *Wheel) place(t *wheelTimer) {
 	delta := t.tickN - w.cur
-	if delta < 0 {
-		delta = 0
-	}
 	level := 0
 	for level < wheelLevels-1 && delta >= int64(1)<<(wheelBits*(level+1)) {
 		level++
@@ -327,8 +288,8 @@ func (w *Wheel) Pending() int {
 }
 
 // Close stops the wheel: pending callbacks are dropped, the ticker
-// goroutine (live mode) exits, and Close blocks until any currently
-// running callback finishes.
+// goroutine exits, and Close blocks until any currently running callback
+// finishes.
 func (w *Wheel) Close() {
 	w.cbMu.Lock()
 	defer w.cbMu.Unlock()
@@ -339,29 +300,30 @@ func (w *Wheel) Close() {
 	}
 	w.closed = true
 	w.mu.unlock()
-	if w.live {
-		w.ticker.Stop()
-		close(w.done)
-	}
+	close(w.done)
 }
 
-// tickLoop drives a live wheel: each ticker wake advances the walk to the
-// tick the wall clock has reached, cascading higher levels down and firing
-// due buckets.
+// tickLoop walks the wheel to the tick the wall clock has reached on each
+// ticker wake. The target is read under cbMu, so a wake that waited for a
+// long callback or Run closure still fires what fell due meanwhile.
 func (w *Wheel) tickLoop() {
+	ticker := time.NewTicker(time.Duration(w.tickNs))
+	defer ticker.Stop()
 	for {
 		select {
 		case <-w.done:
 			return
-		case <-w.ticker.C:
-			w.advanceLive()
+		case <-ticker.C:
+			w.cbMu.Lock()
+			w.advance(int64(time.Since(w.start)) / w.tickNs)
+			w.cbMu.Unlock()
 		}
 	}
 }
 
-func (w *Wheel) advanceLive() {
-	w.cbMu.Lock()
-	defer w.cbMu.Unlock()
+// advance walks the wheel tick by tick up to target, cascading higher
+// levels down and firing each due bucket. Callers hold cbMu.
+func (w *Wheel) advance(target int64) {
 	hook := w.tickHook.Load()
 	var begin time.Time
 	if hook != nil {
@@ -369,7 +331,6 @@ func (w *Wheel) advanceLive() {
 	}
 	var ticks, cascaded int64
 	w.mu.lock()
-	target := int64(time.Since(w.start)) / w.tickNs
 	var batch []*wheelTimer
 	for !w.closed && w.cur < target {
 		k := w.cur + 1
@@ -395,7 +356,7 @@ func (w *Wheel) advanceLive() {
 	}
 }
 
-// SetTickHook installs (or, with nil, clears) the live-advance hook. The
+// SetTickHook installs (or, with nil, clears) the advance hook. The
 // hook runs under the callback mutex, so it must be fast and must not
 // schedule or cancel wheel timers.
 func (w *Wheel) SetTickHook(fn func(ticks, cascaded, busyNs int64)) {
@@ -445,15 +406,12 @@ func (w *Wheel) takeSlot(l *wheelList, batch []*wheelTimer) []*wheelTimer {
 	return batch
 }
 
-// sortWheelBatch orders a due batch the way Virtual would fire it: by
-// requested instant, then arm order.
+// sortWheelBatch puts a due batch in arm order, the order Virtual fires
+// callbacks due on one instant. A bucket's list order is not arm order
+// once a cascade appends an earlier-armed entry behind a later one placed
+// directly.
 func sortWheelBatch(batch []*wheelTimer) {
-	sort.Slice(batch, func(i, j int) bool {
-		if batch[i].atNs != batch[j].atNs {
-			return batch[i].atNs < batch[j].atNs
-		}
-		return batch[i].seq < batch[j].seq
-	})
+	sort.Slice(batch, func(i, j int) bool { return batch[i].seq < batch[j].seq })
 }
 
 // runBatch executes staged callbacks, honoring cancellations that landed
@@ -474,122 +432,5 @@ func (w *Wheel) runBatch(batch []*wheelTimer) {
 		w.recycle(t)
 		w.mu.unlock()
 		fn()
-	}
-}
-
-// --- manual-mode driver (mirrors Virtual's API) ---
-
-// RunUntil fires, in deadline order, every callback whose tick boundary is
-// at or before the given instant, then advances the clock to it. Manual
-// mode only. Firing scans the buckets for the earliest due tick rather
-// than walking tick-by-tick, so jumping a simulated year over a sparse
-// schedule stays cheap.
-func (w *Wheel) RunUntil(at time.Time) {
-	if w.live {
-		panic("simtime: RunUntil on a live wheel")
-	}
-	w.cbMu.Lock()
-	defer w.cbMu.Unlock()
-	w.mu.lock()
-	targetNs := int64(at.Sub(w.start))
-	if w.closed || targetNs < w.nowNs {
-		w.mu.unlock()
-		return
-	}
-	targetTick := targetNs / w.tickNs
-	for !w.closed {
-		tickN, ok := w.minTick()
-		if !ok || tickN > targetTick {
-			break
-		}
-		batch := w.collectTick(tickN)
-		w.cur = tickN
-		if boundary := tickN * w.tickNs; boundary > w.nowNs {
-			w.nowNs = boundary
-		}
-		sortWheelBatch(batch)
-		w.mu.unlock()
-		w.runBatch(batch)
-		w.mu.lock()
-	}
-	if targetNs > w.nowNs {
-		w.nowNs = targetNs
-	}
-	w.mu.unlock()
-}
-
-// Advance is RunUntil(Now()+d).
-func (w *Wheel) Advance(d time.Duration) {
-	if d < 0 {
-		return
-	}
-	w.RunUntil(w.Now().Add(d))
-}
-
-// NextDeadline returns the earliest pending callback's requested instant.
-func (w *Wheel) NextDeadline() (time.Time, bool) {
-	w.mu.lock()
-	defer w.mu.unlock()
-	tickN, ok := w.minTick()
-	if !ok {
-		return time.Time{}, false
-	}
-	var best *wheelTimer
-	w.eachPending(func(t *wheelTimer) {
-		if t.tickN != tickN {
-			return
-		}
-		if best == nil || t.atNs < best.atNs || (t.atNs == best.atNs && t.seq < best.seq) {
-			best = t
-		}
-	})
-	return w.start.Add(time.Duration(best.atNs)), true
-}
-
-// minTick scans every bucket for the earliest pending tick. O(buckets +
-// pending); manual mode trades per-batch scan cost for determinism.
-// Callers hold mu.
-func (w *Wheel) minTick() (int64, bool) {
-	var (
-		min   int64
-		found bool
-	)
-	w.eachPending(func(t *wheelTimer) {
-		if !found || t.tickN < min {
-			min, found = t.tickN, true
-		}
-	})
-	return min, found
-}
-
-// collectTick unlinks and stages every pending entry due at the tick.
-// Callers hold mu.
-func (w *Wheel) collectTick(tickN int64) []*wheelTimer {
-	var batch []*wheelTimer
-	for level := range w.buckets {
-		for slot := range w.buckets[level] {
-			l := &w.buckets[level][slot]
-			for t := l.head; t != nil; {
-				next := t.next
-				if t.tickN == tickN {
-					l.remove(t)
-					t.state = wtStaged
-					w.pending--
-					batch = append(batch, t)
-				}
-				t = next
-			}
-		}
-	}
-	return batch
-}
-
-func (w *Wheel) eachPending(fn func(*wheelTimer)) {
-	for level := range w.buckets {
-		for slot := range w.buckets[level] {
-			for t := w.buckets[level][slot].head; t != nil; t = t.next {
-				fn(t)
-			}
-		}
 	}
 }

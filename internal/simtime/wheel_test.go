@@ -9,47 +9,109 @@ import (
 
 var w0 = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
-// TestWheelFireOrderMatchesVirtual is the PR 5 property test: for identical
-// schedules (same delays, same arm order, same cancellations), the manual
-// wheel fires callbacks in exactly the order Virtual does.
+// walkTo runs the wheel's tick walk up to tick target on the calling
+// goroutine, as tickLoop does once the wall clock has reached it. Tests
+// build the wheel with newWheel, which starts no ticker goroutine, so the
+// walk only moves when the test says so, and read the walk's tick, w.cur,
+// from callbacks and between walks.
+func walkTo(w *Wheel, target int64) {
+	w.cbMu.Lock()
+	defer w.cbMu.Unlock()
+	w.advance(target)
+}
+
+// TestWheelFireOrderMatchesVirtual is the wheel's property test: a random
+// program of arms, cancels and walks fires the wheel's callbacks in
+// exactly the order Virtual fires the same program with every timer placed
+// where the walk quantizes it, at tick armTick+1+ceil(d/tick). Delays
+// span several hundred ticks and arms interleave with walks, so a due
+// bucket mixes entries that a level-1 cascade brought down with entries
+// placed there directly; only the batch sort puts those in arm order.
+// Callbacks arm children and cancel other timers, so the program also
+// covers arming and same-batch cancellation from inside a batch.
 func TestWheelFireOrderMatchesVirtual(t *testing.T) {
+	const tick = 10 * time.Millisecond
 	const rounds = 50
 	for round := 0; round < rounds; round++ {
 		rng := rand.New(rand.NewSource(int64(round)))
-		n := 5 + rng.Intn(60)
-		delays := make([]time.Duration, n)
-		for i := range delays {
-			// Sub-tick jitter on purpose: ordering must survive several
-			// deadlines collapsing into the same bucket.
-			delays[i] = time.Duration(rng.Int63n(int64(500 * time.Millisecond)))
+		type op struct {
+			kind  int // 0 arm, 1 cancel, 2 walk
+			d     time.Duration
+			child time.Duration // > 0: the callback arms a child with this delay
+			kill  int           // >= 0: the callback cancels this timer
+			ticks int64
 		}
-		cancel := make([]bool, n)
-		for i := range cancel {
-			cancel[i] = rng.Float64() < 0.2
-		}
-		horizon := time.Second
-
-		run := func(s Scheduler, drive func(time.Duration)) []int {
-			var order []int
-			timers := make([]Timer, n)
-			for i, d := range delays {
-				i := i
-				timers[i] = s.Schedule(d, func() { order = append(order, i) })
+		var prog []op
+		n := 0
+		for len(prog) < 300 {
+			switch r := rng.Float64(); {
+			case r < 0.6:
+				o := op{kind: 0, kill: -1}
+				// Sub-tick jitter: several deadlines collapse into one
+				// bucket. Up to 600 ticks: levels 0 and 1.
+				o.d = time.Duration(rng.Int63n(int64(600 * tick)))
+				if rng.Float64() < 0.2 {
+					o.child = time.Duration(1 + rng.Int63n(int64(100*tick)))
+				}
+				if n > 0 && rng.Float64() < 0.1 {
+					o.kill = rng.Intn(n)
+				}
+				prog = append(prog, o)
+				n++
+			case r < 0.7 && n > 0:
+				prog = append(prog, op{kind: 1, kill: rng.Intn(n)})
+			default:
+				prog = append(prog, op{kind: 2, ticks: 1 + rng.Int63n(80)})
 			}
-			for i, c := range cancel {
-				if c {
-					timers[i].Cancel()
+		}
+
+		// run interprets the program on one scheduler and returns the fire
+		// order: timer index, or -1-parent for a child.
+		run := func(arm func(time.Duration, func()) Timer, walk func(ticks int64)) []int {
+			var order []int
+			var timers []Timer
+			var dead []bool
+			// A handle is dropped once its timer fires or is cancelled: a
+			// wheel node is recycled then, as the Wheel doc describes.
+			cancel := func(k int) {
+				if !dead[k] {
+					dead[k] = true
+					timers[k].Cancel()
 				}
 			}
-			drive(horizon)
+			for _, o := range prog {
+				switch o.kind {
+				case 0:
+					i, o := len(timers), o
+					dead = append(dead, false)
+					timers = append(timers, arm(o.d, func() {
+						dead[i] = true
+						order = append(order, i)
+						if o.kill >= 0 {
+							cancel(o.kill)
+						}
+						if o.child > 0 {
+							arm(o.child, func() { order = append(order, -1-i) })
+						}
+					}))
+				case 1:
+					cancel(o.kill)
+				case 2:
+					walk(o.ticks)
+				}
+			}
+			walk(2000)
 			return order
 		}
 
-		v := NewVirtual(w0)
-		want := run(v, v.Advance)
-		w := NewWheel(w0, 10*time.Millisecond)
-		got := run(w, w.Advance)
+		w := newWheel(tick)
+		got := run(w.Schedule, func(n int64) { walkTo(w, w.cur+n) })
 		w.Close()
+		v := NewVirtual(w0)
+		want := run(func(d time.Duration, fn func()) Timer {
+			armTick := int64(v.Now().Sub(w0)) / int64(tick)
+			return v.ScheduleAt(w0.Add(time.Duration(armTick+1+ceilDiv(int64(d), int64(tick)))*tick), fn)
+		}, func(n int64) { v.Advance(time.Duration(n) * tick) })
 
 		if len(got) != len(want) {
 			t.Fatalf("round %d: wheel fired %d callbacks, virtual fired %d", round, len(got), len(want))
@@ -62,66 +124,91 @@ func TestWheelFireOrderMatchesVirtual(t *testing.T) {
 	}
 }
 
-// TestWheelAccuracyBoundedByOneTick pins the acceptance criterion: a
-// callback never fires before its requested instant and at most one tick
+// TestWheelAccuracyBoundedByOneTick pins the wheel's timing contract on
+// the tick grid: a timer armed after the walk processed tick armTick with
+// delay d never fires before (armTick+1)·tick + d, and at most one tick
 // after it.
 func TestWheelAccuracyBoundedByOneTick(t *testing.T) {
 	const tick = 10 * time.Millisecond
-	w := NewWheel(w0, tick)
+	w := newWheel(tick)
 	defer w.Close()
 	rng := rand.New(rand.NewSource(7))
 	type obs struct {
-		want  time.Time
-		fired time.Time
+		want  time.Duration // earliest allowed fire instant, since start
+		fired time.Duration
 	}
 	var seen []obs
 	for i := 0; i < 500; i++ {
+		if i%50 == 0 {
+			walkTo(w, w.cur+1+rng.Int63n(30))
+		}
 		d := time.Duration(rng.Int63n(int64(3 * time.Second)))
-		at := w0.Add(d)
-		w.Schedule(d, func() { seen = append(seen, obs{want: at, fired: w.Now()}) })
+		if i%7 == 0 {
+			d = time.Duration(rng.Int63n(5)) * tick // exact multiples, zero too
+		}
+		want := time.Duration(w.cur+1)*tick + d
+		w.Schedule(d, func() { seen = append(seen, obs{want: want, fired: time.Duration(w.cur) * tick}) })
 	}
-	w.Advance(4 * time.Second)
+	walkTo(w, w.cur+400)
 	if len(seen) != 500 {
 		t.Fatalf("fired %d of 500 callbacks", len(seen))
 	}
 	for _, o := range seen {
-		if o.fired.Before(o.want) {
+		if o.fired < o.want {
 			t.Fatalf("fired early: want >= %v, fired %v", o.want, o.fired)
 		}
-		if late := o.fired.Sub(o.want); late > tick {
+		if late := o.fired - o.want; late > tick {
 			t.Fatalf("fired %v late, tick is %v", late, tick)
 		}
 	}
 }
 
-// TestWheelFarFutureAndCascade exercises deadlines spanning every wheel
-// level, including beyond the level-0 horizon, plus a year-scale jump.
+// TestWheelFarFutureAndCascade walks every level a walk of 2^24 ticks
+// reaches (levels 0–4, including the first level-4 bucket) and pins that
+// each timer fires exactly on its tick. Levels 5–7, and a delay beyond the
+// 64^8-tick horizon that clamps to the top level, get a placement check
+// without the walk.
 func TestWheelFarFutureAndCascade(t *testing.T) {
-	w := NewWheel(w0, time.Millisecond)
+	const tick = time.Millisecond
+	w := newWheel(tick)
 	defer w.Close()
-	delays := []time.Duration{
-		0,
-		time.Millisecond,
-		63 * time.Millisecond,
-		64 * time.Millisecond, // first level-1 bucket
-		5 * time.Second,
-		10 * time.Minute, // level 3 at 1ms ticks
-		24 * time.Hour,
-		365 * 24 * time.Hour, // top levels
+	// Armed at tick 0, a timer with delay (n-1) ticks is due on tick n.
+	ticks := []int64{1, 2, 63, 64, 65, 127, 4095, 4096, 4097, 262143, 262144, 262145, 1<<24 - 1, 1 << 24}
+	firedAt := make(map[int64]int64, len(ticks))
+	for _, n := range ticks {
+		n := n
+		w.Schedule(time.Duration(n-1)*tick, func() { firedAt[n] = w.cur })
 	}
-	fired := make([]bool, len(delays))
-	for i, d := range delays {
-		i := i
-		w.Schedule(d, func() { fired[i] = true })
-	}
-	w.Advance(366 * 24 * time.Hour)
-	for i, f := range fired {
-		if !f {
-			t.Errorf("delay %v never fired", delays[i])
+	walkTo(w, 1<<24)
+	for _, n := range ticks {
+		if at, ok := firedAt[n]; !ok {
+			t.Errorf("timer due on tick %d never fired", n)
+		} else if at != n {
+			t.Errorf("timer due on tick %d fired on tick %d", n, at)
 		}
 	}
 	if got := w.Pending(); got != 0 {
 		t.Errorf("pending after drain: %d", got)
+	}
+
+	// Nanosecond ticks keep a delay past the horizon inside a Duration.
+	p := newWheel(time.Nanosecond)
+	defer p.Close()
+	for _, c := range []struct {
+		ticks int64 // delay from the current tick
+		level int
+	}{
+		{1 << 30, 5},
+		{1 << 36, 6},
+		{1 << 42, 7},
+		{1 << 50, 7}, // past the horizon: clamped to the top level
+	} {
+		tm := p.Schedule(time.Duration(c.ticks-1), func() {}).(*wheelTimer)
+		slot := int((tm.tickN >> (wheelBits * uint(c.level))) & wheelMask)
+		if tm.list != &p.buckets[c.level][slot] {
+			t.Errorf("delay of %d ticks not placed in level %d slot %d", c.ticks, c.level, slot)
+		}
+		tm.Cancel()
 	}
 }
 
@@ -130,8 +217,10 @@ func TestWheelFarFutureAndCascade(t *testing.T) {
 // collected into the due batch but not yet run can still be cancelled
 // (matching Virtual).
 func TestWheelCancelSemantics(t *testing.T) {
-	w := NewWheel(w0, 10*time.Millisecond)
+	const tick = 10 * time.Millisecond
+	w := newWheel(tick)
 	defer w.Close()
+	walkFor := func(d time.Duration) { walkTo(w, w.cur+int64(d/tick)) }
 
 	ran := false
 	tm := w.Schedule(50*time.Millisecond, func() { ran = true })
@@ -141,7 +230,7 @@ func TestWheelCancelSemantics(t *testing.T) {
 	if tm.Cancel() {
 		t.Fatal("second cancel should report not pending")
 	}
-	w.Advance(time.Second)
+	walkFor(time.Second)
 	if ran {
 		t.Fatal("cancelled callback ran")
 	}
@@ -152,44 +241,50 @@ func TestWheelCancelSemantics(t *testing.T) {
 	var second Timer
 	w.Schedule(5*time.Millisecond, func() { second.Cancel() })
 	second = w.Schedule(6*time.Millisecond, func() { secondRan = true })
-	w.Advance(time.Second)
+	walkFor(time.Second)
 	if secondRan {
 		t.Fatal("same-batch cancellation did not stop the later callback")
 	}
 
 	done := false
 	t3 := w.Schedule(time.Millisecond, func() { done = true })
-	w.Advance(time.Second)
+	walkFor(time.Second)
 	if !done {
 		t.Fatal("timer did not fire")
 	}
 	if t3.Cancel() {
 		t.Fatal("cancel after fire should report not pending")
 	}
+	if got := w.Pending(); got != 0 {
+		t.Fatalf("pending after cancels and fires: %d", got)
+	}
 }
 
 // TestWheelScheduleInsideCallback covers proxy-style rescheduling: a
 // callback arming the next timeout from inside the wheel's callback
-// context, including zero-delay chains.
+// context, including a zero-delay arm, which lands on the next tick.
 func TestWheelScheduleInsideCallback(t *testing.T) {
-	w := NewWheel(w0, 10*time.Millisecond)
+	const tick = 10 * time.Millisecond
+	w := newWheel(tick)
 	defer w.Close()
-	var hops []time.Time
+	var hops []int64
 	var hop func()
 	hop = func() {
-		hops = append(hops, w.Now())
+		hops = append(hops, w.cur)
 		if len(hops) < 5 {
 			w.Schedule(30*time.Millisecond, hop)
 		}
 	}
 	w.Schedule(0, hop)
-	w.Advance(time.Second)
-	if len(hops) != 5 {
-		t.Fatalf("chained reschedule fired %d of 5 hops", len(hops))
+	walkTo(w, 100)
+	// tick 1, then each hop 1+3 ticks after the last.
+	want := []int64{1, 5, 9, 13, 17}
+	if len(hops) != len(want) {
+		t.Fatalf("chained reschedule fired on ticks %v, want %v", hops, want)
 	}
-	for i := 1; i < len(hops); i++ {
-		if !hops[i].After(hops[i-1]) {
-			t.Fatalf("hops not monotonic: %v", hops)
+	for i := range want {
+		if hops[i] != want[i] {
+			t.Fatalf("chained reschedule fired on ticks %v, want %v", hops, want)
 		}
 	}
 	if w.Pending() != 0 {
@@ -246,51 +341,76 @@ func TestWallWheelLive(t *testing.T) {
 	}
 }
 
-// TestWallWheelCascadeBoundary is the regression test for the live-mode
-// cascade off-by-one: cascade(k) used to run while cur was still k-1, so a
-// timer due on the last tick of a slot span (tickN = k+64^L-1, delta
-// exactly 64^L) was re-placed into the level it was drained from and did
-// not fire until the next higher-level wrap. The test drives advanceLive
-// deterministically — a live wheel whose ticker never fires within the
-// test, with start moved into the past by hand — and pins that every
-// timer, including the tickN%64==63 boundary cases, fires exactly on its
-// tick.
+// TestWallWheelCascadeBoundary is the regression test for the cascade
+// off-by-one: cascade(k) used to run while cur was still k-1, so a timer
+// due on the last tick of a slot span (tickN = k+64^L-1, delta exactly
+// 64^L) was re-placed into the level it was drained from and did not fire
+// until the next higher-level wrap.
 func TestWallWheelCascadeBoundary(t *testing.T) {
-	const tick = time.Hour // the ticker goroutine stays asleep for the whole test
-	w := NewWallWheel(tick)
-	defer w.Close()
+	const tick = time.Millisecond
 
-	// Deltas chosen so tickN = 1+ceil(d/tick) lands on and around slot
-	// boundaries of levels 0–2; 191 is the empirically-late case from the
-	// bug report (191%64 == 63, armed >= 64 ticks ahead).
-	ticks := []int64{1, 63, 64, 127, 128, 191, 192, 4095, 4096, 4159, 8191}
-	firedAt := make(map[int64]int64, len(ticks))
-	for _, n := range ticks {
-		n := n
-		w.Schedule(time.Duration(n-1)*tick, func() { firedAt[n] = w.cur })
-	}
-
-	// Drive the walk directly: move start into the past so the wall clock
-	// has "reached" the target tick, then advance. No concurrency — the
-	// callbacks run on this goroutine inside advanceLive.
-	w.mu.lock()
-	w.start = w.start.Add(-8300 * tick)
-	w.mu.unlock()
-	w.advanceLive()
-
-	for _, n := range ticks {
-		at, ok := firedAt[n]
-		if !ok {
-			t.Errorf("timer due at tick %d never fired (pending=%d)", n, w.Pending())
-			continue
+	t.Run("slot-ends", func(t *testing.T) {
+		w := newWheel(tick)
+		defer w.Close()
+		// Armed at tick 0, tickN = 1+ceil(d/tick) lands on and around
+		// slot boundaries of levels 0–2; 191 is the empirically-late case
+		// from the bug report (191%64 == 63, armed >= 64 ticks ahead).
+		ticks := []int64{1, 63, 64, 127, 128, 191, 192, 4095, 4096, 4159, 8191}
+		firedAt := make(map[int64]int64, len(ticks))
+		for _, n := range ticks {
+			n := n
+			w.Schedule(time.Duration(n-1)*tick, func() { firedAt[n] = w.cur })
 		}
-		if at != n {
-			t.Errorf("timer due at tick %d fired at tick %d", n, at)
+		walkTo(w, 8300)
+		for _, n := range ticks {
+			at, ok := firedAt[n]
+			if !ok {
+				t.Errorf("timer due at tick %d never fired (pending=%d)", n, w.Pending())
+				continue
+			}
+			if at != n {
+				t.Errorf("timer due at tick %d fired at tick %d", n, at)
+			}
 		}
-	}
-	if got := w.Pending(); got != 0 {
-		t.Errorf("pending after drain: %d", got)
-	}
+		if got := w.Pending(); got != 0 {
+			t.Errorf("pending after drain: %d", got)
+		}
+	})
+
+	// A flood due on the last tick of a level-1 span: 2,000 timers armed
+	// from eight ticks, seven of them far enough ahead to sit in level 1
+	// until the cascade at tick 3200 brings them down, the eighth placed
+	// in level 0 directly. None may fire before tick 3263, and all must
+	// fire on it.
+	t.Run("flood", func(t *testing.T) {
+		w := newWheel(tick)
+		defer w.Close()
+		const due = 50*64 + 63
+		fired, early := 0, 0
+		for _, arm := range []int64{0, 1, 100, 1000, 2000, 3000, due - 64, due - 10} {
+			walkTo(w, arm)
+			for i := 0; i < 250; i++ {
+				w.Schedule(time.Duration(due-arm-1)*tick, func() {
+					if w.cur == due {
+						fired++
+					} else {
+						early++
+					}
+				})
+			}
+		}
+		if got := w.Pending(); got != 2000 {
+			t.Fatalf("armed %d timers, want 2000", got)
+		}
+		walkTo(w, due-1)
+		if early != 0 || fired != 0 {
+			t.Fatalf("%d timers fired before tick %d", early+fired, due)
+		}
+		walkTo(w, due)
+		if fired != 2000 {
+			t.Fatalf("%d of 2000 timers fired on tick %d (%d still pending)", fired, due, w.Pending())
+		}
+	})
 }
 
 // TestWallWheelRunSerialized checks that Run closures and callbacks never

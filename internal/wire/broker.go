@@ -183,12 +183,14 @@ func (s *BrokerServer) handle(conn *Conn) {
 		_ = conn.Close()
 	}()
 	clientName := conn.RemoteAddr()
-	var subscribed []string
+	self := connSubscriber{conn: conn}
+	// The (topic, subscriber) pairs this connection bound. Cleanup removes
+	// only those still bound to it: a newer connection that re-subscribed
+	// under the same name keeps its delivery.
+	var bound []msg.Subscription
 	defer func() {
-		for _, topic := range subscribed {
-			if err := s.broker.Unsubscribe(topic, clientName); err != nil {
-				s.logf("broker: cleanup unsubscribe %s from %s: %v", clientName, topic, err)
-			}
+		for _, b := range bound {
+			s.broker.Unbind(b.Topic, b.Subscriber, self)
 		}
 	}()
 	for {
@@ -241,9 +243,9 @@ func (s *BrokerServer) handle(conn *Conn) {
 			}
 			// Re-subscribing with the same subscriber name rebinds delivery
 			// to this connection — exactly what a resuming client needs.
-			err := s.broker.Subscribe(sub, connSubscriber{conn: conn})
+			err := s.broker.Subscribe(sub, self)
 			if err == nil {
-				subscribed = append(subscribed, sub.Topic)
+				bound = append(bound, sub)
 			}
 			s.respondErr(conn, f, err)
 		case TypeUnsubscribe:

@@ -87,6 +87,9 @@ type proxyAPI interface {
 	Read(req msg.ReadRequest) error
 	Resume(topic string, have, read msg.IDSet) error
 	SetNetwork(up bool) error
+	// Close releases what the proxy holds beyond the scheduler: a
+	// journal is synced and closed.
+	Close() error
 }
 
 // plainProxy adapts core.Proxy to proxyAPI.
@@ -107,6 +110,7 @@ func (pp plainProxy) ApplyRankUpdate(u msg.RankUpdate) error {
 	return nil
 }
 func (pp plainProxy) Read(req msg.ReadRequest) error { return pp.p.Read(req) }
+func (pp plainProxy) Close() error                   { return nil }
 func (pp plainProxy) Resume(topic string, have, read msg.IDSet) error {
 	return pp.p.Resume(topic, have, read)
 }
@@ -257,8 +261,7 @@ func NewProxyServerOpts(opts ProxyOptions) (*ProxyServer, error) {
 
 	upstream, err := DialBrokerOpts(opts.BrokerAddr, opts.Name, opts.Upstream)
 	if err != nil {
-		ps.sched.Run(func() { ps.proxy.Shutdown() })
-		ps.sched.Close()
+		ps.stop()
 		return nil, fmt.Errorf("proxy: %w", err)
 	}
 	upstream.OnPush(
@@ -485,11 +488,19 @@ func (ps *ProxyServer) Close() {
 	if ps.upstream != nil {
 		_ = ps.upstream.Close()
 	}
-	// The upstream client is closed, so no new pushes can arrive; drop the
-	// core's remembered notifications back into the pool before stopping
-	// the scheduler.
+	// The upstream client is closed, so no new pushes can arrive.
+	ps.stop()
+}
+
+// stop drops the core's remembered notifications back into the pool,
+// stops the scheduler, and then syncs and closes the journal, which no
+// callback can append to any more.
+func (ps *ProxyServer) stop() {
 	ps.sched.Run(func() { ps.proxy.Shutdown() })
 	ps.sched.Close()
+	if err := ps.api.Close(); err != nil {
+		ps.logf("proxy: close journal: %v", err)
+	}
 }
 
 func (ps *ProxyServer) handleDevice(conn *Conn) {

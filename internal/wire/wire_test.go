@@ -3,11 +3,13 @@ package wire
 import (
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"lasthop/internal/burst"
+	"lasthop/internal/journal"
 	"lasthop/internal/mobility"
 	"lasthop/internal/msg"
 	"lasthop/internal/pubsub"
@@ -143,6 +145,63 @@ func TestBrokerErrors(t *testing.T) {
 	}
 	if err := pub.Unsubscribe("nothing"); err == nil {
 		t.Error("unsubscribe without subscription accepted")
+	}
+}
+
+// TestBrokerCleanupKeepsNewerBinding pins the broker's connection cleanup:
+// when two connections hello under one name and subscribe the same topic,
+// the second binding replaces the first, and the first connection's exit
+// must not remove it.
+func TestBrokerCleanupKeepsNewerBinding(t *testing.T) {
+	bl, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs := NewBrokerServer(pubsub.NewBroker("broker"), t.Logf)
+	go func() { _ = bs.Serve(bl) }()
+	defer bs.Close()
+	conns := func() int {
+		bs.mu.Lock()
+		defer bs.mu.Unlock()
+		return len(bs.conns)
+	}
+
+	pub, err := DialBroker(bl.Addr().String(), "publisher")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pub.Close()
+	if err := pub.Advertise("t", ""); err != nil {
+		t.Fatal(err)
+	}
+	var clients [2]*BrokerClient
+	for i := range clients {
+		c, err := DialBroker(bl.Addr().String(), "host")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if err := c.Subscribe(msg.Subscription{Topic: "t"}); err != nil {
+			t.Fatal(err)
+		}
+		clients[i] = c
+	}
+	got := make(chan msg.ID, 1)
+	clients[1].OnPush(func(n *msg.Notification) { got <- n.ID; burst.Notes.Put(n) }, func(msg.RankUpdate) {})
+
+	_ = clients[0].Close()
+	// The handler's cleanup runs before it drops the connection.
+	waitFor(t, "first connection's handler to exit", func() bool { return conns() == 2 })
+	if err := pub.Publish(wireNote("n1", "t", 1)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case id := <-got:
+		if id != "n1" {
+			t.Fatalf("second connection received %s, want n1", id)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the first connection's cleanup unsubscribed the second connection's binding")
 	}
 }
 
@@ -354,6 +413,25 @@ func TestDurableProxySurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "fresh push after restart", func() bool { return dev2.QueueLen("news") == 3 })
+}
+
+// TestDurableProxyCloseReleasesJournal pins that Close syncs and closes
+// the proxy's journal: the recorder's next append reports the closed
+// journal instead of writing to a descriptor nothing releases.
+func TestDurableProxyCloseReleasesJournal(t *testing.T) {
+	bl, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs := NewBrokerServer(pubsub.NewBroker("broker"), t.Logf)
+	go func() { _ = bs.Serve(bl) }()
+	defer bs.Close()
+	ps, _ := startDurableProxy(t, bl.Addr().String(), t.TempDir()+"/proxy.journal")
+	rec := ps.api.(*journal.Recorder)
+	ps.Close()
+	if err := rec.SetNetwork(false); err == nil || !strings.Contains(err.Error(), "journal closed") {
+		t.Fatalf("append after Close: %v, want the closed-journal error", err)
+	}
 }
 
 // startDurableProxy serves a proxy journaling to journalPath, recovering
