@@ -65,7 +65,7 @@ func run() error {
 		linger     = flag.Duration("linger", 0, "keep the topology and obs endpoint alive this long after the run")
 
 		traceSample = flag.Float64("trace-sample", 0, "head-sample this fraction of notifications into end-to-end traces (0 = disabled)")
-		traceOut    = flag.String("trace-out", "", "write the completed traces as JSONL here (for lasthop-trace; requires -trace-sample > 0)")
+		traceOut    = flag.String("trace-out", "", "write the completed traces as JSONL here (for lasthop-doctor; requires -trace-sample > 0)")
 
 		scenario  = flag.String("scenario", "", "run this atlas scenario instead of a throughput sweep (\"all\" runs the whole atlas; see -list-scenarios)")
 		scScale   = flag.Float64("scenario-scale", 1, "multiply the scenario's device population (topics and publish volumes stay)")

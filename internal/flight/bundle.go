@@ -30,9 +30,8 @@ type BundleOptions struct {
 	Trips []Trip
 	// Recorder is the flight recorder to decode; nil skips flight.jsonl.
 	Recorder *Recorder
-	// Metrics is scraped into metrics.prom; nil skips it. The interface
-	// is structural (obs.Registry satisfies it) so flight stays
-	// import-light and broker-only binaries need not link obs.
+	// Metrics is scraped into metrics.prom; nil skips it (obs.Registry
+	// satisfies it).
 	Metrics interface{ WriteText(w io.Writer) error }
 	// Traces dumps the collector's completed ring into traces.jsonl;
 	// nil skips it (trace.Collector satisfies it).

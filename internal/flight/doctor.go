@@ -3,32 +3,27 @@ package flight
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"time"
+
+	"lasthop/internal/trace"
 )
 
 // Bundle is one loaded dump directory: the manifest, the decoded flight
-// timeline (sorted), and outcome summaries of the traces that were in
-// the collector's completed ring at dump time.
+// timeline (sorted), and the traces that were in the collector's
+// completed ring or still active at dump time.
 type Bundle struct {
 	Dir      string
 	Manifest Manifest
 	Events   []Event
-	Traces   []TraceSummary
-}
-
-// TraceSummary is the slice of a dumped trace the doctor correlates:
-// identity, outcome, and when it completed.
-type TraceSummary struct {
-	ID        string    `json:"id"`
-	Topic     string    `json:"topic"`
-	Outcome   string    `json:"outcome"`
-	Completed time.Time `json:"completed"`
+	Traces   []trace.NotificationTrace
 }
 
 // LoadBundle reads one bundle directory. Missing optional files
@@ -50,12 +45,8 @@ func LoadBundle(dir string) (*Bundle, error) {
 			return nil, fmt.Errorf("doctor: %s: flight.jsonl: %w", dir, err)
 		}
 	}
-	if f, err := os.Open(filepath.Join(dir, "traces.jsonl")); err == nil {
-		b.Traces, err = readTracesJSONL(f)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("doctor: %s: traces.jsonl: %w", dir, err)
-		}
+	if b.Traces, err = trace.ReadDumps(filepath.Join(dir, "traces.jsonl")); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("doctor: %s: %w", dir, err)
 	}
 	sort.Slice(b.Events, func(i, j int) bool { return b.Events[i].At < b.Events[j].At })
 	return b, nil
@@ -72,7 +63,7 @@ func FindBundles(root string) ([]string, error) {
 		if !d.IsDir() {
 			return nil
 		}
-		if _, serr := os.Stat(filepath.Join(path, manifestFile)); serr == nil {
+		if IsBundle(path) {
 			dirs = append(dirs, path)
 		}
 		return nil
@@ -82,6 +73,12 @@ func FindBundles(root string) ([]string, error) {
 	}
 	sort.Strings(dirs)
 	return dirs, nil
+}
+
+// IsBundle reports whether dir holds a bundle manifest.
+func IsBundle(dir string) bool {
+	_, err := os.Stat(filepath.Join(dir, manifestFile))
+	return err == nil
 }
 
 func readEventsJSONL(r io.Reader) ([]Event, error) {
@@ -100,39 +97,6 @@ func readEventsJSONL(r io.Reader) ([]Event, error) {
 		sub, _ := SubsystemByName(j.Sub)
 		kind, _ := KindByName(j.Kind)
 		out = append(out, Event{At: j.At, Sub: sub, Kind: kind, Worker: j.Worker, A: j.A, B: j.B})
-	}
-	return out, sc.Err()
-}
-
-// traceLine matches the fields the doctor needs out of the collector's
-// JSONL dump (trace.NotificationTrace); everything else is ignored.
-type traceLine struct {
-	ID      string `json:"traceId"`
-	Topic   string `json:"topic"`
-	Outcome string `json:"outcome"`
-	Events  []struct {
-		At time.Time `json:"at"`
-	} `json:"events"`
-}
-
-func readTracesJSONL(r io.Reader) ([]TraceSummary, error) {
-	var out []TraceSummary
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 8<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var t traceLine
-		if err := json.Unmarshal(line, &t); err != nil {
-			return nil, err
-		}
-		s := TraceSummary{ID: t.ID, Topic: t.Topic, Outcome: t.Outcome}
-		if len(t.Events) > 0 {
-			s.Completed = t.Events[len(t.Events)-1].At
-		}
-		out = append(out, s)
 	}
 	return out, sc.Err()
 }
@@ -187,15 +151,8 @@ func componentSubs(component string) []Subsystem {
 func Diagnose(bundles []*Bundle) []Diagnosis {
 	var out []Diagnosis
 	for _, b := range bundles {
-		var lost, wasted int
-		for _, t := range b.Traces {
-			switch t.Outcome {
-			case "lost":
-				lost++
-			case "wasted":
-				wasted++
-			}
-		}
+		outcomes := trace.Summarize(b.Traces).Outcomes
+		lost, wasted := outcomes[trace.OutcomeLost], outcomes[trace.OutcomeWasted]
 		seen := make(map[string]int) // component → index into out
 		for _, trip := range b.Manifest.Trips {
 			subs := componentSubs(trip.Component)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"path/filepath"
 	"sort"
 	"time"
 
@@ -328,17 +327,73 @@ func (h *Host) observeRehydrate(d time.Duration) {
 	}
 }
 
-// recoverSpooled scans every worker spool directory (including directories
-// of workers a previous run had and this one doesn't — the full chain
-// location is in each record's Loc, so resharding is harmless) and rebuilds
-// the session directory and the subscription table. Runs from New before
-// any traffic.
+// recoverSpooled rebuilds the session directory and the subscription
+// table from the spool (see ScanSpool). Runs from New before any traffic.
 func (h *Host) recoverSpooled() error {
-	dirs, err := filepath.Glob(filepath.Join(h.opts.SpoolDir, "worker-*"))
+	spooled, err := ScanSpool(h.opts.SpoolDir, h.opts.SpoolMaxRecordBytes, h.logf)
 	if err != nil {
 		return err
 	}
-	sort.Strings(dirs)
+	for _, sp := range spooled {
+		topicSet := make(map[string]struct{}, len(sp.Topics))
+		for _, t := range sp.Topics {
+			topicSet[t] = struct{}{}
+		}
+		s := &Session{
+			host:   h,
+			name:   sp.Name,
+			w:      h.workerFor(sp.Name),
+			state:  stateHibernated,
+			snap:   sp.Snap,
+			deltas: sp.Deltas,
+			topics: topicSet,
+		}
+		for t := range topicSet {
+			ts := h.topics[t]
+			if ts == nil {
+				ready := make(chan struct{})
+				close(ready) // resolved: New subscribes before serving
+				ts = &topicSub{ready: ready}
+				h.topics[t] = ts
+			}
+			ts.sessions = withSession(ts.sessions, s)
+		}
+		h.sessions[sp.Name] = s
+	}
+	if len(spooled) > 0 {
+		h.logf("host: recovered %d hibernated sessions across %d topics from %s",
+			len(spooled), len(h.topics), h.opts.SpoolDir)
+	}
+	return nil
+}
+
+// SpooledSession is one session a restart restores from the spool: the
+// snapshot its chain starts from, the deltas replayed on top of it, and
+// its subscription set.
+type SpooledSession struct {
+	Name string
+	// Snap addresses the snapshot the chain starts from, taken at SnapAt.
+	Snap   spool.Loc
+	SnapAt time.Time
+	// Deltas are the records rehydration replays, in replay order.
+	Deltas []spool.Loc
+	// Topics is the subscription set recovery restores, sorted.
+	Topics []string
+}
+
+// ScanSpool applies the recovery chain rule to the spool root dir (see
+// spool.SegmentDirs) and returns, sorted by name, the sessions a host
+// started on dir restores. It reads every worker directory, including
+// those of workers a previous run had and this one doesn't: the full
+// chain location is in each record's Loc, so resharding is harmless.
+// Per session name, the latest snapshot wins, the deltas at or after it
+// replay in (time, segment, offset) order, and a tombstone newer than
+// the snapshot ends the session.
+func ScanSpool(dir string, maxRecord int, logf func(string, ...any)) ([]SpooledSession, error) {
+	dirs, err := spool.SegmentDirs(dir)
+	if err != nil {
+		return nil, err
+	}
 	type timedLoc struct {
 		loc spool.Loc
 		at  time.Time
@@ -362,8 +417,8 @@ func (h *Host) recoverSpooled() error {
 	// end in `subscribe"`, and a false positive only costs one parse).
 	memberHint := []byte(`subscribe"`)
 	chains := make(map[string]*chain)
-	for _, dir := range dirs {
-		err := spool.ScanDir(dir, h.opts.SpoolMaxRecordBytes, h.logf, func(loc spool.Loc, r spool.Record) error {
+	for _, segDir := range dirs {
+		err := spool.ScanDir(segDir, maxRecord, logf, func(loc spool.Loc, r spool.Record) error {
 			c := chains[r.Name]
 			if c == nil {
 				c = &chain{}
@@ -402,10 +457,10 @@ func (h *Host) recoverSpooled() error {
 			return nil
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
-	recovered := 0
+	var out []SpooledSession
 	for name, c := range chains {
 		if c.snap.IsZero() || (!c.tombAt.IsZero() && c.tombAt.After(c.snapAt)) {
 			continue
@@ -458,36 +513,18 @@ func (h *Host) recoverSpooled() error {
 				delete(topicSet, m.topic)
 			}
 		}
-		s := &Session{
-			host:   h,
-			name:   name,
-			w:      h.workerFor(name),
-			state:  stateHibernated,
-			snap:   c.snap,
-			topics: topicSet,
-		}
-		s.deltas = make([]spool.Loc, len(live))
+		sp := SpooledSession{Name: name, Snap: c.snap, SnapAt: c.snapAt, Deltas: make([]spool.Loc, len(live))}
 		for i, d := range live {
-			s.deltas[i] = d.loc
+			sp.Deltas[i] = d.loc
 		}
 		for t := range topicSet {
-			ts := h.topics[t]
-			if ts == nil {
-				ready := make(chan struct{})
-				close(ready) // resolved: New subscribes before serving
-				ts = &topicSub{ready: ready}
-				h.topics[t] = ts
-			}
-			ts.sessions = withSession(ts.sessions, s)
+			sp.Topics = append(sp.Topics, t)
 		}
-		h.sessions[name] = s
-		recovered++
+		sort.Strings(sp.Topics)
+		out = append(out, sp)
 	}
-	if recovered > 0 {
-		h.logf("host: recovered %d hibernated sessions across %d topics from %s",
-			recovered, len(h.topics), h.opts.SpoolDir)
-	}
-	return nil
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out, nil
 }
 
 // scheduleCommit arms the worker's next group-commit tick: one spool

@@ -142,7 +142,7 @@ func rankStorm() Scenario {
 
 // remapChurn: §2.3 parameterized-subscription context changes — devices
 // swap to the next topic of the family while the publishers keep the
-// whole family hot. Remaps run in two half-waves so every topic keeps a
+// whole family hot. Remaps run in waves so every topic keeps a
 // subscriber; the budget tolerates the waste inherent in departing
 // mid-delivery but still demands conservation.
 func remapChurn() Scenario {

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"net"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -229,9 +228,9 @@ type Report struct {
 	// head-sampled, the terminal outcome tally, and the per-hop latency
 	// decomposition of the delivered traces (broker routing, proxy
 	// queueing, and the last hop).
-	TraceSampled  uint64                  `json:"traceSampled,omitempty"`
-	TraceOutcomes map[string]uint64       `json:"traceOutcomes,omitempty"`
-	HopLatencyMs  map[string]HopQuantiles `json:"hopLatencyMs,omitempty"`
+	TraceSampled  uint64                        `json:"traceSampled,omitempty"`
+	TraceOutcomes map[string]uint64             `json:"traceOutcomes,omitempty"`
+	HopLatencyMs  map[string]trace.HopQuantiles `json:"hopLatencyMs,omitempty"`
 
 	// WastePct is §3.1 waste among the sampled traces: last-hop transfers
 	// the user never read, as a percentage of all last-hop transfers.
@@ -256,58 +255,6 @@ type PublisherStats struct {
 	Published int     `json:"published"`
 	Batches   int     `json:"batches"`
 	PerSec    float64 `json:"perSec"`
-}
-
-// HopQuantiles summarizes one segment of the delivery path across all
-// traces that observed it, in milliseconds.
-type HopQuantiles struct {
-	P50 float64 `json:"p50"`
-	P95 float64 `json:"p95"`
-	P99 float64 `json:"p99"`
-	N   int     `json:"n"`
-}
-
-// quantileMs interpolates a quantile from a sorted slice of durations.
-func quantileMs(sorted []time.Duration, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	pos := q * float64(len(sorted)-1)
-	i := int(pos)
-	if i >= len(sorted)-1 {
-		return float64(sorted[len(sorted)-1]) / float64(time.Millisecond)
-	}
-	frac := pos - float64(i)
-	lo, hi := float64(sorted[i]), float64(sorted[i+1])
-	return (lo + (hi-lo)*frac) / float64(time.Millisecond)
-}
-
-// hopSummary reduces the completed traces to per-segment quantiles.
-func hopSummary(traces []trace.NotificationTrace) map[string]HopQuantiles {
-	segs := map[string][]time.Duration{}
-	for i := range traces {
-		b := traces[i].LatencyBreakdown()
-		for name, d := range map[string]time.Duration{
-			"broker":     b.Broker,
-			"proxyQueue": b.ProxyQueue,
-			"lastHop":    b.LastHop,
-		} {
-			if d >= 0 {
-				segs[name] = append(segs[name], d)
-			}
-		}
-	}
-	out := make(map[string]HopQuantiles, len(segs))
-	for name, ds := range segs {
-		sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-		out[name] = HopQuantiles{
-			P50: quantileMs(ds, 0.50),
-			P95: quantileMs(ds, 0.95),
-			P99: quantileMs(ds, 0.99),
-			N:   len(ds),
-		}
-	}
-	return out
 }
 
 // node is one device leg: its device client plus, in per-device mode, a

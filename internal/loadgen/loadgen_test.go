@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"lasthop/internal/msg"
 	"lasthop/internal/trace"
 )
 
@@ -234,6 +235,44 @@ func TestRunTraced(t *testing.T) {
 		if q.P50 < 0 || q.P99 < q.P50 {
 			t.Errorf("segment %s quantiles inconsistent: %+v", hop, q)
 		}
+	}
+
+	// A fixed trace set pins HopLatencyMs to the report's formula: per
+	// segment, the quantile interpolates linearly between the two sorted
+	// durations around rank q·(n−1).
+	c := trace.NewCollector("fixed", trace.NewSampler(1), 16)
+	t0 := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
+	ms := func(v int) time.Duration { return time.Duration(v) * time.Millisecond }
+	for i, seg := range [][3]int{{1, 0, 1}, {1, 1, 2}, {1, 2, 3}, {2, 3, 4}, {3, 4, 10}} {
+		id := fmt.Sprintf("fixed-%d", i)
+		at := t0.Add(time.Duration(i) * time.Second)
+		for _, k := range []struct {
+			kind trace.Kind
+			gap  time.Duration
+		}{
+			{trace.KindPublish, 0}, {trace.KindProxyRecv, ms(seg[0])}, {trace.KindForward, ms(seg[1])},
+			{trace.KindDeviceRecv, ms(seg[2])}, {trace.KindRead, ms(1)},
+		} {
+			at = at.Add(k.gap)
+			c.Record(trace.Event{At: at, Kind: k.kind, ID: msg.ID(id), TraceID: id, Topic: "fixed"})
+		}
+	}
+	fixed := &Report{}
+	finishTraces(fixed, c)
+	want := map[string]trace.HopQuantiles{
+		"broker":     {P50: 1, P95: 2.8, P99: 2.96, N: 5},
+		"proxyQueue": {P50: 2, P95: 3.8, P99: 3.96, N: 5},
+		"lastHop":    {P50: 3, P95: 8.8, P99: 9.76, N: 5},
+	}
+	near := func(a, b float64) bool { return a-b < 1e-9 && b-a < 1e-9 }
+	for hop, w := range want {
+		g := fixed.HopLatencyMs[hop]
+		if g.N != w.N || !near(g.P50, w.P50) || !near(g.P95, w.P95) || !near(g.P99, w.P99) {
+			t.Errorf("fixed traces: %s = %+v, want %+v", hop, g, w)
+		}
+	}
+	if len(fixed.HopLatencyMs) != len(want) {
+		t.Errorf("fixed traces: hops %v, want exactly %v", fixed.HopLatencyMs, want)
 	}
 }
 

@@ -998,23 +998,25 @@ func (r *scenarioRun) revise(ph Phase, ids []msg.RankUpdate) error {
 
 // remap moves a fraction of the devices to the next topic of the family:
 // unsubscribe the current one, subscribe the successor. Devices remap in
-// two half-waves so no topic ever drops to zero subscribers mid-churn
-// (each topic keeps at least one reader for in-flight routing).
+// waves (remapWaves) so no topic ever drops to zero subscribers
+// mid-churn (each topic keeps at least one reader for in-flight
+// routing).
 func (r *scenarioRun) remap(pct float64) error {
-	var victims []*scenarioDevice
-	for _, d := range r.devices {
+	topicOf := make([]int, len(r.devices))
+	var victims []int
+	for i, d := range r.devices {
+		topicOf[i] = d.topicIdx % r.sc.Topics
 		if d.client() != nil && float64(len(victims)) < pct*float64(len(r.devices)) {
-			victims = append(victims, d)
+			victims = append(victims, i)
 		}
 	}
-	for wave := 0; wave < 2; wave++ {
+	waves := remapWaves(topicOf, victims, r.sc.Topics)
+	moved := 0
+	for _, wave := range waves {
 		var wg sync.WaitGroup
 		var mu sync.Mutex
 		var first error
-		for i, d := range victims {
-			if i%2 != wave {
-				continue
-			}
+		for _, i := range wave {
 			wg.Add(1)
 			go func(d *scenarioDevice) {
 				defer wg.Done()
@@ -1037,15 +1039,55 @@ func (r *scenarioRun) remap(pct float64) error {
 					return
 				}
 				d.topicIdx++
-			}(d)
+			}(r.devices[i])
 		}
 		wg.Wait()
 		if first != nil {
 			return first
 		}
+		moved += len(wave)
 	}
-	r.logf("scenario %s: remapped %d devices", r.sc.Name, len(victims))
+	r.logf("scenario %s: remapped %d of %d devices in %d waves", r.sc.Name, moved, len(victims), len(waves))
 	return nil
+}
+
+// remapWaves splits a remap into sequential waves of device indices.
+// Device v sits on topic topicOf[v] and moves to the next topic mod
+// topics. The moves of one wave run concurrently, so a wave may take a
+// device off a topic only while another of that topic's current
+// subscribers stays on it: devices arriving in the same wave do not
+// count, as their subscribe may land after the unsubscribe. Victims go,
+// in order, into the earliest wave that allows them; one that no wave
+// can move (its topic's only subscriber, with nobody arriving) is left
+// out.
+func remapWaves(topicOf, victims []int, topics int) [][]int {
+	subs := make([]int, topics)
+	for _, t := range topicOf {
+		subs[t]++
+	}
+	var waves [][]int
+	for pending := victims; len(pending) > 0; {
+		leaving := make([]int, topics)
+		var wave, later []int
+		for _, v := range pending {
+			if t := topicOf[v]; subs[t]-leaving[t] > 1 {
+				leaving[t]++
+				wave = append(wave, v)
+			} else {
+				later = append(later, v)
+			}
+		}
+		if len(wave) == 0 {
+			break
+		}
+		for _, v := range wave {
+			subs[topicOf[v]]--
+			subs[(topicOf[v]+1)%topics]++
+		}
+		waves = append(waves, wave)
+		pending = later
+	}
+	return waves
 }
 
 // reconnectHerd redials every detached device at once.

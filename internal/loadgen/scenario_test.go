@@ -185,7 +185,7 @@ func TestBudgetEvaluate(t *testing.T) {
 			},
 			WastePct:     10,
 			Duplicates:   2,
-			HopLatencyMs: map[string]HopQuantiles{"lastHop": {N: 100, P99: 40}},
+			HopLatencyMs: map[string]trace.HopQuantiles{"lastHop": {N: 100, P99: 40}},
 		}
 	}
 	cases := []struct {
@@ -273,9 +273,9 @@ func TestBudgetEvaluate(t *testing.T) {
 
 // TestAtlasWellFormed keeps every atlas entry self-consistent without
 // running it: unique names, a documented failure mode, a zero lost
-// budget, at least one publishing phase, and a spool under every host
-// kill. RunScenario itself rejects a kill without a spool before any
-// topology starts.
+// budget, at least one publishing phase, a spool under every host kill,
+// and remap waves that never empty a topic. RunScenario itself rejects a
+// kill without a spool before any topology starts.
 func TestAtlasWellFormed(t *testing.T) {
 	bad := Scenario{Name: "kill-no-spool", Devices: 1, Topics: 1, Phases: []Phase{{Name: "crash", KillRestart: true}}}
 	if _, err := RunScenario(bad, ScenarioOptions{}); !errors.Is(err, ErrKillWithoutSpool) {
@@ -311,6 +311,61 @@ func TestAtlasWellFormed(t *testing.T) {
 		}
 		if _, err := FindScenario(sc.Name); err != nil {
 			t.Errorf("FindScenario(%s): %v", sc.Name, err)
+		}
+		// Scale 1 is the unit suite's size, 6 the full-size run.
+		for _, scale := range []float64{1, 6} {
+			checkRemapWaves(t, sc, scale)
+		}
+	}
+}
+
+// checkRemapWaves replays every remap phase of sc at the given scale
+// through remapWaves, with the whole population connected. A wave must
+// leave each topic it takes devices from a subscriber that is not moving
+// in it (else a publish in that window reaches no one), and every victim
+// must move exactly once.
+func checkRemapWaves(t *testing.T, sc Scenario, scale float64) {
+	t.Helper()
+	n := int(float64(sc.Devices)*scale + 0.5)
+	topicOf := make([]int, n)
+	for i := range topicOf {
+		topicOf[i] = i % sc.Topics
+	}
+	for _, ph := range sc.Phases {
+		if ph.RemapPct <= 0 {
+			continue
+		}
+		var victims []int
+		for i := 0; i < n && float64(len(victims)) < ph.RemapPct*float64(n); i++ {
+			victims = append(victims, i)
+		}
+		subs := make([]int, sc.Topics)
+		for _, topic := range topicOf {
+			subs[topic]++
+		}
+		moves := make(map[int]int)
+		for w, wave := range remapWaves(topicOf, victims, sc.Topics) {
+			leaving := make([]int, sc.Topics)
+			for _, v := range wave {
+				leaving[topicOf[v]]++
+				moves[v]++
+			}
+			for topic, l := range leaving {
+				if l > 0 && l >= subs[topic] {
+					t.Errorf("%s x%g phase %s wave %d moves all %d subscribers off topic %d",
+						sc.Name, scale, ph.Name, w, subs[topic], topic)
+				}
+			}
+			for _, v := range wave {
+				subs[topicOf[v]]--
+				topicOf[v] = (topicOf[v] + 1) % sc.Topics
+				subs[topicOf[v]]++
+			}
+		}
+		for _, v := range victims {
+			if moves[v] != 1 {
+				t.Errorf("%s x%g phase %s: device %d moves %d times, want 1", sc.Name, scale, ph.Name, v, moves[v])
+			}
 		}
 	}
 }

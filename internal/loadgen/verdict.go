@@ -72,8 +72,8 @@ type Verdict struct {
 	// observed segment — the actuals behind the pass/fail, present even
 	// when the budget names no hop, so a regression that stays inside
 	// the envelope is still visible in the archived verdict.
-	Hops           map[string]HopQuantiles `json:"hops,omitempty"`
-	ElapsedSeconds float64                 `json:"elapsedSeconds"`
+	Hops           map[string]trace.HopQuantiles `json:"hops,omitempty"`
+	ElapsedSeconds float64                       `json:"elapsedSeconds"`
 }
 
 // Evaluate compares a finished report against the budget. extra carries
@@ -92,7 +92,7 @@ func (b Budget) Evaluate(scenario string, rep *Report, extra []string) Verdict {
 	}
 	v.DeliverPerSec = rep.DeliverPerSec
 	if len(rep.HopLatencyMs) > 0 {
-		v.Hops = make(map[string]HopQuantiles, len(rep.HopLatencyMs))
+		v.Hops = make(map[string]trace.HopQuantiles, len(rep.HopLatencyMs))
 		for hop, q := range rep.HopLatencyMs {
 			v.Hops[hop] = q
 		}
@@ -171,6 +171,6 @@ func finishTraces(rep *Report, collector *trace.Collector) {
 		// meaningless; at 100% the books must balance exactly.
 		rep.TraceConservation = fmt.Sprintf("outcomes cover %d traces, sampled %d", total, st.Sampled)
 	}
-	rep.HopLatencyMs = hopSummary(collector.Completed())
+	rep.HopLatencyMs = trace.Summarize(collector.Completed()).Hops
 	rep.Collector = collector
 }

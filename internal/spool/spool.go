@@ -795,9 +795,6 @@ func SegmentDirs(dir string) ([]string, error) {
 type SegmentTally struct {
 	Path    string
 	Records int
-	Kinds   map[Kind]int
-	// Bytes sums the records' meta and payload sizes.
-	Bytes int64
 }
 
 // Verify re-reads every record of every segment under the spool root
@@ -831,13 +828,13 @@ func Verify(dir string) ([]SegmentTally, error) {
 }
 
 func verifySegment(path string) (SegmentTally, error) {
-	t := SegmentTally{Path: path, Kinds: make(map[Kind]int)}
+	t := SegmentTally{Path: path}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return t, fmt.Errorf("spool: %w", err)
 	}
 	for offset := 0; offset < len(data); {
-		r, n, err := DecodeRecord(data[offset:], 0)
+		_, n, err := DecodeRecord(data[offset:], 0)
 		if errors.Is(err, ErrTorn) {
 			break
 		}
@@ -845,8 +842,6 @@ func verifySegment(path string) (SegmentTally, error) {
 			return t, fmt.Errorf("%s: record at offset %d: %w", path, offset, err)
 		}
 		t.Records++
-		t.Kinds[r.Kind]++
-		t.Bytes += int64(len(r.Meta) + len(r.Payload))
 		offset += n
 	}
 	return t, nil

@@ -589,8 +589,8 @@ func (c *Collector) Active() []NotificationTrace {
 
 // WriteJSONL streams the retained completed traces followed by the
 // still-active ones, one JSON object per line — the dump format
-// cmd/lasthop-trace consumes (active traces have no outcome; a merge
-// takes the outcome from whichever node's dump completed the trace).
+// ReadDumps reads (active traces have no outcome; a merge takes the
+// outcome from whichever node's dump completed the trace).
 func (c *Collector) WriteJSONL(w io.Writer) error {
 	if c == nil {
 		return nil
@@ -623,7 +623,7 @@ type tracesPayload struct {
 
 // Handler serves the completed-trace ring over HTTP: a JSON summary plus
 // the most recent traces (?n= bounds the count, ?format=jsonl streams the
-// raw dump for cmd/lasthop-trace).
+// raw dump for cmd/lasthop-doctor).
 func (c *Collector) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if c == nil {

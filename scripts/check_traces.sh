@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end trace check: run a fully-sampled loadgen topology, assert the
 # /debug/traces endpoint serves a non-empty ring with the trace metric
-# families behind it, then feed the JSONL dump through cmd/lasthop-trace
+# families behind it, then feed the JSONL dump through cmd/lasthop-doctor
 # and assert every sampled notification reached exactly one terminal
-# outcome. Set TRACE_REPORT to keep the analyzer output as a CI artifact.
+# outcome. Set TRACE_REPORT to keep the doctor's report as a CI artifact.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -39,7 +39,7 @@ if [ "$ok" != 1 ]; then
   exit 1
 fi
 
-summary="$(go run ./cmd/lasthop-trace -timelines 0 "$DUMP")"
+summary="$(go run ./cmd/lasthop-doctor -timeline 0 "$DUMP")"
 echo "check_traces: /debug/traces live; ${summary%%$'\n'*}"
 
 for fam in lasthop_trace_sampled_total lasthop_trace_completed_total \
@@ -64,5 +64,5 @@ if grep '"traceId"' "$DUMP" | grep -qv '"outcome":'; then
   exit 1
 fi
 
-go run ./cmd/lasthop-trace -timelines 3 "$DUMP" | tee "$REPORT"
-echo "check_traces: ok ($lines traces attributed; analyzer report in $REPORT)"
+go run ./cmd/lasthop-doctor -timeline 3 "$DUMP" | tee "$REPORT"
+echo "check_traces: ok ($lines traces attributed; doctor report in $REPORT)"
