@@ -111,11 +111,7 @@ func run() error {
 		fmt.Printf("scenario saved to %s\n", *saveScen)
 	}
 
-	wasteStats, lossStats, err := sim.CompareStats(cfg, pol, *replication)
-	if err != nil {
-		return err
-	}
-	_, _, first, err := sim.CompareAveraged(cfg, pol, 1)
+	wasteStats, lossStats, first, err := sim.CompareStats(cfg, pol, *replication)
 	if err != nil {
 		return err
 	}

@@ -52,14 +52,19 @@ func run() error {
 		{"unified (auto-tuned)", core.UnifiedConfig(sim.TopicName, cfg.Max)},
 	}
 
+	// One on-line baseline run serves every policy's comparison.
+	configs := make([]core.TopicConfig, len(policies))
+	for i, pol := range policies {
+		configs[i] = pol.cfg
+	}
+	cmps, err := sim.CompareMany(scenario, configs...)
+	if err != nil {
+		return err
+	}
 	fmt.Printf("%-30s %10s %10s %12s %10s\n", "policy", "waste %", "loss %", "transferred", "read")
-	for _, pol := range policies {
-		cmp, err := sim.Compare(scenario, pol.cfg)
-		if err != nil {
-			return err
-		}
+	for i, cmp := range cmps {
 		fmt.Printf("%-30s %10.1f %10.1f %12d %10d\n",
-			pol.name, cmp.WastePct, cmp.LossPct, cmp.Policy.Forwarded, cmp.Policy.ReadCount)
+			policies[i].name, cmp.WastePct, cmp.LossPct, cmp.Policy.Forwarded, cmp.Policy.ReadCount)
 	}
 
 	fmt.Println("\nReading the table:")

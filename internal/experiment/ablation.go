@@ -39,20 +39,28 @@ func AblationRateVsBuffer(opts Options) (loss, waste Figure, err error) {
 		{"buffer (limit 32)", core.BufferConfig(sim.TopicName, 8, 32)},
 		{"rate", core.RateConfig(sim.TopicName, 8)},
 	}
+	var cells []cell
 	for _, pol := range policies {
-		ls := Series{Label: pol.label}
-		ws := Series{Label: pol.label}
 		for _, frac := range outages {
 			cfg := opts.baseConfig()
 			cfg.ReadsPerDay = 2
 			cfg.Max = 8
 			cfg.Outage.Fraction = frac
-			w, l, err := point(cfg, pol.cfg, opts)
-			if err != nil {
-				return Figure{}, Figure{}, fmt.Errorf("rate-vs-buffer (%s, outage=%g): %w", pol.label, frac, err)
-			}
-			ls.Points = append(ls.Points, Point{X: frac, Y: l})
-			ws.Points = append(ws.Points, Point{X: frac, Y: w})
+			cells = append(cells, cell{cfg: cfg, policy: pol.cfg})
+		}
+	}
+	res, err := runCells(opts, cells)
+	if err != nil {
+		return Figure{}, Figure{}, fmt.Errorf("rate-vs-buffer: %w", err)
+	}
+	k := 0
+	for _, pol := range policies {
+		ls := Series{Label: pol.label}
+		ws := Series{Label: pol.label}
+		for _, frac := range outages {
+			ls.Points = append(ls.Points, Point{X: frac, Y: res[k].loss})
+			ws.Points = append(ws.Points, Point{X: frac, Y: res[k].waste})
+			k++
 		}
 		loss.Series = append(loss.Series, ls)
 		waste.Series = append(waste.Series, ws)
@@ -152,25 +160,33 @@ func AblationAutoLimit(opts Options) (Figure, error) {
 	userFreqs := []float64{0.5, 1, 2, 4, 8}
 	policies := []struct {
 		label string
-		make  func() core.TopicConfig
+		cfg   core.TopicConfig
 	}{
-		{"fixed limit 4", func() core.TopicConfig { return core.BufferConfig(sim.TopicName, 8, 4) }},
-		{"fixed limit 64", func() core.TopicConfig { return core.BufferConfig(sim.TopicName, 8, 64) }},
-		{"fixed limit 1024", func() core.TopicConfig { return core.BufferConfig(sim.TopicName, 8, 1024) }},
-		{"auto (2x avg read)", func() core.TopicConfig { return core.UnifiedConfig(sim.TopicName, 8) }},
+		{"fixed limit 4", core.BufferConfig(sim.TopicName, 8, 4)},
+		{"fixed limit 64", core.BufferConfig(sim.TopicName, 8, 64)},
+		{"fixed limit 1024", core.BufferConfig(sim.TopicName, 8, 1024)},
+		{"auto (2x avg read)", core.UnifiedConfig(sim.TopicName, 8)},
 	}
+	var cells []cell
 	for _, pol := range policies {
-		s := Series{Label: pol.label}
 		for _, uf := range userFreqs {
 			cfg := opts.baseConfig()
 			cfg.ReadsPerDay = uf
 			cfg.Max = 8
 			cfg.Outage.Fraction = 0.7
-			w, l, err := point(cfg, pol.make(), opts)
-			if err != nil {
-				return Figure{}, fmt.Errorf("auto-limit ablation (%s, uf=%g): %w", pol.label, uf, err)
-			}
-			s.Points = append(s.Points, Point{X: uf, Y: w + l})
+			cells = append(cells, cell{cfg: cfg, policy: pol.cfg})
+		}
+	}
+	res, err := runCells(opts, cells)
+	if err != nil {
+		return Figure{}, fmt.Errorf("auto-limit ablation: %w", err)
+	}
+	k := 0
+	for _, pol := range policies {
+		s := Series{Label: pol.label}
+		for _, uf := range userFreqs {
+			s.Points = append(s.Points, Point{X: uf, Y: res[k].waste + res[k].loss})
+			k++
 		}
 		fig.Series = append(fig.Series, s)
 	}

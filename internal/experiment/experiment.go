@@ -57,10 +57,6 @@ type Options struct {
 	// EventsPerDay is the event frequency; zero defaults to the paper's
 	// 32.
 	EventsPerDay float64
-	// Parallelism bounds how many grid points run concurrently; zero
-	// defaults to GOMAXPROCS. Points are independent simulations, so
-	// results are identical at any setting.
-	Parallelism int
 }
 
 func (o Options) withDefaults() Options {
@@ -75,9 +71,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.EventsPerDay == 0 {
 		o.EventsPerDay = 32
-	}
-	if o.Parallelism == 0 {
-		o.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	return o
 }
@@ -94,23 +87,46 @@ type cellResult struct {
 	waste, loss float64
 }
 
-// runCells evaluates every grid point, up to opts.Parallelism at a time.
-// Results are positionally aligned with the input.
+// runCells evaluates every grid point. Results are positionally aligned
+// with the input. Cells with equal scenario configurations form one group,
+// so each replication's scenario is generated once and its on-line
+// baseline runs once for the whole group (sim.CompareAveragedMany). Up to
+// GOMAXPROCS groups run at a time; groups are independent simulations, so
+// results do not depend on how many.
 func runCells(opts Options, cells []cell) ([]cellResult, error) {
+	var groups [][]int // cell indexes, groups in order of first appearance
+	byConfig := make(map[sim.Config]int)
+	for i, c := range cells {
+		g, ok := byConfig[c.cfg]
+		if !ok {
+			g = len(groups)
+			byConfig[c.cfg] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
+	}
 	results := make([]cellResult, len(cells))
-	errs := make([]error, len(cells))
-	sem := make(chan struct{}, opts.Parallelism)
+	errs := make([]error, len(groups))
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
-	for i := range cells {
-		i := i
+	for g, members := range groups {
 		wg.Add(1)
 		sem <- struct{}{}
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			w, l, _, err := sim.CompareAveraged(cells[i].cfg, cells[i].policy, opts.Replications)
-			results[i] = cellResult{waste: w, loss: l}
-			errs[i] = err
+			policies := make([]core.TopicConfig, len(members))
+			for k, i := range members {
+				policies[k] = cells[i].policy
+			}
+			waste, loss, _, err := sim.CompareAveragedMany(cells[members[0]].cfg, policies, opts.Replications)
+			if err != nil {
+				errs[g] = err
+				return
+			}
+			for k, i := range members {
+				results[i] = cellResult{waste: waste[k], loss: loss[k]}
+			}
 		}()
 	}
 	wg.Wait()
@@ -128,12 +144,6 @@ func (o Options) baseConfig() sim.Config {
 		Horizon:      o.Horizon,
 		EventsPerDay: o.EventsPerDay,
 	}
-}
-
-// point runs one averaged comparison and selects waste or loss.
-func point(cfg sim.Config, policy core.TopicConfig, opts Options) (waste, loss float64, err error) {
-	waste, loss, _, err = sim.CompareAveraged(cfg, policy, opts.Replications)
-	return waste, loss, err
 }
 
 // Figure1 reproduces "Waste due to overflow at different values of Max and

@@ -3,10 +3,13 @@ package experiment
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
+	"lasthop/internal/core"
 	"lasthop/internal/dist"
+	"lasthop/internal/sim"
 )
 
 // quickOpts keeps experiment tests fast: short horizon, one replication.
@@ -19,6 +22,38 @@ func last(s Series) float64 { return s.Points[len(s.Points)-1].Y }
 
 // first returns the y of the first point of a series.
 func first(s Series) float64 { return s.Points[0].Y }
+
+// TestRunCellsMatchesPerCell checks that grouping cells by scenario
+// configuration changes no bit: cells of two interleaved configurations,
+// each group sharing its scenarios and baselines, get exactly the waste
+// and loss that averaging each cell on its own gives.
+func TestRunCellsMatchesPerCell(t *testing.T) {
+	opts := quickOpts()
+	opts.Replications = 2
+	opts = opts.withDefaults()
+	var cells []cell
+	for _, limit := range []int{1, 16, 256} {
+		for _, frac := range []float64{0.3, 0.9} {
+			cfg := opts.baseConfig()
+			cfg.Max = 8
+			cfg.Outage.Fraction = frac
+			cells = append(cells, cell{cfg: cfg, policy: core.BufferConfig(sim.TopicName, 8, limit)})
+		}
+	}
+	res, err := runCells(opts, cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range cells {
+		waste, loss, _, err := sim.CompareAveraged(c.cfg, c.policy, opts.Replications)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(res[i].waste) != math.Float64bits(waste) || math.Float64bits(res[i].loss) != math.Float64bits(loss) {
+			t.Errorf("cell %d: waste %v loss %v, alone %v %v", i, res[i].waste, res[i].loss, waste, loss)
+		}
+	}
+}
 
 func TestFigure1Shape(t *testing.T) {
 	fig, err := Figure1(quickOpts())

@@ -4,8 +4,12 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"lasthop/internal/core"
@@ -272,46 +276,121 @@ func edgeAt(outages []dist.Interval, k int) time.Duration {
 }
 
 // Compare runs the on-line baseline and the given policy over the same
-// scenario and derives waste and loss.
+// scenario and derives waste and loss. It is CompareMany with one policy,
+// so the two years run concurrently.
 func Compare(sc Scenario, policy core.TopicConfig) (Comparison, error) {
-	base, err := Run(sc, core.OnlineConfig(TopicName))
+	cmps, err := CompareMany(sc, policy)
 	if err != nil {
-		return Comparison{}, fmt.Errorf("baseline: %w", err)
+		return Comparison{}, err
 	}
-	pol, err := Run(sc, policy)
-	if err != nil {
-		return Comparison{}, fmt.Errorf("policy: %w", err)
+	return cmps[0], nil
+}
+
+// CompareMany runs the on-line baseline once and every policy over the
+// same scenario and returns one comparison per policy, in order. The
+// years share no state and run concurrently, at most GOMAXPROCS at once,
+// one of them on the caller's goroutine. Every comparison returned holds
+// the same baseline Result, whose ReadSet is one set shared by all of
+// them: it is read-only. A baseline error is returned before any policy's.
+func CompareMany(sc Scenario, policies ...core.TopicConfig) ([]Comparison, error) {
+	results := make([]Result, 1+len(policies))
+	errs := make([]error, len(results))
+	inParallel(len(results), func(i int) {
+		policy := core.OnlineConfig(TopicName)
+		if i > 0 {
+			policy = policies[i-1]
+		}
+		results[i], errs[i] = Run(sc, policy)
+	})
+	if errs[0] != nil {
+		return nil, fmt.Errorf("baseline: %w", errs[0])
 	}
-	return Comparison{
-		Baseline: base,
-		Policy:   pol,
-		WastePct: pol.WastePct,
-		LossPct:  metrics.LossPct(base.ReadSet, pol.ReadSet),
-	}, nil
+	base := results[0]
+	cmps := make([]Comparison, len(policies))
+	for i, pol := range results[1:] {
+		if errs[1+i] != nil {
+			return nil, fmt.Errorf("policy: %w", errs[1+i])
+		}
+		cmps[i] = Comparison{
+			Baseline: base,
+			Policy:   pol,
+			WastePct: pol.WastePct,
+			LossPct:  metrics.LossPct(base.ReadSet, pol.ReadSet),
+		}
+	}
+	return cmps, nil
+}
+
+// inParallel calls year(i) for every i in [0, n) on at most GOMAXPROCS
+// goroutines, the caller's among them, and returns once every call has
+// returned. A panic in any call is re-raised on the caller's goroutine,
+// with the panicking goroutine's stack, after the other goroutines have
+// finished.
+func inParallel(n int, year func(i int)) {
+	workers := max(1, min(n, runtime.GOMAXPROCS(0)))
+	panics := make([]any, workers)
+	var next atomic.Int64
+	work := func(w int) {
+		defer func() {
+			if p := recover(); p != nil {
+				panics[w] = fmt.Sprintf("%v\n\n%s", p, debug.Stack())
+			}
+		}()
+		for i := next.Add(1) - 1; i < int64(n); i = next.Add(1) - 1 {
+			year(int(i))
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
+	}
+	work(0)
+	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
+}
+
+// replicate generates one scenario per replication (at least one) from
+// cfg, replication r with seed cfg.Seed + r·0x9e3779b9, compares the
+// policies over it with CompareMany, and hands add each replication's
+// comparisons in replication order.
+func replicate(cfg Config, policies []core.TopicConfig, replications int, add func(r int, cmps []Comparison)) error {
+	for r := range max(replications, 1) {
+		runCfg := cfg
+		runCfg.Seed = cfg.Seed + uint64(r)*0x9e3779b9
+		sc, err := NewScenario(runCfg)
+		if err != nil {
+			return err
+		}
+		cmps, err := CompareMany(sc, policies...)
+		if err != nil {
+			return err
+		}
+		add(r, cmps)
+	}
+	return nil
 }
 
 // CompareStats repeats Compare over replications seeds derived from
 // cfg.Seed and returns full summary statistics of waste and loss, for
-// reporting means with dispersion.
-func CompareStats(cfg Config, policy core.TopicConfig, replications int) (wasteStats, lossStats stats.Running, err error) {
-	if replications < 1 {
-		replications = 1
-	}
-	for r := 0; r < replications; r++ {
-		runCfg := cfg
-		runCfg.Seed = cfg.Seed + uint64(r)*0x9e3779b9
-		sc, serr := NewScenario(runCfg)
-		if serr != nil {
-			return wasteStats, lossStats, serr
+// reporting means with dispersion, and the first comparison for
+// inspection.
+func CompareStats(cfg Config, policy core.TopicConfig, replications int) (wasteStats, lossStats stats.Running, first Comparison, err error) {
+	err = replicate(cfg, []core.TopicConfig{policy}, replications, func(r int, cmps []Comparison) {
+		if r == 0 {
+			first = cmps[0]
 		}
-		cmp, cerr := Compare(sc, policy)
-		if cerr != nil {
-			return wasteStats, lossStats, cerr
-		}
-		wasteStats.Add(cmp.WastePct)
-		lossStats.Add(cmp.LossPct)
-	}
-	return wasteStats, lossStats, nil
+		wasteStats.Add(cmps[0].WastePct)
+		lossStats.Add(cmps[0].LossPct)
+	})
+	return wasteStats, lossStats, first, err
 }
 
 // CompareAveraged repeats Compare over replications seeds derived from
@@ -319,27 +398,35 @@ func CompareStats(cfg Config, policy core.TopicConfig, replications int) (wasteS
 // single-scenario estimates. The first comparison is returned for
 // inspection.
 func CompareAveraged(cfg Config, policy core.TopicConfig, replications int) (waste, loss float64, first Comparison, err error) {
-	if replications < 1 {
-		replications = 1
+	wastes, losses, firsts, err := CompareAveragedMany(cfg, []core.TopicConfig{policy}, replications)
+	if err != nil {
+		return 0, 0, Comparison{}, err
 	}
-	for r := 0; r < replications; r++ {
-		runCfg := cfg
-		runCfg.Seed = cfg.Seed + uint64(r)*0x9e3779b9
-		sc, serr := NewScenario(runCfg)
-		if serr != nil {
-			return 0, 0, Comparison{}, serr
-		}
-		cmp, cerr := Compare(sc, policy)
-		if cerr != nil {
-			return 0, 0, Comparison{}, cerr
-		}
+	return wastes[0], losses[0], firsts[0], nil
+}
+
+// CompareAveragedMany is CompareAveraged for several policies over the
+// same scenarios: each replication's scenario is generated once and its
+// baseline runs once (CompareMany). waste[i], loss[i] and first[i] are
+// policy i's; each mean sums the replications in order, then divides.
+func CompareAveragedMany(cfg Config, policies []core.TopicConfig, replications int) (waste, loss []float64, first []Comparison, err error) {
+	waste, loss = make([]float64, len(policies)), make([]float64, len(policies))
+	err = replicate(cfg, policies, replications, func(r int, cmps []Comparison) {
 		if r == 0 {
-			first = cmp
+			first = cmps
 		}
-		waste += cmp.WastePct
-		loss += cmp.LossPct
+		for i, c := range cmps {
+			waste[i] += c.WastePct
+			loss[i] += c.LossPct
+		}
+	})
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	waste /= float64(replications)
-	loss /= float64(replications)
+	n := float64(max(replications, 1))
+	for i := range waste {
+		waste[i] /= n
+		loss[i] /= n
+	}
 	return waste, loss, first, nil
 }

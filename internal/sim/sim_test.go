@@ -462,12 +462,21 @@ func TestCompareStats(t *testing.T) {
 		c.Horizon = 30 * dist.Day
 		c.Outage.Fraction = 0.7
 	})
-	wasteStats, lossStats, err := CompareStats(cfg, core.OnDemandConfig(TopicName, cfg.Max), 4)
+	wasteStats, lossStats, first, err := CompareStats(cfg, core.OnDemandConfig(TopicName, cfg.Max), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if wasteStats.N() != 4 || lossStats.N() != 4 {
 		t.Fatalf("N = %d/%d", wasteStats.N(), lossStats.N())
+	}
+	// The first comparison is replication 0's, whose seed is cfg.Seed.
+	want, err := Compare(mustScenario(t, cfg), core.OnDemandConfig(TopicName, cfg.Max))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.LossPct != want.LossPct || first.Policy.Forwarded != want.Policy.Forwarded {
+		t.Errorf("first comparison: loss %v, forwarded %d; replication 0 has %v, %d",
+			first.LossPct, first.Policy.Forwarded, want.LossPct, want.Policy.Forwarded)
 	}
 	if wasteStats.Mean() != 0 {
 		t.Errorf("on-demand waste mean = %v", wasteStats.Mean())
@@ -544,5 +553,29 @@ func TestCompareAveraged(t *testing.T) {
 	}
 	if first.Baseline.Arrivals == 0 {
 		t.Error("first comparison missing")
+	}
+
+	// Each mean sums the replications in seed order, then divides: the
+	// figures in results/ depend on that order bit for bit.
+	policy := core.BufferConfig(TopicName, cfg.Max, 4)
+	waste, loss, _, err = CompareAveraged(cfg, policy, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantWaste, wantLoss float64
+	for r := range 3 {
+		rc := cfg
+		rc.Seed = cfg.Seed + uint64(r)*0x9e3779b9
+		cmp, err := Compare(mustScenario(t, rc), policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantWaste += cmp.WastePct
+		wantLoss += cmp.LossPct
+	}
+	wantWaste /= 3
+	wantLoss /= 3
+	if math.Float64bits(waste) != math.Float64bits(wantWaste) || math.Float64bits(loss) != math.Float64bits(wantLoss) {
+		t.Errorf("averaged waste %v loss %v, replications summed in order %v %v", waste, loss, wantWaste, wantLoss)
 	}
 }
