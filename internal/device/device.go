@@ -19,7 +19,9 @@ import (
 var ErrBatteryDead = errors.New("device battery exhausted")
 
 // ReadBackend relays a read request to the proxy. In simulation it is the
-// proxy itself; in deployment it is the wire client.
+// proxy itself; in deployment it is the wire client. Read must not keep
+// req.ClientEvents after it returns: the device reuses that buffer for its
+// next request.
 type ReadBackend interface {
 	Read(req msg.ReadRequest) error
 }
@@ -95,7 +97,8 @@ type Device struct {
 	backend ReadBackend
 	cfg     Config
 
-	store *Store // its Stats is the device's: link and battery are counted there too
+	store *Store   // its Stats is the device's: link and battery are counted there too
+	offer []msg.ID // the ClientEvents of every request it relays, reused
 }
 
 // New returns a device reading through the given link and backend.
@@ -161,10 +164,18 @@ func (d *Device) Receive(n *msg.Notification) error {
 // notifications are returned and consumed (n == 0 means everything, the
 // paper's Max = ∞). When the link is up, the device first offers the proxy
 // its best local IDs so the proxy transfers only better data (§3.5); when
-// the link is down, the read is served purely from the local queue.
+// the link is down, the read is served purely from the local queue. The
+// batch is a fresh slice the caller owns.
 func (d *Device) Read(topic string, n int) ([]*msg.Notification, error) {
+	return d.AppendRead(nil, topic, n)
+}
+
+// AppendRead is Read appending the batch to dst, so a caller that reuses
+// one buffer for its reads allocates nothing per read. On error dst comes
+// back unchanged.
+func (d *Device) AppendRead(dst []*msg.Notification, topic string, n int) ([]*msg.Notification, error) {
 	if d.batteryDead() {
-		return nil, ErrBatteryDead
+		return dst, ErrBatteryDead
 	}
 	d.store.Expire(topic, d.sched.Now(), nil)
 
@@ -175,7 +186,7 @@ func (d *Device) Read(topic string, n int) ([]*msg.Notification, error) {
 	// "better data" it selects waits in the outgoing queue until the
 	// link returns. When the link is up the request costs one upstream
 	// transfer and the response arrives before the read completes.
-	req := d.store.Offer(topic, n)
+	req := d.offerReq(topic, n)
 	relay := true
 	if d.lnk.Up() {
 		if err := d.drain(d.cfg.RequestCost); err != nil {
@@ -190,10 +201,18 @@ func (d *Device) Read(topic string, n int) ([]*msg.Notification, error) {
 		// The proxy forwards the difference synchronously through
 		// Receive before Read returns (when the link allows).
 		if err := d.backend.Read(req); err != nil {
-			return nil, fmt.Errorf("read relay: %w", err)
+			return dst, fmt.Errorf("read relay: %w", err)
 		}
 	}
-	return d.store.Take(topic, n), nil
+	return d.store.Take(dst, topic, n), nil
+}
+
+// offerReq builds a read request whose ClientEvents is the device's reused
+// offer buffer.
+func (d *Device) offerReq(topic string, n int) msg.ReadRequest {
+	req := d.store.Offer(d.offer[:0], topic, n)
+	d.offer = req.ClientEvents
+	return req
 }
 
 // Peek returns copies of the up-to-n highest-ranked unexpired unread
@@ -229,7 +248,7 @@ func (d *Device) Refill(topic string, slots int) error {
 		return ErrBatteryDead
 	}
 	d.store.Expire(topic, d.sched.Now(), nil)
-	req := d.store.Offer(topic, 0)
+	req := d.offerReq(topic, 0)
 	req.N = req.QueueSize + slots
 	req.Peek = true
 	if err := d.drain(d.cfg.RequestCost); err != nil {

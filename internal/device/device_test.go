@@ -2,7 +2,9 @@ package device
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -14,7 +16,8 @@ import (
 var t0 = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
 // fakeBackend records read requests and can push notifications back into
-// the device (as the proxy would) when a read arrives.
+// the device (as the proxy would) when a read arrives. It records a copy of
+// each request's ClientEvents, which the device reuses.
 type fakeBackend struct {
 	dev      *Device
 	requests []msg.ReadRequest
@@ -25,6 +28,7 @@ type fakeBackend struct {
 var _ ReadBackend = (*fakeBackend)(nil)
 
 func (b *fakeBackend) Read(req msg.ReadRequest) error {
+	req.ClientEvents = slices.Clone(req.ClientEvents)
 	b.requests = append(b.requests, req)
 	if b.err != nil {
 		return b.err
@@ -147,6 +151,60 @@ func TestReadMergesProxyResponse(t *testing.T) {
 	}
 	if f.dev.QueueLen("t") != 1 {
 		t.Errorf("QueueLen = %d, want the local event still queued", f.dev.QueueLen("t"))
+	}
+}
+
+func TestReadBatchIsCallerOwned(t *testing.T) {
+	f := newFixture(Config{})
+	for i, r := range []float64{6, 5, 4, 3, 2, 1} {
+		if err := f.dev.Receive(f.note(msg.ID(rune('a'+i)), r, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, err := f.dev.Read("t", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.dev.Read("t", 3); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(ids(first)); got != "[a b c]" {
+		t.Errorf("first batch is %s after the second read, want [a b c]", got)
+	}
+	if got := fmt.Sprint(f.backend.requests[0].ClientEvents); got != "[a b c]" {
+		t.Errorf("first request offered %s, want [a b c]", got)
+	}
+}
+
+// nopBackend accepts every read and sends nothing back.
+type nopBackend struct{}
+
+func (nopBackend) Read(msg.ReadRequest) error { return nil }
+
+// TestAppendReadAllocatesNothing reads a warm device into one reused
+// batch, offering and taking three of a deep queue per read, with the
+// link up and with it down.
+func TestAppendReadAllocatesNothing(t *testing.T) {
+	f := newFixture(Config{})
+	f.dev.backend = nopBackend{}
+	for i := range 1000 {
+		if err := f.dev.Receive(f.note(msg.ID(fmt.Sprintf("n%04d", i)), float64(i%7), time.Hour)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var batch []*msg.Notification
+	for _, up := range []bool{true, false} {
+		f.lnk.SetUp(up)
+		var err error
+		allocs := testing.AllocsPerRun(100, func() {
+			batch, err = f.dev.AppendRead(batch[:0], "t", 3)
+		})
+		if err != nil || len(batch) != 3 {
+			t.Fatalf("link up %v: read %d, %v", up, len(batch), err)
+		}
+		if allocs != 0 {
+			t.Errorf("link up %v: %.1f allocations per read, want 0", up, allocs)
+		}
 	}
 }
 

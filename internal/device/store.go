@@ -1,6 +1,7 @@
 package device
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -271,32 +272,36 @@ func (s *Store) bestIDs(dst []msg.ID, t *topicStore, n int) []msg.ID {
 
 // Offer builds the §3.5 read request for up to n notifications: the IDs of
 // the n best held, so the proxy transfers only better data. n == 0 is the
-// paper's Max = ∞ and offers the whole queue.
-func (s *Store) Offer(topic string, n int) msg.ReadRequest {
+// paper's Max = ∞ and offers the whole queue. The IDs are appended to dst,
+// and ClientEvents is the result: a caller that passes a buffer it reuses
+// owns the request only until its next Offer.
+func (s *Store) Offer(dst []msg.ID, topic string, n int) msg.ReadRequest {
 	t := s.topic(topic)
 	haveN := n
 	if haveN == 0 || haveN > t.held.Len() {
 		haveN = t.held.Len()
 	}
-	ids := s.bestIDs(make([]msg.ID, 0, max(haveN, 0)), t, haveN)
+	ids := s.bestIDs(slices.Grow(dst, max(haveN, 0)), t, haveN)
 	return msg.ReadRequest{Topic: topic, N: n, QueueSize: t.held.Len(), ClientEvents: ids}
 }
 
-// Take consumes and returns the up-to-n best held notifications in rank
-// order (n == 0: all of them).
-func (s *Store) Take(topic string, n int) []*msg.Notification {
+// Take consumes the up-to-n best held notifications (n == 0: all of them)
+// and appends them to dst in rank order.
+func (s *Store) Take(dst []*msg.Notification, topic string, n int) []*msg.Notification {
 	t := s.topic(topic)
 	if n == 0 {
 		n = t.held.Len()
 	}
 	if n <= 0 || t.held.Len() == 0 {
-		return nil
+		return dst
 	}
 	s.best = t.held.AppendBest(s.best[:0], n)
-	batch := make([]*msg.Notification, len(s.best))
-	for i, h := range s.best {
-		batch[i] = t.arena.Slots[h].N
+	start := len(dst)
+	dst = slices.Grow(dst, len(s.best))
+	for _, h := range s.best {
+		dst = append(dst, t.arena.Slots[h].N)
 	}
+	batch := dst[start:]
 	if len(batch) == t.held.Len() {
 		// The expiry heap holds only held handles, so it empties with the
 		// rank heap, and the arena with both.
@@ -318,7 +323,7 @@ func (s *Store) Take(topic string, n int) []*msg.Notification {
 		t.settle(b.ID, c)
 	}
 	s.Stats.ReadCount += len(batch)
-	return batch
+	return dst
 }
 
 // ResumeIDs returns what a reconnecting device replays for a configured

@@ -90,7 +90,7 @@ func TestStoreProperties(t *testing.T) {
 				}
 			case 6: // read
 				s.Expire(topic, now, nil)
-				for _, n := range s.Take(topic, rng.Intn(5)) {
+				for _, n := range s.Take(nil, topic, rng.Intn(5)) {
 					if consumed.Contains(n.ID) && inWindow(n.ID) {
 						t.Fatalf("seed %d step %d: consumed %s read again inside the window", seed, step, n.ID)
 					}
@@ -257,13 +257,13 @@ func TestStoreAgainstProxy(t *testing.T) {
 				case 9, 10: // user read; relayed only while the link is up
 					n := rng.Intn(6)
 					store.Expire(topic, clock.Now(), nil)
-					req := store.Offer(topic, n)
+					req := store.Offer(nil, topic, n)
 					if !link.down {
 						if err := proxy.Read(req); err != nil {
 							t.Fatal(err)
 						}
 					}
-					for _, b := range store.Take(topic, n) {
+					for _, b := range store.Take(nil, topic, n) {
 						if !link.consumed.Add(b.ID) {
 							t.Fatalf("history %d seed %d step %d: %s read twice", history, seed, step, b.ID)
 						}
@@ -349,9 +349,9 @@ func TestStoreTakeAllClearsExpiry(t *testing.T) {
 			case 9: // the user reads everything
 				var want []msg.ID
 				for ref.QueueLen(topic) > 0 {
-					want = append(want, ref.Take(topic, 1)[0].ID)
+					want = append(want, ref.Take(nil, topic, 1)[0].ID)
 				}
-				got := s.Take(topic, 0)
+				got := s.Take(nil, topic, 0)
 				if fmt.Sprint(ids(got)) != fmt.Sprint(want) {
 					t.Fatalf("seed %d step %d: Take(0) = %v, one at a time %v", seed, step, ids(got), want)
 				}
@@ -365,7 +365,7 @@ func TestStoreTakeAllClearsExpiry(t *testing.T) {
 				}
 			case 10: // the user reads a few
 				k := 1 + rng.Intn(3)
-				if got, want := ids(s.Take(topic, k)), ids(ref.Take(topic, k)); fmt.Sprint(got) != fmt.Sprint(want) {
+				if got, want := ids(s.Take(nil, topic, k)), ids(ref.Take(nil, topic, k)); fmt.Sprint(got) != fmt.Sprint(want) {
 					t.Fatalf("seed %d step %d: Take(%d) = %v, reference %v", seed, step, k, got, want)
 				}
 			}
@@ -412,10 +412,10 @@ func BenchmarkStoreReadAll(b *testing.B) {
 			}, t0)
 		}
 		b.StartTimer()
-		if req := s.Offer("t", 0); len(req.ClientEvents) != depth {
+		if req := s.Offer(nil, "t", 0); len(req.ClientEvents) != depth {
 			b.Fatalf("offered %d IDs", len(req.ClientEvents))
 		}
-		if got := len(s.Take("t", 0)); got != depth {
+		if got := len(s.Take(nil, "t", 0)); got != depth {
 			b.Fatalf("took %d", got)
 		}
 	}

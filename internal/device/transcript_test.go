@@ -72,12 +72,12 @@ func storeProgram(h hash.Hash, seed int64, history int) {
 			s.Expire(topic, now, func(n *msg.Notification) { dropped = append(dropped, n.ID) })
 			listIDs("expire", dropped)
 		case k == 10:
-			req := s.Offer(topic, rng.Intn(5))
+			req := s.Offer(nil, topic, rng.Intn(5))
 			fmt.Fprintf(h, " offer %d %d", req.N, req.QueueSize)
 			listIDs("", req.ClientEvents)
 		case k == 11, k == 12:
 			n := rng.Intn(5)
-			listIDs(fmt.Sprintf("take%d", n), ids(s.Take(topic, n)))
+			listIDs(fmt.Sprintf("take%d", n), ids(s.Take(nil, topic, n)))
 		case k == 13:
 			for _, n := range s.Peek(topic, rng.Intn(6)-1) {
 				fmt.Fprintf(h, " peek %s %v", n.ID, n.Rank)
@@ -108,8 +108,8 @@ func storeProgram(h hash.Hash, seed int64, history int) {
 			// A topic nobody pushed to: reads create it, Peek does not.
 			other := fmt.Sprintf("u%d", rng.Intn(3))
 			listIDs("other", ids(s.Peek(other, 0)))
-			listIDs("", ids(s.Take(other, 0)))
-			fmt.Fprintf(h, " %d", s.Offer(other, 1).QueueSize)
+			listIDs("", ids(s.Take(nil, other, 0)))
+			fmt.Fprintf(h, " %d", s.Offer(nil, other, 1).QueueSize)
 		default:
 			now = now.Add(time.Duration(rng.Intn(240)) * time.Second)
 		}
@@ -192,7 +192,7 @@ func BenchmarkStoreRetainedBytesPerID(b *testing.B) {
 				}
 				held += heapBytes() - base
 				for s.QueueLen("t") > 0 {
-					s.Take("t", 10)
+					s.Take(nil, "t", 10)
 				}
 				consumed += heapBytes() - base
 				runtime.KeepAlive(s)

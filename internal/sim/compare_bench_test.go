@@ -13,8 +13,11 @@ import (
 // nearly all of it is the proxy's and device's ranked queues and the timers
 // the proxy arms. The two years run concurrently when GOMAXPROCS allows, so
 // ns/op is the slower year's time plus the hand-off; run it with -cpu 1 for
-// the serial sum. CompareMany's slices, closure and goroutine add about
-// 10 of its ~3,757 allocations.
+// the serial sum. A read allocates nothing: the device and the replay loop
+// reuse their offer and batch buffers, so the ~765 allocations are per-run
+// growth (the proxy's tables and heaps, the device's ID map, the arrival
+// IDs, the read set). CompareMany's slices, closure and goroutine add
+// about 10 of them.
 func BenchmarkCompareYear(b *testing.B) {
 	cfg := goldenConfig(1, false)
 	cfg.Horizon = Year
@@ -35,9 +38,10 @@ func BenchmarkCompareYear(b *testing.B) {
 // TestCompareAllocs holds one 60-day unified comparison to an allocation
 // budget: a count, not a timing, so it means the same on any machine. The
 // replay itself allocates a fixed handful per run; a per-input closure,
-// event or note copy would add thousands.
+// event or note copy would add thousands, and a per-read offer or batch
+// slice about 240 each.
 func TestCompareAllocs(t *testing.T) {
-	const budget = 970
+	const budget = 440
 	cfg := goldenConfig(1, false)
 	sc := mustScenario(t, cfg)
 	policy := core.UnifiedConfig(TopicName, cfg.Max)
@@ -50,5 +54,7 @@ func TestCompareAllocs(t *testing.T) {
 	}
 	if allocs > budget {
 		t.Errorf("%.0f allocations per 60-day comparison, budget %d", allocs, budget)
+	} else {
+		t.Logf("%.0f allocations per 60-day comparison, budget %d", allocs, budget)
 	}
 }

@@ -150,6 +150,7 @@ func RunTraced(sc Scenario, policy core.TopicConfig, tr trace.Tracer) (Result, e
 	retracts := retractionOrder(sc.Arrivals)
 	notes := make([]msg.Notification, len(sc.Arrivals))
 	var ai, ri, rdi, ei int
+	var batch []*msg.Notification // every read's, reused
 	for {
 		at := cfg.Horizon
 		if ai < len(sc.Arrivals) {
@@ -191,7 +192,8 @@ func RunTraced(sc Scenario, policy core.TopicConfig, tr trace.Tracer) (Result, e
 			proxy.Notify(n)
 		}
 		for ; rdi < len(sc.Reads) && sc.Reads[rdi] == at; rdi++ {
-			batch, err := dev.Read(TopicName, cfg.Max)
+			var err error
+			batch, err = dev.AppendRead(batch[:0], TopicName, cfg.Max)
 			if err != nil && !errors.Is(err, device.ErrBatteryDead) {
 				return Result{}, fmt.Errorf("run: %w", err)
 			}

@@ -415,9 +415,13 @@ func decodeBody(kind byte, body []byte, f *Frame, o *decodeOpts) error {
 		req.N = r.int()
 		req.QueueSize = r.int()
 		if n := r.count(1); n > 0 {
+			// One copy of the rest of the body; each ID is a substring.
+			s := string(r.b)
 			req.ClientEvents = make([]msg.ID, 0, n)
 			for ; n > 0 && !r.bad; n-- {
-				req.ClientEvents = append(req.ClientEvents, msg.ID(r.bytes()))
+				v := r.bytes()
+				end := len(s) - len(r.b)
+				req.ClientEvents = append(req.ClientEvents, msg.ID(s[end-len(v):end]))
 			}
 		}
 		req.Peek = r.bool()

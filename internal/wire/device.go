@@ -416,7 +416,9 @@ func (d *DeviceClient) Read(topic string, n int) (batch []*msg.Notification, err
 func (d *DeviceClient) readOnce(topic string, n int) ([]*msg.Notification, error) {
 	d.smu.Lock()
 	d.expireLocked(topic)
-	req := d.store.Offer(topic, n)
+	// Its own offer buffer: smu is released before call encodes the
+	// request, and a concurrent read on another topic offers meanwhile.
+	req := d.store.Offer(nil, topic, n)
 	d.smu.Unlock()
 
 	// The OK lands after every push of this read (TCP ordering), so the
@@ -428,7 +430,7 @@ func (d *DeviceClient) readOnce(topic string, n int) ([]*msg.Notification, error
 	d.smu.Lock()
 	defer d.smu.Unlock()
 	d.expireLocked(topic)
-	batch := d.store.Take(topic, n)
+	batch := d.store.Take(nil, topic, n)
 	for _, b := range batch {
 		d.traceEvent(trace.KindRead, b, "", "")
 	}

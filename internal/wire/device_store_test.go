@@ -182,7 +182,7 @@ func TestResumeListsFitAFrame(t *testing.T) {
 			id := msg.ID(fmt.Sprintf("%s-%06d", topic, i)) // 14 bytes
 			dev.store.Accept(&msg.Notification{ID: id, Topic: topic, Rank: 1, Published: now}, now)
 			if i%1000 == 999 {
-				dev.store.Take(topic, 0)
+				dev.store.Take(nil, topic, 0)
 			}
 		}
 	}

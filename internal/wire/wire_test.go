@@ -253,6 +253,103 @@ func TestEndToEndReadProtocol(t *testing.T) {
 	}
 }
 
+// TestDeviceClientConcurrentReads reads two topics of one device client
+// from two goroutines, 200 reads each, while publishes push into both. A
+// read offers from the shared store, drops the lock while its request is
+// encoded and sent, and takes under the lock again, so a buffer shared
+// between the two reads would show here: under -race as a data race, and
+// otherwise as a batch holding the other topic's notifications or one read
+// twice. A backlog pushed before the reads start keeps every offer full.
+func TestDeviceClientConcurrentReads(t *testing.T) {
+	const reads, per, backlog, live = 200, 16, 3200, 300
+	h := newHarness(t)
+	pub, err := DialBroker(h.brokerAddr, "publisher")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pub.Close()
+	dev, err := DialProxy(h.proxyAddr, "phone")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dev.Close()
+	topics := []string{"ta", "tb"}
+	note := func(topic string, i int) *msg.Notification {
+		return wireNote(msg.ID(fmt.Sprintf("%s-%d", topic, i)), topic, float64(i%7))
+	}
+	for _, topic := range topics {
+		if err := pub.Advertise(topic, ""); err != nil {
+			t.Fatal(err)
+		}
+		if err := dev.Subscribe(topic, TopicPolicy{Policy: "online"}); err != nil {
+			t.Fatal(err)
+		}
+		batch := make([]*msg.Notification, backlog)
+		for i := range batch {
+			batch[i] = note(topic, i)
+		}
+		for _, err := range pub.PublishBatch(batch) {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitFor(t, topic+" backlog on the device", func() bool { return dev.QueueLen(topic) == backlog })
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, len(topics)+1)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := backlog; i < backlog+live; i++ {
+			for _, topic := range topics {
+				if err := pub.Publish(note(topic, i)); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}
+	}()
+	got := make([][]msg.ID, len(topics))
+	for k, topic := range topics {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range reads {
+				batch, err := dev.Read(topic, per)
+				if err != nil {
+					errs <- fmt.Errorf("read %s: %w", topic, err)
+					return
+				}
+				for _, n := range batch {
+					if n.Topic != topic || !strings.HasPrefix(string(n.ID), topic+"-") {
+						errs <- fmt.Errorf("a read of %s returned %s on %s", topic, n.ID, n.Topic)
+						return
+					}
+					got[k] = append(got[k], n.ID)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for k, ids := range got {
+		seen := make(map[msg.ID]bool, len(ids))
+		for _, id := range ids {
+			if seen[id] {
+				t.Errorf("%s: %s read twice", topics[k], id)
+			}
+			seen[id] = true
+		}
+		if len(ids) < reads {
+			t.Errorf("%s: %d reads returned %d notifications", topics[k], reads, len(ids))
+		}
+	}
+}
+
 func TestDisconnectedDeviceSpools(t *testing.T) {
 	h := newHarness(t)
 	pub, err := DialBroker(h.brokerAddr, "publisher")
